@@ -17,7 +17,7 @@ precision long before the formulas themselves become meaningless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -446,8 +446,3 @@ def policy_table_rows(schedule: MomentSchedule, spec: ProblemSpec) -> list[dict]
             }
         )
     return rows
-
-
-def with_multiplier(spec: ProblemSpec, w: float) -> ProblemSpec:
-    """Copy of the spec at a different constraint multiplier."""
-    return replace(spec, multiplier=w)

@@ -13,7 +13,7 @@ import hashlib
 import json
 
 from .closed_form import ProblemSpec
-from .market import MarketModel, market_from_dict, market_to_dict
+from .market import MarketModel, market_from_dict
 from .rl import Hyperparams
 
 
@@ -198,7 +198,3 @@ def manifest(cfg: dict, command: str, extra: dict | None = None) -> dict:
     if extra:
         out.update(extra)
     return out
-
-
-def market_section(model: MarketModel) -> dict:
-    return market_to_dict(model)

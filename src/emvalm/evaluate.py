@@ -275,27 +275,14 @@ def empirical_train(
     """
     if algo not in ("poemv1", "emv"):
         raise ValueError(f"empirical training supports poemv1 or emv, got {algo!r}")
+    hyper.require_market_dt(model)
     horizon = spec.horizon
     if horizon != blocks.horizon_periods():
         raise ValueError("problem horizon and block horizon disagree")
-    critic = rl.CriticParams.zeros(hyper.m)
-    actor = rl.ActorParams.zeros(hyper.m)
-    w = spec.target if hyper.w0 is None else hyper.w0
+    state = rl.TrainState.start(algo, hyper, spec)
     running: _RunningEstimate | None = None
-    taus = (horizon - np.arange(horizon + 1)) * hyper.dt
-    terminals: list[float] = []
-    ws: list[float] = []
-    ring: list[float] = []
+    taus = rl._tau_grid(horizon, hyper.dt)
     m1, m2 = model.moment_pair()
-    lam, d = spec.explore_weight, spec.target
-    eta = {
-        "theta1": hyper.eta_theta,
-        "theta2": hyper.eta_theta,
-        "theta3": hyper.eta_theta,
-        "vartheta1": hyper.eta_vartheta,
-        "vartheta2": hyper.eta_vartheta,
-        "psi": hyper.eta_psi,
-    }
 
     for k in range(hyper.n_iter):
         rng = stream(hyper.seed, k)
@@ -336,60 +323,11 @@ def empirical_train(
             e0_bar = np.full(horizon, 1.0 + rate * hyper.dt)
             sig = np.ones(horizon + 1)
             l_path = np.zeros(horizon + 1)
-        ex_arr = gross - e0_bar
-        feats = rl.features(sig, taus, hyper.m)
+        feats = rl._flat(rl.features(sig, taus, hyper.m))
+        rl._train_step(state, [rl._Scenario(e0_bar, gross - e0_bar, l_path, feats)], rng, k)
 
-        ce = rl._expand_critic(feats, critic)
-        ph1, ph2, ph3 = rl._expand_actor(feats, actor)
-        offsets = -(ce.vartheta1 / ce.theta1) * np.exp(ph2) * (w + ce.theta2 * l_path)
-        var = np.exp(ph3) / (2.0 * ce.theta1)
-        noise = rng.standard_normal(horizon)
-        shock = offsets[:-1] + np.sqrt(var[:-1]) * noise
-        x = rl._linear_rollout(e0_bar + ex_arr * ph1[:-1], ex_arr * shock, spec.x0)
-        if not np.all(np.isfinite(x)):
-            raise rl.DivergenceError(f"episode wealth path became non-finite at iteration {k}")
-        ep = rl._EpisodeArrays(x=x, l=l_path, action=ph1[:-1] * x[:-1] + shock, feats=feats)
-
-        cg = rl._ml_gradients_arrays(ep, critic, actor, w, d, lam, hyper.dt, None)
-        critic = rl.CriticParams(
-            **{
-                name: grid - eta[name] * rl._clip(getattr(cg, name), hyper.grad_clip)
-                for name, grid in critic.grids().items()
-            },
-            m=hyper.m,
-        )
-        rl._check_finite(critic, k, "critic")
-        ag = rl._policy_gradient_arrays(ep, critic, actor, w, lam, hyper.dt)
-        actor = rl.ActorParams(
-            **{
-                name: grid - hyper.eta_phi * rl._clip(getattr(ag, name), hyper.grad_clip)
-                for name, grid in actor.grids().items()
-            },
-            m=hyper.m,
-        )
-        rl._check_finite(actor, k, "actor")
-
-        terminal = float(x[-1] - l_path[-1])
-        ring.append(terminal)
-        if len(ring) > hyper.n_avg:
-            ring = ring[-hyper.n_avg :]
-        if (k + 1) % hyper.n_avg == 0:
-            w = rl.update_lagrange(w, ring, d, hyper.alpha)
-        terminals.append(terminal)
-        ws.append(w)
-
-    return rl.TrainState(
-        algo=algo,
-        critic=critic,
-        actor=actor,
-        w=w,
-        iteration=hyper.n_iter,
-        terminals=terminals,
-        ws=ws,
-        recent_terminals=ring,
-        hyper=hyper,
-        spec=spec,
-    )
+    state.iteration = hyper.n_iter
+    return state
 
 
 def blocks_frequency(dt: float) -> str:

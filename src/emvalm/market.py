@@ -33,14 +33,10 @@ DYNAMICS = ("real", "filtered", "expectation")
 SIGNALS = ("regime", "filtered_prob", "expected_state")
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent counter-based RNG stream for (seed, key...)."""
-    words = [np.uint64(seed & 0xFFFFFFFFFFFFFFFF)]
-    for k in key:
-        words.append(np.uint64(k & 0xFFFFFFFFFFFFFFFF))
-    while len(words) < 2:
-        words.append(np.uint64(0))
-    return np.random.Generator(np.random.Philox(key=np.array(words[:2], dtype=np.uint64)))
+def stream(seed: int, key: int) -> np.random.Generator:
+    """Independent counter-based RNG stream number ``key`` of ``seed``."""
+    words = [seed & 0xFFFFFFFFFFFFFFFF, key & 0xFFFFFFFFFFFFFFFF]
+    return np.random.Generator(np.random.Philox(key=np.array(words, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,25 @@ expectation-weighted observable dynamics otherwise.
 Time-to-go inside the polynomial grids is measured in years
 ((horizon - t) * dt); with period counting the stated learning rates blow the
 exponential expansions up immediately.
+
+Layout: every (m+1, m) grid is one row of a stacked array with
+K = (m+1)·m columns, a (6, K) array for the critic (theta1, theta2, theta3,
+vartheta1, vartheta2, psi) and a (3, K) array for the actor (phi1, phi2,
+phi3); the named grids are reshaped views of those rows.  Features along a
+path are a (T+1, K) matrix F (a reshape of ``features``), so one expansion
+is one product P F^T followed by ``exp`` on the five exponential rows, and
+one gradient is one product D F[:-1] of the (grids, T) per-period weights D.
+A training iteration (``_train_step``, shared by ``train`` and the empirical
+pipeline) expands the critic twice and the actor once: sampling and the
+martingale-loss gradient share the pre-update expansions, and the policy
+gradient re-expands only the updated critic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -45,66 +58,63 @@ ALGO_FLAVORS = {
 
 _CRITIC_GRIDS = ("theta1", "theta2", "theta3", "vartheta1", "vartheta2", "psi")
 _ACTOR_GRIDS = ("phi1", "phi2", "phi3")
+_N_EXP = 5  # the critic's first five grids enter through exp (the last two negated)
 
 
 class DivergenceError(RuntimeError):
     """Raised when a training run produces non-finite parameters or states."""
 
 
-@dataclass(frozen=True)
-class CriticParams:
-    """Coefficient grids of the parameterized objective, each (m+1, m)."""
+class _Grids:
+    """Named (m+1, m) grids held as the rows of one stacked (len(names), K) array."""
 
-    theta1: np.ndarray
-    theta2: np.ndarray
-    theta3: np.ndarray
-    vartheta1: np.ndarray
-    vartheta2: np.ndarray
-    psi: np.ndarray
-    m: int = 2
+    names: tuple[str, ...] = ()
 
-    @classmethod
-    def zeros(cls, m: int = 2) -> "CriticParams":
-        shape = (m + 1, m)
-        return cls(*(np.zeros(shape) for _ in _CRITIC_GRIDS), m=m)
-
-    def grids(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _CRITIC_GRIDS}
-
-
-@dataclass(frozen=True)
-class ActorParams:
-    """Policy coefficient grids, each (m+1, m)."""
-
-    phi1: np.ndarray
-    phi2: np.ndarray
-    phi3: np.ndarray
-    m: int = 2
+    def __init__(self, *grids: np.ndarray, m: int = 2, **named: np.ndarray):
+        rest = self.names[len(grids) :]
+        if len(grids) > len(self.names) or set(named) != set(rest):
+            raise TypeError(f"{type(self).__name__} takes the grids {', '.join(self.names)}")
+        stacked = np.empty((len(self.names), (m + 1) * m))
+        for row, (name, grid) in enumerate(zip(self.names, (*grids, *(named[n] for n in rest)))):
+            grid = np.asarray(grid, dtype=float)
+            if grid.shape != (m + 1, m):
+                raise ValueError(f"grid {name} has shape {grid.shape}, expected {(m + 1, m)}")
+            stacked[row] = grid.ravel()
+        self.stacked, self.m = stacked, m
 
     @classmethod
-    def zeros(cls, m: int = 2) -> "ActorParams":
-        shape = (m + 1, m)
-        return cls(*(np.zeros(shape) for _ in _ACTOR_GRIDS), m=m)
+    def from_stacked(cls, stacked: np.ndarray, m: int):
+        obj = cls.__new__(cls)
+        obj.stacked, obj.m = stacked, m
+        return obj
+
+    @classmethod
+    def zeros(cls, m: int = 2):
+        return cls.from_stacked(np.zeros((len(cls.names), (m + 1) * m)), m)
 
     def grids(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _ACTOR_GRIDS}
+        return {name: getattr(self, name) for name in self.names}
 
 
-@dataclass(frozen=True)
-class CriticGrads:
-    theta1: np.ndarray
-    theta2: np.ndarray
-    theta3: np.ndarray
-    vartheta1: np.ndarray
-    vartheta2: np.ndarray
-    psi: np.ndarray
+def _grid_view(row: int) -> property:
+    return property(lambda self: self.stacked[row].reshape(self.m + 1, self.m))
 
 
-@dataclass(frozen=True)
-class ActorGrads:
-    phi1: np.ndarray
-    phi2: np.ndarray
-    phi3: np.ndarray
+class CriticParams(_Grids):
+    """Coefficient grids of the parameterized objective, each (m+1, m).
+
+    Also the layout of the martingale-loss gradient (one grid per grid).
+    """
+
+    names = _CRITIC_GRIDS
+    theta1, theta2, theta3, vartheta1, vartheta2, psi = map(_grid_view, range(6))
+
+
+class ActorParams(_Grids):
+    """Policy coefficient grids, each (m+1, m); also the policy-gradient layout."""
+
+    names = _ACTOR_GRIDS
+    phi1, phi2, phi3 = map(_grid_view, range(3))
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,11 @@ class Hyperparams:
         if self.n_avg < 1 or self.n_iter < 0 or self.batch_size < 1 or self.m < 1:
             raise ValueError("n_avg/batch_size/m must be >= 1 and n_iter >= 0")
 
+    def require_market_dt(self, model: MarketModel) -> None:
+        """Reject a market whose period length differs from the training dt."""
+        if self.dt != model.dt:
+            raise ValueError(f"hyper dt = {self.dt!r} differs from the market's dt = {model.dt!r}")
+
 
 def features(signals, taus, m: int) -> np.ndarray:
     """Polynomial features signal^i * tau^j for i = 0..m, j = 1..m."""
@@ -143,16 +158,9 @@ def features(signals, taus, m: int) -> np.ndarray:
     return s_pow[:, :, None] * t_pow[:, None, :]
 
 
-def _expand_exp(grid: np.ndarray, feats: np.ndarray, name: str) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        out = np.exp(np.einsum("tij,ij->t", feats, grid))
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(f"exponential expansion of grid {name} overflowed")
-    return out
-
-
-def _expand_linear(grid: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    return np.einsum("tij,ij->t", feats, grid)
+def _flat(feats: np.ndarray) -> np.ndarray:
+    """(n, K) feature matrix of a (n, m+1, m) or (n, K) feature array."""
+    return feats.reshape(len(feats), -1)
 
 
 @dataclass(frozen=True)
@@ -179,23 +187,21 @@ class _CriticExpansion:
 
 
 def _expand_critic(feats: np.ndarray, critic: CriticParams) -> _CriticExpansion:
-    return _CriticExpansion(
-        theta1=_expand_exp(critic.theta1, feats, "theta1"),
-        theta2=_expand_exp(critic.theta2, feats, "theta2"),
-        theta3=_expand_exp(critic.theta3, feats, "theta3"),
-        vartheta1=-_expand_exp(critic.vartheta1, feats, "vartheta1"),
-        vartheta2=-_expand_exp(critic.vartheta2, feats, "vartheta2"),
-        psi=_expand_linear(critic.psi, feats),
-    )
+    z = critic.stacked @ _flat(feats).T
+    with np.errstate(over="ignore"):
+        e = np.exp(z[:_N_EXP])
+    if not np.all(np.isfinite(e)):
+        bad = int(np.argmin(np.isfinite(e).all(axis=1)))
+        raise OverflowError(f"exponential expansion of grid {_CRITIC_GRIDS[bad]} overflowed")
+    return _CriticExpansion(e[0], e[1], e[2], -e[3], -e[4], z[_N_EXP])
 
 
-def _expand_actor(feats: np.ndarray, actor: ActorParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ph1 = _expand_linear(actor.phi1, feats)
-    ph2 = _expand_linear(actor.phi2, feats)
-    ph3 = _expand_linear(actor.phi3, feats)
-    if not (np.all(np.isfinite(ph2)) and np.all(np.isfinite(ph3))):
+def _expand_actor(feats: np.ndarray, actor: ActorParams) -> np.ndarray:
+    """(3, n) rows phi1, phi2, phi3 along the feature path."""
+    ph = actor.stacked @ _flat(feats).T
+    if not np.all(np.isfinite(ph[1:])):
         raise OverflowError("actor grid expansion is not finite")
-    return ph1, ph2, ph3
+    return ph
 
 
 def _tau_grid(horizon: int, dt: float) -> np.ndarray:
@@ -285,14 +291,14 @@ class _EpisodeArrays:
     x: np.ndarray
     l: np.ndarray
     action: np.ndarray
-    feats: np.ndarray  # (T+1, m+1, m)
+    feats: np.ndarray  # (T+1, K)
 
 
 def _episode_arrays(episode: Episode, signal_kind: str, m: int, dt: float) -> _EpisodeArrays:
     sig = episode_signal(episode, signal_kind)
     taus = _tau_grid(episode.n_periods, dt)
     return _EpisodeArrays(
-        x=episode.x, l=episode.l, action=episode.action, feats=features(sig, taus, m)
+        x=episode.x, l=episode.l, action=episode.action, feats=_flat(features(sig, taus, m))
     )
 
 
@@ -316,58 +322,47 @@ def _ml_deltas(
     return jt_true - values[:-1] - lam * tail
 
 
-def _critic_coefficient_arrays(
-    ep: _EpisodeArrays, ce: _CriticExpansion, w: float
-) -> dict[str, np.ndarray]:
-    """Per-entry partial derivatives of the critic value, sans the feature factor."""
+def _critic_coefficient_arrays(ep: _EpisodeArrays, ce: _CriticExpansion, w: float) -> np.ndarray:
+    """(6, T) per-period partial derivatives of the critic value, sans the feature factor."""
     x, l = ep.x[:-1], ep.l[:-1]
-    th1, th2, th3 = ce.theta1[:-1], ce.theta2[:-1], ce.theta3[:-1]
-    v1, v2 = ce.vartheta1[:-1], ce.vartheta2[:-1]
+    th2, v1, v2 = ce.theta2[:-1], ce.vartheta1[:-1], ce.vartheta2[:-1]
     wl = w + th2 * l
-    return {
-        "theta1": x * x * th1,
-        "theta2": (v1 * l * x + 2.0 * wl * v2 * l + w * l) * th2,
-        "theta3": l * l * th3,
-        "vartheta1": wl * x * v1,
-        "vartheta2": wl * wl * v2,
-        "psi": np.ones_like(x),
-    }
+    return np.stack(
+        [
+            x * x * ce.theta1[:-1],
+            (v1 * l * x + 2.0 * wl * v2 * l + w * l) * th2,
+            l * l * ce.theta3[:-1],
+            wl * x * v1,
+            wl * wl * v2,
+            np.ones_like(x),
+        ]
+    )
 
 
 def _ml_gradients_arrays(
     ep: _EpisodeArrays,
-    critic: CriticParams,
-    actor: ActorParams,
+    ce: _CriticExpansion,
+    entropies: np.ndarray,
     w: float,
     d: float,
     lam: float,
     dt: float,
-    entropies: np.ndarray | None,
-) -> CriticGrads:
-    ce = _expand_critic(ep.feats, critic)
-    if entropies is None:
-        _, _, ph3 = _expand_actor(ep.feats, actor)
-        entropies = _entropy_path(ce, ph3)[:-1]
+) -> np.ndarray:
+    """(6, K) martingale-loss gradient of one episode at the critic expanded in ``ce``."""
     deltas = _ml_deltas(ep, ce, w, d, lam, dt, np.asarray(entropies))
-    coeffs = _critic_coefficient_arrays(ep, ce, w)
-    feats = ep.feats[:-1]
-    grads = {
-        name: -dt * np.einsum("t,tij->ij", deltas * coeff, feats)
-        for name, coeff in coeffs.items()
-    }
-    return CriticGrads(**grads)
+    return -dt * ((_critic_coefficient_arrays(ep, ce, w) * deltas) @ ep.feats[:-1])
 
 
 def _policy_gradient_arrays(
     ep: _EpisodeArrays,
-    critic: CriticParams,
-    actor: ActorParams,
+    ce: _CriticExpansion,
+    ph: np.ndarray,
     w: float,
     lam: float,
     dt: float,
-) -> ActorGrads:
-    ce = _expand_critic(ep.feats, critic)
-    ph1, ph2, ph3 = _expand_actor(ep.feats, actor)
+) -> np.ndarray:
+    """(3, K) policy gradient of one episode at the expansions ``ce`` and ``ph``."""
+    ph1, ph2, ph3 = ph
     entropies = _entropy_path(ce, ph3)[:-1]
     td = np.diff(ce.values(ep.x, ep.l, w)) - lam * entropies * dt
 
@@ -376,15 +371,10 @@ def _policy_gradient_arrays(
     gain = 2.0 * th1 * np.exp(-ph3[:-1])
     offset = -(ce.vartheta1[:-1] / th1) * np.exp(ph2[:-1]) * (w + ce.theta2[:-1] * l)
     resid = u - (ph1[:-1] * x + offset)
-    feats = ep.feats[:-1]
     s1 = gain * resid * x
     s2 = gain * resid * offset
     s3 = 0.5 * gain * resid * resid - 0.5
-    return ActorGrads(
-        phi1=np.einsum("t,tij->ij", s1 * td, feats),
-        phi2=np.einsum("t,tij->ij", s2 * td, feats),
-        phi3=np.einsum("t,tij->ij", s3 * td - lam * 0.5 * dt, feats),
-    )
+    return np.stack([s1 * td, s2 * td, s3 * td - lam * 0.5 * dt]) @ ep.feats[:-1]
 
 
 def martingale_loss(
@@ -408,8 +398,7 @@ def martingale_loss(
     ep = _episode_arrays(episode, signal_kind, critic.m, dt)
     ce = _expand_critic(ep.feats, critic)
     if entropies is None:
-        _, _, ph3 = _expand_actor(ep.feats, actor)
-        entropies = _entropy_path(ce, ph3)[:-1]
+        entropies = _entropy_path(ce, _expand_actor(ep.feats, actor)[2])[:-1]
     deltas = _ml_deltas(ep, ce, w, spec.target, lam, dt, np.asarray(entropies))
     return float(0.5 * np.sum(deltas**2) * dt)
 
@@ -424,7 +413,7 @@ def ml_gradients(
     signal_kind: str = "filtered_prob",
     lam: float | None = None,
     entropies: np.ndarray | None = None,
-) -> CriticGrads:
+) -> CriticParams:
     """Martingale-loss gradients w.r.t. every critic grid (single episode).
 
     Assembled from the per-entry partial derivatives of the parameterized
@@ -432,7 +421,11 @@ def ml_gradients(
     """
     lam = spec.explore_weight if lam is None else lam
     ep = _episode_arrays(episode, signal_kind, critic.m, dt)
-    return _ml_gradients_arrays(ep, critic, actor, w, spec.target, lam, dt, entropies)
+    ce = _expand_critic(ep.feats, critic)
+    if entropies is None:
+        entropies = _entropy_path(ce, _expand_actor(ep.feats, actor)[2])[:-1]
+    grads = _ml_gradients_arrays(ep, ce, entropies, w, spec.target, lam, dt)
+    return CriticParams.from_stacked(grads, critic.m)
 
 
 def policy_gradient(
@@ -444,11 +437,13 @@ def policy_gradient(
     dt: float,
     signal_kind: str = "filtered_prob",
     lam: float | None = None,
-) -> ActorGrads:
+) -> ActorParams:
     """Episode estimate of the objective gradient w.r.t. the actor grids."""
     lam = spec.explore_weight if lam is None else lam
     ep = _episode_arrays(episode, signal_kind, critic.m, dt)
-    return _policy_gradient_arrays(ep, critic, actor, w, lam, dt)
+    ce = _expand_critic(ep.feats, critic)
+    grads = _policy_gradient_arrays(ep, ce, _expand_actor(ep.feats, actor), w, lam, dt)
+    return ActorParams.from_stacked(grads, actor.m)
 
 
 def update_lagrange(w: float, recent_terminals, d: float, alpha: float) -> float:
@@ -473,6 +468,13 @@ class TrainState:
     recent_terminals: list[float]
     hyper: Hyperparams
     spec: ProblemSpec
+
+    @classmethod
+    def start(cls, algo: str, hyper: Hyperparams, spec: ProblemSpec) -> "TrainState":
+        """Zero grids and the configured starting multiplier, before iteration 0."""
+        critic, actor = CriticParams.zeros(hyper.m), ActorParams.zeros(hyper.m)
+        w = spec.target if hyper.w0 is None else hyper.w0
+        return cls(algo, critic, actor, w, 0, [], [], [], hyper, spec)
 
     def history_rows(self, block: int = 10) -> list[dict]:
         rows = []
@@ -548,62 +550,55 @@ class TrainState:
 
 
 @dataclass(frozen=True)
+class _Scenario:
+    """What one training episode is rolled through: per-period baseline and
+    excess gross returns (t = 0..T-1), the liability path and the (T+1, K)
+    features (t = 0..T)."""
+
+    e0: np.ndarray
+    ex: np.ndarray
+    l: np.ndarray
+    feats: np.ndarray
+
+
+@dataclass(frozen=True)
 class _TrainEnv:
-    dynamics: str
-    signal_kind: str
     model: MarketModel
     horizon: int
-    dt: float
-    m: int
-    # deterministic-dynamics paths (None for the real market)
-    e0_bar: np.ndarray | None = None
-    ex_bar: np.ndarray | None = None
-    q_bar: np.ndarray | None = None
-    l_path: np.ndarray | None = None
-    feats: np.ndarray | None = None
-    # real-market feature tables for the two regime labels
+    l0: float
+    # filtered/expectation dynamics: every episode sees the same scenario
+    fixed: _Scenario | None = None
+    # real dynamics: (2, T+1, K) features of the regime labels 1 and 2
     feats_by_regime: np.ndarray | None = None
 
 
 def _build_env(algo: str, model: MarketModel, hyper: Hyperparams, spec: ProblemSpec) -> _TrainEnv:
     if algo not in ALGO_FLAVORS:
         raise ValueError(f"algo must be one of {sorted(ALGO_FLAVORS)}, got {algo!r}")
-    dynamics, _signal_kind = ALGO_FLAVORS[algo]
+    dynamics = ALGO_FLAVORS[algo][0]
     horizon = spec.horizon
     taus = _tau_grid(horizon, hyper.dt)
     if dynamics == "real":
         feats_by_regime = np.stack(
-            [
-                features(np.full(horizon + 1, 1.0), taus, hyper.m),
-                features(np.full(horizon + 1, 2.0), taus, hyper.m),
-            ]
+            [_flat(features(np.full(horizon + 1, s), taus, hyper.m)) for s in (1.0, 2.0)]
         )
-        return _TrainEnv(
-            dynamics=dynamics,
-            signal_kind=_signal_kind,
-            model=model,
-            horizon=horizon,
-            dt=hyper.dt,
-            m=hyper.m,
-            feats_by_regime=feats_by_regime,
-        )
+        return _TrainEnv(model, horizon, spec.l0, feats_by_regime=feats_by_regime)
     e0_bar, ex_bar, q_bar, signal = deterministic_rates(
         model, horizon, dynamics, hyper.expectation_signal
     )
     l_path = spec.l0 * np.concatenate(([1.0], np.cumprod(q_bar)))
-    return _TrainEnv(
-        dynamics=dynamics,
-        signal_kind=_signal_kind,
-        model=model,
-        horizon=horizon,
-        dt=hyper.dt,
-        m=hyper.m,
-        e0_bar=e0_bar,
-        ex_bar=ex_bar,
-        q_bar=q_bar,
-        l_path=l_path,
-        feats=features(signal, taus, hyper.m),
-    )
+    fixed = _Scenario(e0_bar, ex_bar, l_path, _flat(features(signal, taus, hyper.m)))
+    return _TrainEnv(model, horizon, spec.l0, fixed=fixed)
+
+
+def _draw_scenario(env: _TrainEnv, rng: np.random.Generator) -> _Scenario:
+    if env.fixed is not None:
+        return env.fixed
+    regimes = regime_path(env.model.chain, env.horizon, rng)
+    rec = sample_return_paths(regimes[:-1], env.model, rng)
+    l_path = env.l0 * np.concatenate(([1.0], np.cumprod(rec.q)))
+    feats = env.feats_by_regime[regimes - 1, np.arange(env.horizon + 1)]
+    return _Scenario(rec.e0, rec.e1 - rec.e0, l_path, feats)
 
 
 def _linear_rollout(alpha: np.ndarray, beta: np.ndarray, x0: float) -> np.ndarray:
@@ -621,37 +616,24 @@ def _linear_rollout(alpha: np.ndarray, beta: np.ndarray, x0: float) -> np.ndarra
 
 
 def _sample_training_episode(
-    env: _TrainEnv,
-    critic: CriticParams,
-    actor: ActorParams,
+    sc: _Scenario,
+    ce: _CriticExpansion,
+    ph: np.ndarray,
     w: float,
-    spec: ProblemSpec,
+    x0: float,
     rng: np.random.Generator,
 ) -> _EpisodeArrays:
-    horizon = env.horizon
-    if env.dynamics == "real":
-        regimes = regime_path(env.model.chain, horizon, rng)
-        rec = sample_return_paths(regimes[:-1], env.model, rng)
-        e0_arr, ex_arr, q_arr = rec.e0, rec.e1 - rec.e0, rec.q
-        l_path = spec.l0 * np.concatenate(([1.0], np.cumprod(q_arr)))
-        feats = env.feats_by_regime[regimes - 1, np.arange(horizon + 1)]
-    else:
-        e0_arr, ex_arr = env.e0_bar, env.ex_bar
-        l_path, feats = env.l_path, env.feats
-
-    ce = _expand_critic(feats, critic)
-    ph1, ph2, ph3 = _expand_actor(feats, actor)
-    offset = -(ce.vartheta1 / ce.theta1) * np.exp(ph2) * (w + ce.theta2 * l_path)
+    """Roll the policy expanded in ``ce``/``ph`` through one scenario, drawing
+    its action noise from ``rng``."""
+    ph1, ph2, ph3 = ph
+    offset = -(ce.vartheta1 / ce.theta1) * np.exp(ph2) * (w + ce.theta2 * sc.l)
     var = np.exp(ph3) / (2.0 * ce.theta1)
-    noise = rng.standard_normal(horizon)
+    noise = rng.standard_normal(len(sc.e0))
     shock = offset[:-1] + np.sqrt(var[:-1]) * noise
-    alpha = e0_arr + ex_arr * ph1[:-1]
-    beta = ex_arr * shock
-    x = _linear_rollout(alpha, beta, spec.x0)
+    x = _linear_rollout(sc.e0 + sc.ex * ph1[:-1], sc.ex * shock, x0)
     if not np.all(np.isfinite(x)):
-        raise DivergenceError("episode wealth path became non-finite")
-    action = ph1[:-1] * x[:-1] + shock
-    return _EpisodeArrays(x=x, l=l_path, action=action, feats=feats)
+        raise OverflowError("episode wealth path became non-finite")
+    return _EpisodeArrays(x=x, l=sc.l, action=ph1[:-1] * x[:-1] + shock, feats=sc.feats)
 
 
 def _clip(grad: np.ndarray, limit: float | None) -> np.ndarray:
@@ -660,10 +642,64 @@ def _clip(grad: np.ndarray, limit: float | None) -> np.ndarray:
     return np.clip(grad, -limit, limit)
 
 
-def _check_finite(params, iteration: int, kind: str) -> None:
-    for name, grid in params.grids().items():
-        if not np.all(np.isfinite(grid)):
-            raise DivergenceError(f"{kind} grid {name} became non-finite at iteration {iteration}")
+def _check_finite(params: _Grids, iteration: int, kind: str) -> None:
+    finite = np.isfinite(params.stacked).all(axis=1)
+    if not finite.all():
+        name = params.names[int(np.argmin(finite))]
+        raise DivergenceError(f"{kind} grid {name} became non-finite at iteration {iteration}")
+
+
+def _train_step(
+    state: TrainState, scenarios: Iterable[_Scenario], rng: np.random.Generator, k: int
+) -> None:
+    """Iteration ``k`` of the actor-critic loop, applied to ``state`` in place.
+
+    ``scenarios`` is consumed lazily, one episode at a time, so an episode's
+    market draws precede its action noise and the next episode's draws follow
+    it.  Each episode is sampled from one critic and one actor expansion,
+    which the martingale-loss gradient reuses; after the critic step only the
+    updated critic is expanded again for the policy gradient.  With several
+    episodes each step follows the mean of the per-episode gradients.  Every
+    ``n_avg`` iterations the multiplier moves against the windowed
+    terminal-surplus error.
+    """
+    hyper, spec, w = state.hyper, state.spec, state.w
+    lam, d, dt, m = spec.explore_weight, spec.target, hyper.dt, hyper.m
+    critic_rates = np.repeat([hyper.eta_theta, hyper.eta_vartheta, hyper.eta_psi], (3, 2, 1))
+    try:
+        batch = []
+        for sc in scenarios:
+            ce = _expand_critic(sc.feats, state.critic)
+            ph = _expand_actor(sc.feats, state.actor)
+            batch.append((_sample_training_episode(sc, ce, ph, w, spec.x0, rng), ce, ph))
+        grads = [
+            _ml_gradients_arrays(ep, ce, _entropy_path(ce, ph[2])[:-1], w, d, lam, dt)
+            for ep, ce, ph in batch
+        ]
+        step = critic_rates[:, None] * _clip(sum(grads) / len(grads), hyper.grad_clip)
+        state.critic = CriticParams.from_stacked(state.critic.stacked - step, m)
+        _check_finite(state.critic, k, "critic")
+
+        grads = [
+            _policy_gradient_arrays(ep, _expand_critic(ep.feats, state.critic), ph, w, lam, dt)
+            for ep, _, ph in batch
+        ]
+        step = hyper.eta_phi * _clip(sum(grads) / len(grads), hyper.grad_clip)
+        state.actor = ActorParams.from_stacked(state.actor.stacked - step, m)
+        _check_finite(state.actor, k, "actor")
+    except OverflowError as exc:
+        raise DivergenceError(f"{exc} at iteration {k}") from exc
+
+    terminal = float(np.mean([ep.x[-1] - ep.l[-1] for ep, _, _ in batch]))
+    ring = state.recent_terminals
+    ring.append(terminal)
+    del ring[: -hyper.n_avg]
+    if (k + 1) % hyper.n_avg == 0:
+        state.w = update_lagrange(w, ring, d, hyper.alpha)
+        if not math.isfinite(state.w):
+            raise DivergenceError(f"multiplier became non-finite at iteration {k}")
+    state.terminals.append(terminal)
+    state.ws.append(state.w)
 
 
 def train(
@@ -683,86 +719,27 @@ def train(
     independent stream (seed, k), so a resumed run reproduces an uninterrupted
     one bit for bit.
     """
+    hyper.require_market_dt(model)
     env = _build_env(algo, model, hyper, spec)
     if state is None:
-        critic = CriticParams.zeros(hyper.m)
-        actor = ActorParams.zeros(hyper.m)
-        w = spec.target if hyper.w0 is None else hyper.w0
-        start = 0
-        terminals: list[float] = []
-        ws: list[float] = []
-        ring: list[float] = []
+        run = TrainState.start(algo, hyper, spec)
     else:
         if state.algo != algo:
             raise ValueError(f"checkpoint is for algo {state.algo!r}, not {algo!r}")
-        critic, actor, w = state.critic, state.actor, state.w
-        start = state.iteration
-        terminals = list(state.terminals)
-        ws = list(state.ws)
-        ring = list(state.recent_terminals)
+        run = replace(
+            state,
+            terminals=list(state.terminals),
+            ws=list(state.ws),
+            recent_terminals=list(state.recent_terminals),
+            hyper=hyper,
+            spec=spec,
+        )
 
-    eta = {
-        "theta1": hyper.eta_theta,
-        "theta2": hyper.eta_theta,
-        "theta3": hyper.eta_theta,
-        "vartheta1": hyper.eta_vartheta,
-        "vartheta2": hyper.eta_vartheta,
-        "psi": hyper.eta_psi,
-    }
-    lam, d = spec.explore_weight, spec.target
-    for k in range(start, hyper.n_iter):
+    for k in range(run.iteration, hyper.n_iter):
         rng = stream(hyper.seed, k)
-        try:
-            episodes = [
-                _sample_training_episode(env, critic, actor, w, spec, rng)
-                for _ in range(hyper.batch_size)
-            ]
-            cgrads = [
-                _ml_gradients_arrays(ep, critic, actor, w, d, lam, hyper.dt, None)
-                for ep in episodes
-            ]
-            new_grids = {}
-            for name, grid in critic.grids().items():
-                g = np.mean([getattr(cg, name) for cg in cgrads], axis=0)
-                new_grids[name] = grid - eta[name] * _clip(g, hyper.grad_clip)
-            critic = CriticParams(**new_grids, m=hyper.m)
-            _check_finite(critic, k, "critic")
-
-            agrads = [
-                _policy_gradient_arrays(ep, critic, actor, w, lam, hyper.dt) for ep in episodes
-            ]
-            new_actor = {}
-            for name, grid in actor.grids().items():
-                g = np.mean([getattr(ag, name) for ag in agrads], axis=0)
-                new_actor[name] = grid - hyper.eta_phi * _clip(g, hyper.grad_clip)
-            actor = ActorParams(**new_actor, m=hyper.m)
-            _check_finite(actor, k, "actor")
-        except OverflowError as exc:
-            raise DivergenceError(f"{exc} at iteration {k}") from exc
-
-        terminal = float(np.mean([ep.x[-1] - ep.l[-1] for ep in episodes]))
-        ring.append(terminal)
-        if len(ring) > hyper.n_avg:
-            ring = ring[-hyper.n_avg :]
-        if (k + 1) % hyper.n_avg == 0:
-            w = update_lagrange(w, ring, d, hyper.alpha)
-            if not math.isfinite(w):
-                raise DivergenceError(f"multiplier became non-finite at iteration {k}")
-        terminals.append(terminal)
-        ws.append(w)
-
-    return TrainState(
-        algo=algo,
-        critic=critic,
-        actor=actor,
-        w=w,
-        iteration=hyper.n_iter,
-        terminals=terminals,
-        ws=ws,
-        recent_terminals=ring,
-        hyper=hyper,
-        spec=spec,
-    )
+        _train_step(run, (_draw_scenario(env, rng) for _ in range(hyper.batch_size)), rng, k)
+    run.iteration = hyper.n_iter
+    return run
 
 
 def policy_from_state(state: TrainState) -> GaussianPolicy:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from emvalm import data_ingest as D
 from emvalm import evaluate as E
 from emvalm import market as M
 from emvalm import rl
@@ -137,3 +138,51 @@ class TestCompareTable:
         assert row["sharpe"] == pytest.approx(
             (row["mean"] - 1.0) / math.sqrt(row["variance"]), rel=1e-12
         )
+
+
+def monthly_study_market():
+    chain = M.RegimeChain.from_probs(0.994, 0.006, 0.012, 0.988, 0.999)
+    return M.MarketModel(
+        chain=chain,
+        e0=(
+            M.ReturnSpec(kind="constant", annual_mean=1.12),
+            M.ReturnSpec(kind="constant", annual_mean=1.005),
+        ),
+        e1=(
+            M.ReturnSpec(kind="normal", annual_mean=0.5, annual_vol=0.1, mean_is_gross=False),
+            M.ReturnSpec(kind="normal", annual_mean=-0.22, annual_vol=0.1, mean_is_gross=False),
+        ),
+        q=(
+            M.ReturnSpec(kind="normal", annual_mean=0.04, annual_vol=0.02, mean_is_gross=False),
+            M.ReturnSpec(kind="normal", annual_mean=0.0, annual_vol=0.05, mean_is_gross=False),
+        ),
+        dt=1.0 / 12.0,
+    )
+
+
+def monthly_blocks(model, n_series=4, months=120, horizon_years=2.0):
+    series = []
+    for i in range(n_series):
+        gen = M.stream(77, i)
+        regimes = M.regime_path(model.chain, months, gen)
+        gross = M.sample_return_paths(regimes[:-1], model, gen).e1
+        closes = 100.0 * np.concatenate(([1.0], np.cumprod(gross)))
+        series.append(D.PriceSeries.from_closes(closes, frequency="monthly"))
+    return E.BlockSource(series_set=tuple(series), horizon_years=horizon_years, dt=model.dt)
+
+
+class TestEmpiricalTrain:
+    def test_dt_mismatch_rejected(self):
+        model = monthly_study_market()
+        hyper = rl.Hyperparams(n_iter=5, dt=1.0 / 252.0, n_avg=5)
+        with pytest.raises(ValueError, match=r"dt.*0\.00396.*0\.0833"):
+            E.empirical_train("poemv1", monthly_blocks(model), model, hyper, tiny_spec(24))
+
+    def test_absurd_learning_rates_raise_divergence_not_overflow(self):
+        model = monthly_study_market()
+        hyper = rl.Hyperparams(
+            eta_theta=1e6, eta_vartheta=1e6, eta_psi=1e6, eta_phi=1e6,
+            n_iter=50, dt=model.dt, n_avg=5, grad_clip=None,
+        )
+        with pytest.raises(rl.DivergenceError, match="iteration"):
+            E.empirical_train("poemv1", monthly_blocks(model), model, hyper, tiny_spec(24))

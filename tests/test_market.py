@@ -52,6 +52,20 @@ class TestRegimeChain:
                 M.RegimeChain(p=REFERENCE_P, p0=bad)
 
 
+class TestStream:
+    def test_stream_is_philox_keyed_by_seed_and_key(self):
+        # the keys used across the package, including wrap-around of negative
+        # and 64-bit values, must keep their historical streams bit for bit
+        for seed, key in ((0, 0), (123, 0), (123, 4999), (2024, 19), (2**64 - 1, 2**63), (-1, 7)):
+            words = np.array([seed % 2**64, key % 2**64], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=words)).random(8)
+            assert np.array_equal(M.stream(seed, key).random(8), expected)
+
+    def test_extra_key_words_are_rejected_not_dropped(self):
+        with pytest.raises(TypeError):
+            M.stream(1, 2, 3)
+
+
 class TestStepRegime:
     def test_absorbing_chain(self):
         chain = M.RegimeChain(p=((1.0, 0.0), (0.0, 1.0)), p0=0.5)

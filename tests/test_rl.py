@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from emvalm import market as M
@@ -433,6 +437,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="algo"):
             rl.train("ddpg", tiny_market(), tiny_hyper(1), tiny_spec())
 
+    def test_dt_mismatch_rejected_before_training(self):
+        # a daily training dt against the monthly market used to surface only
+        # as a non-finite grid some iterations in
+        hyper = rl.Hyperparams(n_iter=5, dt=1.0 / 252.0, seed=0, n_avg=5)
+        with pytest.raises(ValueError, match=r"dt.*0\.00396.*0\.0833"):
+            rl.train("poemv1", tiny_market(), hyper, tiny_spec())
+
     def test_divergence_reported_with_parameter_name(self):
         hyper = rl.Hyperparams(
             eta_theta=1e6,
@@ -538,3 +549,221 @@ class TestTrain:
         ce = rl._expand_critic(feats, state.critic)
         assert np.all(ce.theta1 > 0) and np.all(ce.theta2 > 0) and np.all(ce.theta3 > 0)
         assert np.all(ce.vartheta1 < 0) and np.all(ce.vartheta2 < 0)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the stacked training step: the per-grid einsum expansions and
+# gradients it replaced.  matmul and einsum sum in different orders, so each
+# entry must agree to 1e-12 of its rounding scale: the same sum taken over the
+# magnitudes of every operand of every difference in the formula.
+# ---------------------------------------------------------------------------
+
+CRITIC_NAMES = ("theta1", "theta2", "theta3", "vartheta1", "vartheta2", "psi")
+ACTOR_NAMES = ("phi1", "phi2", "phi3")
+
+
+def per_grid_critic_expansion(feats, grids):
+    lin = {name: np.einsum("tij,ij->t", feats, grids[name]) for name in CRITIC_NAMES}
+    return rl._CriticExpansion(
+        theta1=np.exp(lin["theta1"]),
+        theta2=np.exp(lin["theta2"]),
+        theta3=np.exp(lin["theta3"]),
+        vartheta1=-np.exp(lin["vartheta1"]),
+        vartheta2=-np.exp(lin["vartheta2"]),
+        psi=lin["psi"],
+    )
+
+
+def per_grid_actor_expansion(feats, grids):
+    return tuple(np.einsum("tij,ij->t", feats, grids[name]) for name in ACTOR_NAMES)
+
+
+def per_grid_ml_gradients(x, l, feats, ce, ph3, w, d, lam, dt):
+    values = ce.values(x, l, w)
+    entropies = (-0.5 * np.log(ce.theta1 / math.pi) + 0.5 * (ph3 + 1.0))[:-1]
+    tail = np.cumsum((entropies * dt)[::-1])[::-1]
+    deltas = rl.terminal_objective(x[-1], l[-1], w, d) - values[:-1] - lam * tail
+    jmag = (x[-1] - l[-1] - w) ** 2 + (w - d) ** 2
+    vmag = values_magnitude(ce, x, l, w)
+    x, l = x[:-1], l[:-1]
+    th2, v1, v2 = ce.theta2[:-1], ce.vartheta1[:-1], ce.vartheta2[:-1]
+    wl = w + th2 * l
+    coeffs = {
+        "theta1": x * x * ce.theta1[:-1],
+        "theta2": (v1 * l * x + 2.0 * wl * v2 * l + w * l) * th2,
+        "theta3": l * l * ce.theta3[:-1],
+        "vartheta1": wl * x * v1,
+        "vartheta2": wl * wl * v2,
+        "psi": np.ones_like(x),
+    }
+    grads = {n: -dt * np.einsum("t,tij->ij", deltas * c, feats[:-1]) for n, c in coeffs.items()}
+    # rounding scale: every difference above replaced by the sum of its operands' magnitudes
+    dmag = jmag + vmag[:-1] + lam * np.cumsum(np.abs(entropies * dt)[::-1])[::-1]
+    cmag = {n: np.abs(c) for n, c in coeffs.items()}
+    cmag["theta2"] = (np.abs(v1 * l * x) + np.abs(2.0 * wl * v2 * l) + np.abs(w * l)) * th2
+    scales = {n: dt * np.einsum("t,tij->ij", dmag * c, np.abs(feats[:-1])) for n, c in cmag.items()}
+    return grads, scales
+
+
+def per_grid_policy_gradient(x, l, u, feats, ce, ph, w, lam, dt):
+    ph1, ph2, ph3 = ph
+    entropies = (-0.5 * np.log(ce.theta1 / math.pi) + 0.5 * (ph3 + 1.0))[:-1]
+    td = np.diff(ce.values(x, l, w)) - lam * entropies * dt
+    vmag = values_magnitude(ce, x, l, w)
+    x, l = x[:-1], l[:-1]
+    th1 = ce.theta1[:-1]
+    gain = 2.0 * th1 * np.exp(-ph3[:-1])
+    offset = -(ce.vartheta1[:-1] / th1) * np.exp(ph2[:-1]) * (w + ce.theta2[:-1] * l)
+    resid = u - (ph1[:-1] * x + offset)
+    weights = {
+        "phi1": gain * resid * x * td,
+        "phi2": gain * resid * offset * td,
+        "phi3": (0.5 * gain * resid * resid - 0.5) * td - lam * 0.5 * dt,
+    }
+    grads = {n: np.einsum("t,tij->ij", wt, feats[:-1]) for n, wt in weights.items()}
+    tdmag = vmag[1:] + vmag[:-1] + lam * np.abs(entropies) * dt
+    rmag = np.abs(u) + np.abs(ph1[:-1] * x) + np.abs(offset)
+    wmag = {
+        "phi1": gain * rmag * np.abs(x) * tdmag,
+        "phi2": gain * rmag * np.abs(offset) * tdmag,
+        "phi3": (0.5 * gain * rmag * rmag + 0.5) * tdmag + lam * 0.5 * dt,
+    }
+    scales = {n: np.einsum("t,tij->ij", wt, np.abs(feats[:-1])) for n, wt in wmag.items()}
+    return grads, scales
+
+
+def values_magnitude(ce, x, l, w):
+    """Sum of the magnitudes of the critic value's terms along the path."""
+    wl = np.abs(w) + ce.theta2 * np.abs(l)
+    return (
+        ce.theta1 * x * x
+        + np.abs(ce.vartheta1) * wl * np.abs(x)
+        + wl * wl * np.abs(ce.vartheta2)
+        + ce.theta2 * np.abs(w * l)
+        + ce.theta3 * l * l
+        + np.abs(ce.psi)
+    )
+
+
+def per_grid_step(grids, grads, scales, rates, clip):
+    """Updated grids and their rounding scales from per-episode gradients."""
+    mean = {n: np.mean([g[n] for g in grads], axis=0) for n in grids}
+    if clip is not None:
+        mean = {n: np.clip(g, -clip, clip) for n, g in mean.items()}
+    new = {n: grids[n] - rates[n] * mean[n] for n in grids}
+    return new, {n: np.abs(grids[n]) + rates[n] * np.mean([s[n] for s in scales], axis=0) for n in grids}
+
+
+def assert_grids_close(stacked, named, scales, m, rel=1e-12):
+    """Each entry within ``rel`` of the rounding scale of its reference entry."""
+    for row, name in enumerate(named):
+        got = stacked[row].reshape(m + 1, m)
+        assert np.all(np.abs(got - named[name]) <= rel * scales[name]), name
+
+
+def recording_step(state, scenarios, rng):
+    """Run one training step; return the sampled episodes and the per-episode
+    critic and actor gradients it computed."""
+    records = {"_sample_training_episode": [], "_ml_gradients_arrays": [], "_policy_gradient_arrays": []}
+
+    def recording(fn, sink):
+        def wrapped(*args):
+            sink.append(fn(*args))
+            return sink[-1]
+
+        return wrapped
+
+    with contextlib.ExitStack() as stack:
+        for name, sink in records.items():
+            stack.enter_context(mock.patch.object(rl, name, recording(getattr(rl, name), sink)))
+        rl._train_step(state, scenarios, rng, 0)
+    return records.values()
+
+
+SIGNAL_FLAVORS = {
+    "regime": lambda gen, n: gen.integers(1, 3, size=n).astype(float),
+    "filtered_prob": lambda gen, n: gen.uniform(0.02, 0.98, size=n),
+    "expected_state": lambda gen, n: 2.0 - gen.uniform(0.02, 0.98, size=n),
+}
+
+
+class TestStackedStepOracle:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 6),
+        m=st.integers(1, 3),
+        flavor=st.sampled_from(sorted(SIGNAL_FLAVORS)),
+        batch=st.integers(1, 3),
+        dt=st.sampled_from([1.0 / 252.0, 1.0 / 12.0, 0.25]),
+        clip=st.sampled_from([None, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_step_gradients_match_per_grid_einsum(self, seed, horizon, m, flavor, batch, dt, clip):
+        gen = np.random.default_rng(seed)
+        shape = (m + 1, m)
+        critic = rl.CriticParams(*(gen.normal(0, 0.05, size=shape) for _ in CRITIC_NAMES), m=m)
+        actor = rl.ActorParams(*(gen.normal(0, 0.05, size=shape) for _ in ACTOR_NAMES), m=m)
+        w, spec = 1.7, small_spec(horizon=horizon, lam=1.3, d=1.5, w=1.7)
+        hyper = rl.Hyperparams(
+            eta_theta=3e-6, eta_vartheta=2e-6, eta_psi=5e-6, eta_phi=4e-6,
+            n_avg=10, dt=dt, m=m, grad_clip=clip,
+        )
+        taus = rl._tau_grid(horizon, dt)
+        scenarios = []
+        for _ in range(batch):
+            sig = SIGNAL_FLAVORS[flavor](gen, horizon + 1)
+            scenarios.append(
+                rl._Scenario(
+                    e0=gen.uniform(0.98, 1.05, size=horizon),
+                    ex=gen.uniform(-0.05, 0.1, size=horizon),
+                    l=0.2 * np.concatenate(([1.0], np.cumprod(gen.uniform(0.95, 1.05, size=horizon)))),
+                    feats=rl._flat(rl.features(sig, taus, m)),
+                )
+            )
+        lam, d = spec.explore_weight, spec.target
+        noise = M.stream(seed, 1)
+        ref_eps, ref_cgrads, cscales, ref_agrads, ascales = [], [], [], [], []
+        for sc in scenarios:
+            feats = sc.feats.reshape(horizon + 1, m + 1, m)
+            ce = per_grid_critic_expansion(feats, critic.grids())
+            ph = per_grid_actor_expansion(feats, actor.grids())
+            offset = -(ce.vartheta1 / ce.theta1) * np.exp(ph[1]) * (w + ce.theta2 * sc.l)
+            sd = np.sqrt(np.exp(ph[2]) / (2.0 * ce.theta1))
+            shock = offset[:-1] + sd[:-1] * noise.standard_normal(horizon)
+            x = [1.0]
+            for t in range(horizon):
+                x.append((sc.e0[t] + sc.ex[t] * ph[0][t]) * x[t] + sc.ex[t] * shock[t])
+            x = np.array(x)
+            u = ph[0][:-1] * x[:-1] + shock
+            ref_eps.append((x, u, feats, ph))
+            grads, scales = per_grid_ml_gradients(x, sc.l, feats, ce, ph[2], w, d, lam, dt)
+            ref_cgrads.append(grads)
+            cscales.append(scales)
+        rates = dict(zip(CRITIC_NAMES, [hyper.eta_theta] * 3 + [hyper.eta_vartheta] * 2 + [hyper.eta_psi]))
+        new_critic, new_cscales = per_grid_step(critic.grids(), ref_cgrads, cscales, rates, clip)
+        for sc, (x, u, feats, ph) in zip(scenarios, ref_eps):
+            with np.errstate(over="ignore"):
+                ce = per_grid_critic_expansion(feats, new_critic)
+            # an update that overflows the reference expansion is outside its domain
+            assume(np.all(np.isfinite(ce.theta1 * ce.theta2 * ce.theta3 * ce.vartheta1 * ce.vartheta2)))
+            grads, scales = per_grid_policy_gradient(x, sc.l, u, feats, ce, ph, w, lam, dt)
+            ref_agrads.append(grads)
+            ascales.append(scales)
+        new_actor, new_ascales = per_grid_step(
+            actor.grids(), ref_agrads, ascales, dict.fromkeys(ACTOR_NAMES, hyper.eta_phi), clip
+        )
+
+        state = rl.TrainState("poemv1", critic, actor, w, 0, [], [], [], hyper, spec)
+        episodes, cgrads, agrads = recording_step(state, iter(scenarios), M.stream(seed, 1))
+
+        # the episodes were sampled from the pre-update expansions
+        assert len(episodes) == len(cgrads) == len(agrads) == batch
+        for ep, (x, u, _, _) in zip(episodes, ref_eps):
+            assert np.allclose(ep.x, x, rtol=1e-12, atol=1e-12)
+            assert np.allclose(ep.action, u, rtol=1e-12, atol=1e-12)
+        for got, want, scales in zip(cgrads, ref_cgrads, cscales):
+            assert_grids_close(got, want, scales, m)
+        for got, want, scales in zip(agrads, ref_agrads, ascales):
+            assert_grids_close(got, want, scales, m)
+        assert_grids_close(state.critic.stacked, new_critic, new_cscales, m)
+        assert_grids_close(state.actor.stacked, new_actor, new_ascales, m)
