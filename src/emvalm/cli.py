@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -130,8 +131,6 @@ def cmd_policy_eval(args) -> int:
 
 
 def cmd_improve(args) -> int:
-    from dataclasses import replace
-
     cfg = _apply_seed(_load_config(args.config), args)
     out = _out_dir(args)
     model = cfgmod.build_market(cfg)
@@ -184,10 +183,8 @@ def cmd_train(args) -> int:
     if args.resume:
         with open(args.resume, "r", encoding="utf-8") as fh:
             state = rl.TrainState.from_dict(json.load(fh))
-        hyper = state.hyper
+        hyper = replace(state.hyper, n_iter=cfg["training"]["n_iter"])
         spec = state.spec
-        if hyper.n_iter < cfg["training"]["n_iter"]:
-            hyper = rl.Hyperparams(**{**state.to_dict()["hyper"], "n_iter": cfg["training"]["n_iter"]})
     final = rl.train(algo, model, hyper, spec, state=state)
     (out / "checkpoint.json").write_text(
         cfgmod.canonical_json(final.to_dict()), encoding="utf-8"

@@ -16,6 +16,7 @@ precision long before the formulas themselves become meaningless.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -53,8 +54,10 @@ class ProblemSpec:
 class GaussianPolicy:
     """Feedback rule mapping (t, wealth, liability, signal) to a Normal action law.
 
-    ``affine_fn(t, signal) -> (cx, cl, c0, variance)`` is the fast path used by
-    vectorized simulation for policies whose mean is affine in (x, l); the
+    ``affine_table(ts, signals) -> (n, 4)`` gives, for arrays of periods and
+    signals, the rows (cx, cl, c0, variance) of a policy whose mean is
+    cx*x + cl*l + c0; vectorized simulation builds its coefficient tables
+    from it in one call.  ``affine_fn(t, signal)`` is one such row, and the
     scalar ``mean_fn``/``var_fn`` interface is always available.
     """
 
@@ -62,9 +65,28 @@ class GaussianPolicy:
     var_fn: Callable[[int, float], float]
     kind: str = "custom"
     affine_fn: Callable[[int, float], tuple[float, float, float, float]] | None = None
+    affine_table: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @classmethod
-    def from_affine(cls, affine_fn, kind: str) -> "GaussianPolicy":
+    def from_table(cls, affine_table, kind: str) -> "GaussianPolicy":
+        """Policy whose scalar rule is one row of ``affine_table``."""
+
+        def affine_fn(t, signal):
+            row = affine_table(np.array([t]), np.array([signal], dtype=float))[0]
+            return tuple(float(v) for v in row)
+
+        return cls.from_affine(affine_fn, kind, affine_table)
+
+    @classmethod
+    def from_affine(cls, affine_fn, kind: str, affine_table=None) -> "GaussianPolicy":
+        """Policy from its scalar rule; without ``affine_table`` the table is
+        assembled row by row from ``affine_fn``."""
+        if affine_table is None:
+
+            def affine_table(ts, signals):
+                rows = [affine_fn(int(t), float(s)) for t, s in zip(ts, signals)]
+                return np.array(rows, dtype=float).reshape(len(rows), 4)
+
         def mean_fn(t, x, l, signal):
             cx, cl, c0, _ = affine_fn(t, signal)
             return cx * x + cl * l + c0
@@ -72,7 +94,7 @@ class GaussianPolicy:
         def var_fn(t, signal):
             return affine_fn(t, signal)[3]
 
-        return cls(mean_fn=mean_fn, var_fn=var_fn, kind=kind, affine_fn=affine_fn)
+        return cls(mean_fn, var_fn, kind, affine_fn, affine_table)
 
 
 @dataclass(frozen=True)
@@ -110,27 +132,22 @@ class _SignedSuffixProducts:
 
     def __init__(self, values: np.ndarray):
         v = np.asarray(values, dtype=float)
-        n = len(v)
-        self._sign = np.ones(n + 1)
-        self._log = np.zeros(n + 1)
-        for t in range(n - 1, -1, -1):
-            if v[t] == 0.0:
-                self._sign[t] = 0.0
-                self._log[t] = -math.inf
-            else:
-                self._sign[t] = self._sign[t + 1] * math.copysign(1.0, v[t])
-                self._log[t] = self._log[t + 1] + math.log(abs(v[t]))
+        # accumulated from the end, one factor at a time; a zero factor gives
+        # sign 0 and log -inf from there on towards t = 0
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(v[::-1]))
+        self._sign = np.concatenate((np.cumprod(np.sign(v[::-1]))[::-1], [1.0]))
+        self._log = np.concatenate((np.cumsum(logs)[::-1], [0.0]))
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """The products at every index of ``ts`` (exp(-inf) = 0 covers a zero factor)."""
+        return self._sign[ts] * np.exp(self._log[ts])
 
     def value(self, t: int) -> float:
-        if self._sign[t] == 0.0:
-            return 0.0
-        return self._sign[t] * math.exp(self._log[t])
+        return float(self.values(t))
 
-    def log_abs(self, t: int) -> float:
-        return self._log[t]
-
-    def sign(self, t: int) -> float:
-        return self._sign[t]
+    def log_abs(self, ts: np.ndarray) -> np.ndarray:
+        return self._log[ts]
 
 
 class _ScheduleTables:
@@ -143,7 +160,6 @@ class _ScheduleTables:
             )
         self.schedule = schedule
         self.spec = spec
-        t_count = spec.horizon
         self.a1 = np.array([m.a1 for m in schedule.sets])
         self.b1 = np.array([m.b1 for m in schedule.sets])
         self.a2 = np.array([m.a2 for m in schedule.sets])
@@ -162,38 +178,62 @@ class _ScheduleTables:
         self.p_b1_over_f1 = _SignedSuffixProducts(self.b1 / self.f1)
         self.p_a2 = _SignedSuffixProducts(self.a2)
         self.p_b2 = _SignedSuffixProducts(self.b2)
-        # sum_{k=t}^{T-1} (a1_k^2 / b1_k) prod_{j>k} f2_j^2 / (b1_j f1_j), backward;
-        # each new term carries the full product over the periods after it
-        self.risk_sum = np.zeros(t_count + 1)
+
+    @functools.cached_property
+    def risk_sum(self) -> np.ndarray:
+        """sum_{k=t}^{T-1} (a1_k^2 / b1_k) prod_{j>k} f2_j^2 / (b1_j f1_j), for t = 0..T."""
+        # backward: each new term carries the full product over the periods after it
+        out = np.zeros(self.spec.horizon + 1)
         ptail = 1.0
-        for t in range(t_count - 1, -1, -1):
-            self.risk_sum[t] = self.risk_sum[t + 1] + (self.a1[t] ** 2 / self.b1[t]) * ptail
+        for t in range(self.spec.horizon - 1, -1, -1):
+            out[t] = out[t + 1] + (self.a1[t] ** 2 / self.b1[t]) * ptail
             ptail *= (self.f2[t] * self.f2[t]) / (self.b1[t] * self.f1[t])
-        # log of prod_{k=t}^{T-1} (b1_k / (pi * lam)) prod_{j>k} f1_j / b1_j:
+        return out
+
+    @functools.cached_property
+    def log_entropy_prod(self) -> np.ndarray:
+        """log of prod_{k=t}^{T-1} (b1_k / (pi * lam)) prod_{j>k} f1_j / b1_j, for t = 0..T."""
         # each j > t contributes (j - t) copies of log(f1_j / b1_j)
-        lam = spec.explore_weight
-        log_b1_pl = np.log(self.b1 / (math.pi * lam))
+        log_b1_pl = np.log(self.b1 / (math.pi * self.spec.explore_weight))
         log_ratio = np.log(self.f1 / self.b1)
-        self.log_entropy_prod = np.zeros(t_count + 1)
+        out = np.zeros(self.spec.horizon + 1)
         acc_ratio = 0.0
-        for t in range(t_count - 1, -1, -1):
-            self.log_entropy_prod[t] = self.log_entropy_prod[t + 1] + log_b1_pl[t] + acc_ratio
+        for t in range(self.spec.horizon - 1, -1, -1):
+            out[t] = out[t + 1] + log_b1_pl[t] + acc_ratio
             acc_ratio += log_ratio[t]
+        return out
+
+    def policy_arrays(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cx, k1, variance) at the periods ``ts``: mean = cx*x + k1*(w + l*prod_a2(t))."""
+        spec = self.spec
+        ts = np.asarray(ts, dtype=np.int64)
+        outside = ts[(ts < 0) | (ts > spec.horizon - 1)]
+        if outside.size:
+            raise ValueError(f"t must lie in [0, {spec.horizon - 1}], got {int(outside[0])}")
+        b1 = self.b1[ts]
+        cx = -self.cross[ts] / b1
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            k1 = (self.a1[ts] / b1) * self.p_f2_over_f1.values(ts + 1)
+            log_var = np.log(spec.explore_weight / (2.0 * b1)) + self.p_b1_over_f1.log_abs(ts + 1)
+            variance = np.exp(log_var)
+        bad = np.flatnonzero(~((variance > 0.0) & np.isfinite(variance)))
+        if bad.size:
+            raise ValueError(f"policy variance is not a finite positive number at t={ts[bad[0]]}")
+        bad = np.flatnonzero(~np.isfinite(k1))
+        if bad.size:
+            raise ValueError(f"policy mean coefficient is not finite at t={ts[bad[0]]}")
+        return cx, k1, variance
+
+    def affine_rows(self, ts: np.ndarray) -> np.ndarray:
+        """(n, 4) rows (cx, cl, c0, variance) of the policy mean cx*x + cl*l + c0."""
+        cx, k1, variance = self.policy_arrays(ts)
+        pa2 = self.p_a2.values(np.asarray(ts, dtype=np.int64))
+        return np.stack([cx, k1 * pa2, k1 * self.spec.multiplier, variance], axis=1)
 
     def policy_at(self, t: int) -> tuple[float, float, float]:
-        """(cx, k1, variance): mean = cx*x + k1*(w + l*prod_a2(t))."""
-        spec = self.spec
-        if not 0 <= t <= spec.horizon - 1:
-            raise ValueError(f"t must lie in [0, {spec.horizon - 1}], got {t}")
-        cx = -self.cross[t] / self.b1[t]
-        k1 = (self.a1[t] / self.b1[t]) * self.p_f2_over_f1.value(t + 1)
-        log_var = (
-            math.log(spec.explore_weight / (2.0 * self.b1[t])) + self.p_b1_over_f1.log_abs(t + 1)
-        )
-        variance = math.exp(log_var)
-        if not math.isfinite(variance) or variance <= 0.0:
-            raise ValueError(f"policy variance is not a finite positive number at t={t}")
-        return cx, k1, variance
+        """One period of ``policy_arrays``, as floats."""
+        cx, k1, variance = self.policy_arrays(np.array([t]))
+        return float(cx[0]), float(k1[0]), float(variance[0])
 
     def mean_variance(self, t: int, x: float, l: float) -> tuple[float, float]:
         cx, k1, variance = self.policy_at(t)
@@ -233,22 +273,18 @@ def terminal_value(w: float, d: float) -> QuadraticValue:
     )
 
 
-def _tables(schedule: MomentSchedule, spec: ProblemSpec) -> _ScheduleTables:
-    return _ScheduleTables(schedule, spec)
-
-
 def optimal_policy(
     t: int, x: float, l: float, schedule: MomentSchedule, spec: ProblemSpec
 ) -> tuple[float, float]:
     """Mean and variance of the optimal Gaussian action at (t, x, l)."""
-    return _tables(schedule, spec).mean_variance(t, x, l)
+    return _ScheduleTables(schedule, spec).mean_variance(t, x, l)
 
 
 def suboptimal_policy(
     t: int, x: float, l: float, tilde_schedule: MomentSchedule, spec: ProblemSpec
 ) -> tuple[float, float]:
     """Same formulas evaluated on an expectation-based schedule."""
-    return _tables(tilde_schedule, spec).mean_variance(t, x, l)
+    return _ScheduleTables(tilde_schedule, spec).mean_variance(t, x, l)
 
 
 def value_function(
@@ -257,21 +293,14 @@ def value_function(
     """The minimized objective at (t, x, l); t = horizon gives the terminal condition."""
     if t == spec.horizon:
         return terminal_value(spec.multiplier, spec.target)(x, l)
-    return _tables(schedule, spec).value_quadratic(t)(x, l)
+    return _ScheduleTables(schedule, spec).value_quadratic(t)(x, l)
 
 
 def schedule_policy(schedule: MomentSchedule, spec: ProblemSpec, kind: str) -> GaussianPolicy:
     """Policy object over one schedule; the runtime signal argument is ignored
     because the schedule already encodes the signal path."""
-    tables = _tables(schedule, spec)
-    w = spec.multiplier
-
-    def affine(t: int, signal: float) -> tuple[float, float, float, float]:
-        cx, k1, variance = tables.policy_at(t)
-        pa2 = tables.p_a2.value(t)
-        return cx, k1 * pa2, k1 * w, variance
-
-    return GaussianPolicy.from_affine(affine, kind=kind)
+    tables = _ScheduleTables(schedule, spec)
+    return GaussianPolicy.from_table(lambda ts, signals: tables.affine_rows(ts), kind=kind)
 
 
 def regime_policy(
@@ -282,19 +311,22 @@ def regime_policy(
     Future-period moments are frozen at the current regime, exactly as the
     product formulas are written.
     """
-    tables = (_tables(schedules[0], spec), _tables(schedules[1], spec))
-    w = spec.multiplier
+    tables = (_ScheduleTables(schedules[0], spec), _ScheduleTables(schedules[1], spec))
 
-    def affine(t: int, signal: float) -> tuple[float, float, float, float]:
-        regime = int(round(signal))
-        if regime not in (1, 2):
-            raise ValueError(f"regime signal must be 1 or 2, got {signal}")
-        tab = tables[regime - 1]
-        cx, k1, variance = tab.policy_at(t)
-        pa2 = tab.p_a2.value(t)
-        return cx, k1 * pa2, k1 * w, variance
+    def affine_table(ts: np.ndarray, signals: np.ndarray) -> np.ndarray:
+        ts, signals = np.asarray(ts), np.asarray(signals, dtype=float)
+        regimes = np.rint(signals)
+        bad = np.flatnonzero((regimes != 1.0) & (regimes != 2.0))
+        if bad.size:
+            raise ValueError(f"regime signal must be 1 or 2, got {signals[bad[0]]}")
+        rows = np.empty((len(ts), 4))
+        for regime, tab in enumerate(tables, start=1):
+            sel = regimes == regime
+            if sel.any():
+                rows[sel] = tab.affine_rows(ts[sel])
+        return rows
 
-    return GaussianPolicy.from_affine(affine, kind="coemv_opt")
+    return GaussianPolicy.from_table(affine_table, kind="coemv_opt")
 
 
 def bellman_step(
@@ -405,7 +437,7 @@ def bellman_residual(
     """
     if quad_order < 5:
         raise ValueError("quad_order must be >= 5")
-    tables = _tables(schedule, spec)
+    tables = _ScheduleTables(schedule, spec)
     lam = spec.explore_weight
     mean, variance = tables.mean_variance(t, x, l)
     next_q = tables.value_quadratic(t + 1)
@@ -431,18 +463,6 @@ def bellman_residual(
 
 def policy_table_rows(schedule: MomentSchedule, spec: ProblemSpec) -> list[dict]:
     """Per-period affine coefficients and variance, for CSV dumps."""
-    tables = _tables(schedule, spec)
-    rows = []
-    for t in range(spec.horizon):
-        cx, k1, variance = tables.policy_at(t)
-        pa2 = tables.p_a2.value(t)
-        rows.append(
-            {
-                "t": t,
-                "mean_x_coeff": cx,
-                "mean_l_coeff": k1 * pa2,
-                "mean_const": k1 * spec.multiplier,
-                "variance": variance,
-            }
-        )
-    return rows
+    table = _ScheduleTables(schedule, spec).affine_rows(np.arange(spec.horizon))
+    keys = ("mean_x_coeff", "mean_l_coeff", "mean_const", "variance")
+    return [{"t": t, **dict(zip(keys, map(float, row)))} for t, row in enumerate(table)]

@@ -12,12 +12,21 @@ in each regime.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
 
 BULL, BEAR = 1, 2
+
+
+@functools.lru_cache(maxsize=32)
+def _daily_dates(start: str, n: int) -> tuple[str, ...]:
+    """n consecutive ISO dates from ``start`` (shared: block resampling asks for
+    the same few thousand times)."""
+    d0 = date.fromisoformat(start)
+    return tuple((d0 + timedelta(days=i)).isoformat() for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -45,9 +54,7 @@ class PriceSeries:
     @classmethod
     def from_closes(cls, closes, frequency: str = "daily", start: str = "2000-01-01") -> "PriceSeries":
         closes = np.asarray(closes, dtype=float)
-        d0 = date.fromisoformat(start)
-        dates = tuple((d0 + timedelta(days=i)).isoformat() for i in range(len(closes)))
-        return cls(dates=dates, closes=closes, frequency=frequency)
+        return cls(dates=_daily_dates(start, len(closes)), closes=closes, frequency=frequency)
 
     @classmethod
     def from_csv(cls, path: str, frequency: str = "daily") -> "PriceSeries":

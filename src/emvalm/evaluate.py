@@ -21,7 +21,16 @@ import numpy as np
 from . import data_ingest, rl
 from .closed_form import GaussianPolicy, ProblemSpec
 from .filtering import filter_states
-from .market import MarketModel, deterministic_rates, regime_path, sample_return_paths, stream
+from .market import (
+    RETURNS_KEY,
+    MarketModel,
+    deterministic_rates,
+    regime_path,
+    sample_return_paths,
+    stream,
+)
+
+_BLOCK = 32  # evaluation paths generated and rolled out together
 
 
 @dataclass(frozen=True)
@@ -58,22 +67,56 @@ def sharpe_ratio(mean: float, variance: float, x0: float = 1.0) -> float:
     return (mean - x0) / math.sqrt(variance)
 
 
-def _affine_tables(policy: GaussianPolicy, horizon: int, signals: np.ndarray) -> np.ndarray:
-    """(cx, cl, c0, sd) per period for a deterministic signal path."""
-    out = np.empty((horizon, 4))
-    for t in range(horizon):
-        cx, cl, c0, var = policy.affine_fn(t, float(signals[t]))
-        out[t] = (cx, cl, c0, math.sqrt(var))
-    return out
+def _affine_tables(policy: GaussianPolicy, ts: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """(n, 4) rows (cx, cl, c0, sd) at the periods ``ts`` and their signals, in one call."""
+    table = np.array(policy.affine_table(ts, np.asarray(signals, dtype=float)), dtype=float)
+    var = table[:, 3]
+    bad = np.flatnonzero(~(var >= 0.0) | ~np.isfinite(var))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"policy variance {var[i]} at t={ts[i]} is negative or non-finite")
+    table[:, 3] = np.sqrt(var)
+    return table
 
 
 def _regime_affine_tables(policy: GaussianPolicy, horizon: int) -> np.ndarray:
     """(2, horizon, 4) tables for the two possible regime signals."""
-    return np.stack(
-        [
-            _affine_tables(policy, horizon, np.full(horizon, 1.0)),
-            _affine_tables(policy, horizon, np.full(horizon, 2.0)),
-        ]
+    ts = np.tile(np.arange(horizon), 2)
+    return _affine_tables(policy, ts, np.repeat([1.0, 2.0], horizon)).reshape(2, horizon, 4)
+
+
+def _draw_block(
+    model: MarketModel, horizon: int, rngs: list[tuple[np.random.Generator, np.random.Generator]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Regime paths (P, T+1) and e0, e1, q draws (P, T) of a block of real-dynamics
+    paths, each drawing its regime path and then its returns from its own pair
+    of generators."""
+    regimes = np.empty((len(rngs), horizon + 1), dtype=np.int64)
+    e0, e1, q = (np.empty((len(rngs), horizon)) for _ in range(3))
+    for j, (regime_rng, return_rng) in enumerate(rngs):
+        regimes[j] = regime_path(model.chain, horizon, regime_rng)
+        rec = sample_return_paths(regimes[j, :-1], model, return_rng)
+        e0[j], e1[j], q[j] = rec.e0, rec.e1, rec.q
+    return regimes, e0, e1, q
+
+
+def _blocks(n_paths: int) -> list[range]:
+    return [range(i, min(i + _BLOCK, n_paths)) for i in range(0, n_paths, _BLOCK)]
+
+
+def _terminal_report(terminal: np.ndarray, x0: float, **fields) -> EvalReport:
+    """Statistics of the finite terminals; the non-finite ones are counted."""
+    finite = np.isfinite(terminal)
+    vals = terminal[finite]
+    mean = float(np.mean(vals))
+    variance = float(np.var(vals, ddof=1))
+    return EvalReport(
+        mean=mean,
+        variance=variance,
+        sharpe=sharpe_ratio(mean, variance, x0),
+        n_paths=int(vals.size),
+        n_excluded=int(terminal.size - vals.size),
+        **fields,
     )
 
 
@@ -92,72 +135,25 @@ def out_of_sample(
 
     ``explore=False`` applies the policy mean instead of sampling the Gaussian
     action.  Non-finite terminals are excluded and counted; more than 1%
-    exclusions aborts the evaluation.
+    exclusions aborts the evaluation.  Path i draws its action noise as row i
+    of one (n_paths, T) standard-normal array from stream 0, and in real
+    dynamics its regime path from stream 1 + i and its returns from stream
+    ``RETURNS_KEY`` + i, so the first n paths do not depend on ``n_paths``.
+    Paths are generated and rolled out ``_BLOCK`` at a time.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    if policy.affine_fn is None:
-        raise ValueError("evaluation requires a policy exposing affine coefficients")
-    horizon = spec.horizon
-    chain = model.chain
-    rng = stream(seed, 0)
-
-    if dynamics == "real":
-        sig_kind = signal or "regime"
-        regimes = np.stack([regime_path(chain, horizon, stream(seed, 1 + i)) for i in range(n_paths)])
-        recs = [
-            sample_return_paths(regimes[i, :-1], model, stream(seed, 1 + n_paths + i))
-            for i in range(n_paths)
-        ]
-        e0 = np.stack([r.e0 for r in recs])
-        ex = np.stack([r.e1 - r.e0 for r in recs])
-        qq = np.stack([r.q for r in recs])
-    elif dynamics in ("filtered", "expectation"):
-        sig_kind = signal or ("filtered_prob" if dynamics == "filtered" else "expected_state")
-        e0_bar, ex_bar, q_bar, _ = deterministic_rates(model, horizon, dynamics, expectation_signal)
-        e0 = np.broadcast_to(e0_bar, (n_paths, horizon))
-        ex = np.broadcast_to(ex_bar, (n_paths, horizon))
-        qq = np.broadcast_to(q_bar, (n_paths, horizon))
-        regimes = None
-    else:
-        raise ValueError(f"unknown dynamics flavor {dynamics!r}")
-
-    p_hat = filter_states(chain.p0, chain.matrix(), horizon)
-    if sig_kind == "regime":
-        if regimes is None:
-            raise ValueError("regime signal requires real dynamics")
-        tables = _regime_affine_tables(policy, horizon)
-        path_tables = tables[regimes[:, :-1] - 1, np.arange(horizon)[None, :]]
-    else:
-        sig = p_hat if sig_kind == "filtered_prob" else 2.0 - p_hat
-        per_t = _affine_tables(policy, horizon, sig[:-1])
-        path_tables = np.broadcast_to(per_t, (n_paths, horizon, 4))
-
-    noise = rng.standard_normal((n_paths, horizon)) if explore else np.zeros((n_paths, horizon))
-    x = np.full(n_paths, spec.x0)
-    l = np.full(n_paths, spec.l0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(horizon):
-            coef = path_tables[:, t, :]
-            u = coef[:, 0] * x + coef[:, 1] * l + coef[:, 2] + coef[:, 3] * noise[:, t]
-            x = e0[:, t] * x + ex[:, t] * u
-            l = qq[:, t] * l
-    terminal = x - l
-    finite = np.isfinite(terminal)
-    n_excluded = int(np.sum(~finite))
+    terminal, sig_kind = _path_terminals(
+        policy, model, n_paths, spec, seed, dynamics, signal, explore, expectation_signal
+    )
+    n_excluded = int(np.sum(~np.isfinite(terminal)))
     if n_excluded > 0.01 * n_paths:
         raise RuntimeError(f"{n_excluded} of {n_paths} paths produced non-finite terminals")
-    vals = terminal[finite]
-    mean = float(np.mean(vals))
-    variance = float(np.var(vals, ddof=1))
-    return EvalReport(
-        mean=mean,
-        variance=variance,
-        sharpe=sharpe_ratio(mean, variance, spec.x0),
-        n_paths=int(vals.size),
+    return _terminal_report(
+        terminal,
+        spec.x0,
         policy_kind=policy.kind,
         seed=seed,
-        n_excluded=n_excluded,
         config_digest=_digest(
             {
                 "dynamics": dynamics,
@@ -165,10 +161,64 @@ def out_of_sample(
                 "n_paths": n_paths,
                 "seed": seed,
                 "explore": explore,
-                "horizon": horizon,
+                "horizon": spec.horizon,
             }
         ),
     )
+
+
+def _path_terminals(
+    policy: GaussianPolicy,
+    model: MarketModel,
+    n_paths: int,
+    spec: ProblemSpec,
+    seed: int,
+    dynamics: str,
+    signal: str | None,
+    explore: bool,
+    expectation_signal: str,
+) -> tuple[np.ndarray, str]:
+    """Per-path terminal net wealth of ``out_of_sample`` and the signal kind used."""
+    if policy.affine_table is None:
+        raise ValueError("evaluation requires a policy exposing affine coefficients")
+    horizon = spec.horizon
+    chain = model.chain
+
+    if dynamics == "real":
+        sig_kind = signal or "regime"
+    elif dynamics in ("filtered", "expectation"):
+        sig_kind = signal or ("filtered_prob" if dynamics == "filtered" else "expected_state")
+        e0, ex, qq, _ = deterministic_rates(model, horizon, dynamics, expectation_signal)
+        l = np.cumprod(np.concatenate(([spec.l0], qq)))
+    else:
+        raise ValueError(f"unknown dynamics flavor {dynamics!r}")
+
+    if sig_kind == "regime":
+        if dynamics != "real":
+            raise ValueError("regime signal requires real dynamics")
+        by_regime = _regime_affine_tables(policy, horizon)
+    else:
+        p_hat = filter_states(chain.p0, chain.matrix(), horizon)
+        sig = p_hat if sig_kind == "filtered_prob" else 2.0 - p_hat
+        coef = _affine_tables(policy, np.arange(horizon), sig[:-1]).T
+
+    noise_rng = stream(seed, 0)
+    terminal = np.empty(n_paths)
+    for rows in _blocks(n_paths):
+        shape = (len(rows), horizon)
+        noise = noise_rng.standard_normal(shape) if explore else np.zeros(shape)
+        if dynamics == "real":
+            rngs = [(stream(seed, 1 + i), stream(seed, RETURNS_KEY + i)) for i in rows]
+            regimes, e0, e1, qq = _draw_block(model, horizon, rngs)
+            ex = e1 - e0
+            l = np.cumprod(np.concatenate((np.full((len(rows), 1), spec.l0), qq), axis=1), axis=1)
+            if sig_kind == "regime":
+                in1 = regimes[:, :-1] == 1
+                coef = [np.where(in1, by_regime[0, :, k], by_regime[1, :, k]) for k in range(4)]
+        cx, cl, c0, sd = coef
+        x = rl._linear_rollout(e0 + ex * cx, ex * (cl * l[..., :-1] + c0 + sd * noise), spec.x0)
+        terminal[rows.start : rows.stop] = x[:, -1] - l[..., -1]
+    return terminal, sig_kind
 
 
 def _digest(obj) -> str:
@@ -276,6 +326,10 @@ def empirical_train(
     if algo not in ("poemv1", "emv"):
         raise ValueError(f"empirical training supports poemv1 or emv, got {algo!r}")
     hyper.require_market_dt(model)
+    if hyper.batch_size != 1:
+        raise ValueError(
+            f"empirical training runs one block per iteration; batch_size = {hyper.batch_size}"
+        )
     horizon = spec.horizon
     if horizon != blocks.horizon_periods():
         raise ValueError("problem horizon and block horizon disagree")
@@ -351,47 +405,30 @@ def evaluate_on_market_paths(
     scored on the common terminal net wealth.
     """
     horizon = spec.horizon
+    if state.spec.horizon != horizon:
+        raise ValueError(
+            f"problem horizon {horizon} differs from the trained horizon {state.spec.horizon}"
+        )
     m1, m2 = model.moment_pair()
     probs = filter_states(model.chain.p0, model.chain.matrix(), horizon)
     e0_bar = m2.a0 + probs[:-1] * (m1.a0 - m2.a0)
     q_bar = m2.a2 + probs[:-1] * (m1.a2 - m2.a2)
     l_path = spec.l0 * np.concatenate(([1.0], np.cumprod(q_bar)))
 
-    critic, actor, w = state.critic, state.actor, state.w
-    taus = (horizon - np.arange(horizon + 1)) * state.hyper.dt
     if state.algo == "poemv1":
-        sig = probs
-        l_for_policy = l_path
+        sig, l_seen = probs, l_path
     else:
-        sig = np.ones(horizon + 1)
-        l_for_policy = np.zeros(horizon + 1)
-    feats = rl.features(sig, taus, state.hyper.m)
-    ce = rl._expand_critic(feats, critic)
-    ph1, ph2, ph3 = rl._expand_actor(feats, actor)
-    offset = -(ce.vartheta1 / ce.theta1) * np.exp(ph2) * (w + ce.theta2 * l_for_policy)
-    sd = np.sqrt(np.exp(ph3) / (2.0 * ce.theta1))
+        sig, l_seen = np.ones(horizon + 1), np.zeros(horizon + 1)
+    cx, cl, c0, sd = _affine_tables(rl.policy_from_state(state), np.arange(horizon), sig[:-1]).T
+    shift = cl * l_seen[:-1] + c0
 
     terminals = np.empty(n_paths)
-    for i in range(n_paths):
-        rng = stream(seed, i)
-        regimes = regime_path(model.chain, horizon, rng)
-        rec = sample_return_paths(regimes[:-1], model, rng)
-        noise = rng.standard_normal(horizon) if explore else np.zeros(horizon)
-        ex_arr = rec.e1 - e0_bar
-        shock = offset[:-1] + sd[:-1] * noise
-        x = rl._linear_rollout(e0_bar + ex_arr * ph1[:-1], ex_arr * shock, spec.x0)
-        terminals[i] = x[-1] - l_path[-1]
-    finite = np.isfinite(terminals)
-    vals = terminals[finite]
-    mean = float(np.mean(vals))
-    variance = float(np.var(vals, ddof=1))
-    return EvalReport(
-        mean=mean,
-        variance=variance,
-        sharpe=sharpe_ratio(mean, variance, spec.x0),
-        n_paths=int(vals.size),
-        policy_kind="learned",
-        algo=state.algo,
-        seed=seed,
-        n_excluded=int(np.sum(~finite)),
-    )
+    for rows in _blocks(n_paths):
+        rngs = [stream(seed, i) for i in rows]
+        _, _, e1, _ = _draw_block(model, horizon, [(rng, rng) for rng in rngs])
+        shape = (len(rows), horizon)
+        noise = np.stack([rng.standard_normal(horizon) for rng in rngs]) if explore else np.zeros(shape)
+        ex = e1 - e0_bar
+        x = rl._linear_rollout(e0_bar + ex * cx, ex * (shift + sd * noise), spec.x0)
+        terminals[rows.start : rows.stop] = x[:, -1] - l_path[-1]
+    return _terminal_report(terminals, spec.x0, policy_kind="learned", algo=state.algo, seed=seed)

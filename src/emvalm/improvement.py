@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import (
-    GaussianPolicy,
     ProblemSpec,
     QuadraticValue,
     bellman_step,
@@ -94,12 +93,6 @@ class AffineGaussianPolicy:
 
     def max_param_delta(self, other: "AffineGaussianPolicy") -> float:
         return float(np.max(np.abs(self.params() - other.params())))
-
-    def as_gaussian_policy(self, kind: str = "learned") -> GaussianPolicy:
-        def affine(t: int, signal: float) -> tuple[float, float, float, float]:
-            return float(self.mx[t]), float(self.ml[t]), float(self.mc[t]), float(self.var[t])
-
-        return GaussianPolicy.from_affine(affine, kind=kind)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,23 @@ dynamics (same, weighted by the expected-state signal).
 
 All randomness flows through counter-based Philox streams; `stream(seed, k)`
 gives the k-th independent stream, so episodes are reproducible and safely
-parallel.
+parallel.  The keys in use, and what each stream draws in order:
+
+| caller | key | draws |
+|---|---|---|
+| ``rl.train``, iteration k | k | per episode: regime path and returns (real dynamics), action noise |
+| ``evaluate.empirical_train``, iteration k | k | block pick, action noise |
+| ``evaluate.out_of_sample`` | 0 | action noise, an (n_paths, T) array row by row |
+| ``evaluate.out_of_sample``, path i | 1 + i | regime path (real dynamics) |
+| ``evaluate.out_of_sample``, path i | ``RETURNS_KEY`` + i | returns (real dynamics) |
+| ``evaluate.evaluate_on_market_paths``, path i | i | regime path, returns, action noise |
+| ``cli`` simulate | 0 | regime path, returns, action noise (``simulate_episode``) |
+| ``cli`` filter-demo / improve | 0 | regime path / initial policy family |
+
+No key depends on a path count, so the first n paths of an evaluation are
+the same whatever the total.  Returns along a regime path are drawn leg by
+leg (e0, then e1, then q), each leg drawing its regime-1 periods and then its
+regime-2 periods (``sample_return_paths``).
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ from .filtering import MomentSet, filter_states
 _ROW_SUM_TOL = 1e-12
 
 DYNAMICS = ("real", "filtered", "expectation")
+RETURNS_KEY = 1 << 32  # first stream key of the per-path evaluation returns
 SIGNALS = ("regime", "filtered_prob", "expected_state")
 
 
@@ -330,16 +347,22 @@ def sample_returns(
 def sample_return_paths(
     regimes: np.ndarray, model: MarketModel, rng: np.random.Generator
 ) -> ReturnsRecord:
-    """Vectorized per-period draws along a regime path (e0, then e1, then q)."""
-    horizon = len(regimes)
+    """Per-period draws along a regime path, only from the regime in force.
+
+    Each leg (e0, then e1, then q) draws its regime-1 periods, then its
+    regime-2 periods, each in time order, and scatters them into place.
+    """
+    regimes = np.asarray(regimes)
+    in1 = regimes == 1
+    if not np.all(in1 | (regimes == 2)):
+        raise ValueError("regime path contains labels outside {1, 2}")
+    n1 = int(np.count_nonzero(in1))
     out = {}
-    for name, specs in (("e0", model.e0), ("e1", model.e1), ("q", model.q)):
-        vals = np.empty(horizon)
-        draws1 = specs[0].sample(model.dt, rng, size=horizon)
-        draws2 = specs[1].sample(model.dt, rng, size=horizon)
-        mask1 = regimes == 1
-        vals[mask1] = np.asarray(draws1)[mask1]
-        vals[~mask1] = np.asarray(draws2)[~mask1]
+    for name in ("e0", "e1", "q"):
+        specs = getattr(model, name)
+        vals = np.empty(len(regimes))
+        vals[in1] = specs[0].sample(model.dt, rng, size=n1)
+        vals[~in1] = specs[1].sample(model.dt, rng, size=len(regimes) - n1)
         out[name] = vals
     return ReturnsRecord(**out)
 

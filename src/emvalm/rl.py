@@ -602,17 +602,29 @@ def _draw_scenario(env: _TrainEnv, rng: np.random.Generator) -> _Scenario:
 
 
 def _linear_rollout(alpha: np.ndarray, beta: np.ndarray, x0: float) -> np.ndarray:
-    """x_{t+1} = alpha_t x_t + beta_t, vectorized with a sequential fallback."""
-    cum = np.concatenate(([1.0], np.cumprod(alpha)))
-    if np.all(np.isfinite(cum)) and np.all(np.abs(cum) > 1e-250):
-        x = cum * (x0 + np.concatenate(([0.0], np.cumsum(beta / cum[1:]))))
-        if np.all(np.isfinite(x)):
-            return x
-    x = np.empty(len(alpha) + 1)
-    x[0] = x0
-    for t in range(len(alpha)):
-        x[t + 1] = alpha[t] * x[t] + beta[t]
-    return x
+    """x_{t+1} = alpha_t x_t + beta_t from x_0 = x0, along the last axis.
+
+    ``beta`` is one path (T,) or a block of paths (P, T); ``alpha`` has the
+    same shape or is one (T,) row shared by every path.  Each path takes the
+    closed form x_t = A_t (x0 + sum_{k<t} beta_k / A_{k+1}) over the cumulative
+    products A of alpha; a path whose products leave 1e-250 < |A| < inf, or
+    whose closed form is not finite, runs the recursion itself instead.
+    """
+    a, b = np.atleast_2d(alpha), np.atleast_2d(beta)
+    x = np.empty((len(b), b.shape[1] + 1))
+    x[:, 0] = x0
+    with np.errstate(all="ignore"):
+        cum = np.cumprod(a, axis=1)
+        x[:, 1:] = cum * (x0 + np.cumsum(b / cum, axis=1))
+        ok = np.isfinite(x).all(axis=1) & (np.isfinite(cum) & (np.abs(cum) > 1e-250)).all(axis=1)
+        if not ok.all():
+            seq = x[~ok]
+            a_seq = a if len(a) == 1 else a[~ok]
+            b_seq = b[~ok]
+            for t in range(b.shape[1]):
+                seq[:, t + 1] = a_seq[:, t] * seq[:, t] + b_seq[:, t]
+            x[~ok] = seq
+    return x if np.ndim(beta) == 2 else x[0]
 
 
 def _sample_training_episode(
@@ -726,6 +738,10 @@ def train(
     else:
         if state.algo != algo:
             raise ValueError(f"checkpoint is for algo {state.algo!r}, not {algo!r}")
+        if hyper.n_iter < state.iteration:
+            raise ValueError(
+                f"n_iter = {hyper.n_iter} is below the checkpoint's iteration {state.iteration}"
+            )
         run = replace(
             state,
             terminals=list(state.terminals),
@@ -747,12 +763,12 @@ def policy_from_state(state: TrainState) -> GaussianPolicy:
     critic, actor, w = state.critic, state.actor, state.w
     horizon, dt, m = state.spec.horizon, state.hyper.dt, state.hyper.m
 
-    def affine(t: int, signal: float) -> tuple[float, float, float, float]:
-        feats = features([signal], [(horizon - t) * dt], m)
+    def affine_table(ts: np.ndarray, signals: np.ndarray) -> np.ndarray:
+        feats = features(signals, (horizon - np.asarray(ts)) * dt, m)
         ce = _expand_critic(feats, critic)
         ph1, ph2, ph3 = _expand_actor(feats, actor)
-        scale = -(ce.vartheta1[0] / ce.theta1[0]) * math.exp(ph2[0])
-        variance = math.exp(ph3[0]) / (2.0 * ce.theta1[0])
-        return float(ph1[0]), float(scale * ce.theta2[0]), float(scale * w), float(variance)
+        scale = -(ce.vartheta1 / ce.theta1) * np.exp(ph2)
+        variance = np.exp(ph3) / (2.0 * ce.theta1)
+        return np.stack([ph1, scale * ce.theta2, scale * w, variance], axis=1)
 
-    return GaussianPolicy.from_affine(affine, kind="learned")
+    return GaussianPolicy.from_table(affine_table, kind="learned")

@@ -186,6 +186,18 @@ class TestArtifacts:
         )
         assert (out_resumed / "checkpoint.json").read_bytes() == (out_full / "checkpoint.json").read_bytes()
 
+    def test_resume_below_checkpoint_iteration_is_user_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ckpt"
+        assert run(["train", "--config", cfg, "--algo", "poemv1", "--out", str(out)]) == 0
+        resumed = tmp_path / "resumed"
+        args = ["train", "--config", cfg, "--algo", "poemv1", "--iters", "10",
+                "--resume", str(out / "checkpoint.json"), "--out", str(resumed)]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "n_iter = 10" in err and "iteration 30" in err
+        assert not (resumed / "checkpoint.json").exists()
+
     def test_ingest_labels_and_estimates(self, tmp_path):
         gen = np.random.default_rng(7)
         closes = [100.0]

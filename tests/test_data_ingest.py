@@ -49,6 +49,20 @@ class TestLabelRegimes:
         with pytest.raises(ValueError):
             D.PriceSeries.from_closes([100.0])
 
+    def test_from_closes_shares_one_date_tuple_per_length_and_keeps_checks(self):
+        a = D.PriceSeries.from_closes(np.linspace(100.0, 120.0, 121), frequency="monthly")
+        b = D.PriceSeries.from_closes(np.linspace(90.0, 80.0, 121), frequency="monthly")
+        assert a.dates is b.dates
+        assert a.dates[0] == "2000-01-01" and a.dates[-1] == "2000-04-30"
+        assert D.PriceSeries.from_closes([1.0, 2.0], start="2001-03-04").dates == (
+            "2001-03-04",
+            "2001-03-05",
+        )
+        with pytest.raises(ValueError, match="positive"):
+            D.PriceSeries.from_closes(np.r_[np.ones(120), -1.0], frequency="monthly")
+        with pytest.raises(ValueError, match="frequency"):
+            D.PriceSeries.from_closes(np.ones(121), frequency="weekly")
+
 
 class TestEstimateParams:
     def _alternating_series(self, cycles=4, seg=100):

@@ -103,6 +103,15 @@ class TestOutOfSample:
         ).hexdigest()
         assert digest_before == digest_after
 
+    def test_negative_or_nan_policy_variance_names_the_period(self):
+        for bad in (-1e-3, float("nan")):
+            policy = GaussianPolicy.from_affine(
+                lambda t, s, bad=bad: (0.0, 0.0, 0.1, bad if t == 5 else 0.01), kind="custom"
+            )
+            for dynamics in ("real", "filtered"):
+                with pytest.raises(ValueError, match="t=5"):
+                    E.out_of_sample(policy, tiny_market(), 10, tiny_spec(), seed=0, dynamics=dynamics)
+
     def test_regime_signal_requires_real_dynamics(self):
         with pytest.raises(ValueError, match="regime signal"):
             E.out_of_sample(
@@ -176,6 +185,13 @@ class TestEmpiricalTrain:
         model = monthly_study_market()
         hyper = rl.Hyperparams(n_iter=5, dt=1.0 / 252.0, n_avg=5)
         with pytest.raises(ValueError, match=r"dt.*0\.00396.*0\.0833"):
+            E.empirical_train("poemv1", monthly_blocks(model), model, hyper, tiny_spec(24))
+
+    def test_batch_size_other_than_one_rejected(self):
+        # each iteration trains on exactly one sampled block
+        model = monthly_study_market()
+        hyper = rl.Hyperparams(n_iter=5, dt=model.dt, n_avg=5, batch_size=4)
+        with pytest.raises(ValueError, match="batch_size = 4"):
             E.empirical_train("poemv1", monthly_blocks(model), model, hyper, tiny_spec(24))
 
     def test_absurd_learning_rates_raise_divergence_not_overflow(self):

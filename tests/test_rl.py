@@ -428,6 +428,14 @@ class TestTrain:
             resumed.to_dict(), sort_keys=True
         )
 
+    def test_resume_below_checkpoint_iteration_rejected(self):
+        # running nothing would stamp iteration 10 on a state holding 30 terminals
+        state = rl.train("poemv1", tiny_market(), tiny_hyper(30), tiny_spec())
+        with pytest.raises(ValueError, match=r"n_iter = 10.*iteration 30"):
+            rl.train("poemv1", tiny_market(), tiny_hyper(10), tiny_spec(), state=state)
+        again = rl.train("poemv1", tiny_market(), tiny_hyper(30), tiny_spec(), state=state)
+        assert again.iteration == 30 and len(again.terminals) == 30
+
     def test_algo_mismatch_on_resume_rejected(self):
         state = rl.train("poemv1", tiny_market(), tiny_hyper(5), tiny_spec())
         with pytest.raises(ValueError, match="poemv1"):

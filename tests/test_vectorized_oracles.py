@@ -1,0 +1,362 @@
+"""Slow oracles for the vectorized evaluation paths.
+
+Each fast path is checked against a plain per-period or per-path
+computation written here: the blocked (paths, T) wealth rollout against the
+sequential recursion, policy coefficient tables against scalar formulas,
+regime-only return sampling against a draw-then-scatter oracle, and the
+blocked out-of-sample rollout against the per-period loop.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emvalm import closed_form as C
+from emvalm import evaluate as E
+from emvalm import filtering as F
+from emvalm import market as M
+from emvalm import rl
+from conftest import REFERENCE_P, random_schedule
+
+# ---------------------------------------------------------------------------
+# the (paths, T) rollout kernel
+# ---------------------------------------------------------------------------
+
+
+def sequential_rollout(alpha, beta, x0):
+    x = [x0]
+    with np.errstate(all="ignore"):  # some rows overflow on purpose
+        for a, b in zip(alpha, beta):
+            x.append(a * x[-1] + b)
+    return np.array(x)
+
+
+def closed_form_scale(alpha, beta, x0):
+    """|A_t| (|x0| + sum_{k<t} |beta_k / A_{k+1}|): the rounding scale of the closed form."""
+    cum = np.cumprod(alpha)
+    terms = np.concatenate(([0.0], np.cumsum(np.abs(beta / cum))))
+    return np.concatenate(([1.0], np.abs(cum))) * (abs(x0) + terms)
+
+
+# row kinds: the closed form, products that underflow or overflow (the
+# sequential fallback), and paths that end non-finite
+ROW_KINDS = ("plain", "signs", "underflow", "overflow", "inf_beta", "nan_alpha")
+
+
+def make_row(kind, gen, horizon):
+    alpha = gen.uniform(0.5, 1.5, size=horizon)
+    beta = gen.uniform(-1.0, 1.0, size=horizon)
+    if kind == "signs":
+        alpha = gen.uniform(-1.5, 1.5, size=horizon)
+    elif kind == "underflow":
+        alpha[: min(horizon, 6)] = 1e-60
+        alpha[-1] = 1e-260
+    elif kind == "overflow":
+        alpha[: min(horizon, 6)] = 1e80
+        alpha[-1] = 1e300
+    elif kind == "inf_beta":
+        beta[gen.integers(horizon)] = np.inf
+    elif kind == "nan_alpha":
+        alpha[gen.integers(horizon)] = np.nan
+    return alpha, beta
+
+
+class TestRolloutOracle:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 40),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6),
+        x0=st.sampled_from([1.0, 0.3, -2.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_block_matches_sequential_recursion(self, seed, horizon, kinds, x0):
+        gen = np.random.default_rng(seed)
+        rows = [make_row(kind, gen, horizon) for kind in kinds]
+        alpha = np.array([a for a, _ in rows])
+        beta = np.array([b for _, b in rows])
+        x = rl._linear_rollout(alpha, beta, x0)
+        assert x.shape == (len(kinds), horizon + 1)
+        for i, kind in enumerate(kinds):
+            want = sequential_rollout(alpha[i], beta[i], x0)
+            with np.errstate(all="ignore"):
+                cum = np.abs(np.cumprod(alpha[i]))
+                fallback = not (np.all(np.isfinite(cum)) and np.all(cum > 1e-250))
+            if fallback or not np.all(np.isfinite(want)):
+                # the recursion itself: bit for bit, non-finite values included
+                np.testing.assert_array_equal(x[i], want)
+            else:
+                scale = closed_form_scale(alpha[i], beta[i], x0)
+                assert np.all(np.abs(x[i] - want) <= 1e-12 * scale), kind
+
+    def test_fallback_rows_are_the_recursion_bit_for_bit(self):
+        gen = np.random.default_rng(3)
+        kinds = ("plain", "underflow", "overflow", "inf_beta", "nan_alpha", "plain")
+        rows = [make_row(kind, gen, 12) for kind in kinds]
+        alpha, beta = np.array([a for a, _ in rows]), np.array([b for _, b in rows])
+        x = rl._linear_rollout(alpha, beta, 1.0)
+        for i in range(1, 5):
+            np.testing.assert_array_equal(x[i], sequential_rollout(alpha[i], beta[i], 1.0))
+        # underflow stays finite; overflow and an infinite or NaN input end non-finite
+        assert np.all(np.isfinite(x[[0, 1, 5]]))
+        assert not np.isfinite(x[2, -1]) and not np.isfinite(x[3, -1]) and np.isnan(x[4, -1])
+
+    @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 30), paths=st.integers(1, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_shared_alpha_and_single_path_are_rows_of_the_block(self, seed, horizon, paths):
+        gen = np.random.default_rng(seed)
+        alpha = gen.uniform(0.8, 1.2, size=horizon)
+        beta = gen.normal(size=(paths, horizon))
+        block = rl._linear_rollout(np.broadcast_to(alpha, beta.shape).copy(), beta, 1.0)
+        np.testing.assert_array_equal(rl._linear_rollout(alpha, beta, 1.0), block)
+        for i in range(paths):
+            single = rl._linear_rollout(alpha, beta[i], 1.0)
+            assert single.shape == (horizon + 1,)
+            np.testing.assert_array_equal(single, block[i])
+
+    def test_desk_length_paths_stay_close_to_the_recursion(self):
+        gen = np.random.default_rng(5)
+        horizon = 2520
+        alpha = 1.0 + gen.normal(0.0005, 0.02, size=(20, horizon))
+        beta = gen.normal(0.0, 0.01, size=(20, horizon))
+        x = rl._linear_rollout(alpha, beta, 1.0)
+        for i in range(20):
+            want = sequential_rollout(alpha[i], beta[i], 1.0)
+            assert np.all(np.abs(x[i] - want) <= 1e-12 * closed_form_scale(alpha[i], beta[i], 1.0))
+
+
+# ---------------------------------------------------------------------------
+# vectorized policy tables against scalar formulas
+# ---------------------------------------------------------------------------
+
+
+def scalar_schedule_row(schedule, spec, t):
+    """(cx, cl, c0, variance) of the optimal policy at t, by direct products."""
+    sets = schedule.sets
+    m = sets[t]
+    k1 = m.a1 / m.b1
+    variance = spec.explore_weight / (2.0 * m.b1)
+    for later in sets[t + 1 :]:
+        f1, f2 = C.f_terms(later)
+        k1 *= f2 / f1
+        variance *= later.b1 / f1
+    pa2 = math.prod(s.a2 for s in sets[t:])
+    return (-m.cross() / m.b1, k1 * pa2, k1 * spec.multiplier, variance)
+
+
+def assert_rows_close(got, want, rel=1e-12):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * np.maximum(np.abs(want), 1e-300)), (got, want)
+
+
+def small_spec(horizon, w=1.8, lam=1.4):
+    return C.ProblemSpec(horizon=horizon, target=1.3, multiplier=w, explore_weight=lam)
+
+
+class TestPolicyTables:
+    @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_schedule_table_rows_match_scalar_products(self, seed, horizon):
+        gen = np.random.default_rng(seed)
+        schedule = random_schedule(gen, horizon)
+        spec = small_spec(horizon)
+        policy = C.schedule_policy(schedule, spec, kind="poemv_opt")
+        ts = gen.permutation(horizon)
+        table = policy.affine_table(ts, gen.uniform(0, 1, size=horizon))
+        for row, t in zip(table, ts):
+            want = scalar_schedule_row(schedule, spec, int(t))
+            assert_rows_close(row, want)
+            assert policy.affine_fn(int(t), 0.5) == tuple(float(v) for v in row)
+        tables = C._ScheduleTables(schedule, spec)
+        for t in range(horizon):
+            cx, k1, var = tables.policy_at(t)
+            want = scalar_schedule_row(schedule, spec, t)
+            assert_rows_close((cx, k1 * spec.multiplier, var), (want[0], want[2], want[3]))
+
+    @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_regime_table_selects_the_signalled_schedule_per_row(self, seed, horizon):
+        gen = np.random.default_rng(seed)
+        schedules = (random_schedule(gen, horizon), random_schedule(gen, horizon))
+        spec = small_spec(horizon)
+        policy = C.regime_policy(schedules, spec)
+        ts = gen.integers(0, horizon, size=2 * horizon)
+        signals = gen.integers(1, 3, size=2 * horizon).astype(float)
+        table = policy.affine_table(ts, signals)
+        for row, t, s in zip(table, ts, signals):
+            assert_rows_close(row, scalar_schedule_row(schedules[int(s) - 1], spec, int(t)))
+
+    def test_regime_table_rejects_other_signals(self):
+        gen = np.random.default_rng(1)
+        policy = C.regime_policy((random_schedule(gen, 3), random_schedule(gen, 3)), small_spec(3))
+        with pytest.raises(ValueError, match="regime signal must be 1 or 2, got 0.4"):
+            policy.affine_table(np.arange(3), np.array([1.0, 0.4, 2.0]))
+        with pytest.raises(ValueError, match="regime signal"):
+            policy.affine_fn(0, 3.0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 12),
+        m=st.integers(1, 3),
+        dt=st.sampled_from([1.0 / 252.0, 1.0 / 12.0, 0.25]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_learned_table_rows_match_scalar_expansion(self, seed, horizon, m, dt):
+        # grids small enough that no expansion comes near exp overflow
+        gen = np.random.default_rng(seed)
+        shape = (m + 1, m)
+        critic = rl.CriticParams(*(gen.normal(0, 0.1, size=shape) for _ in range(6)), m=m)
+        actor = rl.ActorParams(*(gen.normal(0, 0.1, size=shape) for _ in range(3)), m=m)
+        spec = small_spec(horizon)
+        hyper = rl.Hyperparams(dt=dt, m=m)
+        w = float(gen.uniform(0.5, 3.0))
+        state = rl.TrainState("poemv1", critic, actor, w, 0, [], [], [], hyper, spec)
+        policy = rl.policy_from_state(state)
+        ts = gen.integers(0, horizon, size=horizon + 2)
+        signals = gen.uniform(0.0, 2.0, size=horizon + 2)
+        table = policy.affine_table(ts, signals)
+        for row, t, s in zip(table, ts, signals):
+            tau = (horizon - int(t)) * dt
+
+            def lin(grid):
+                return math.fsum(
+                    grid[i, j] * s**i * tau ** (j + 1) for i in range(m + 1) for j in range(m)
+                )
+
+            theta1, theta2 = math.exp(lin(critic.theta1)), math.exp(lin(critic.theta2))
+            vartheta1 = -math.exp(lin(critic.vartheta1))
+            scale = -(vartheta1 / theta1) * math.exp(lin(actor.phi2))
+            want = (lin(actor.phi1), scale * theta2, scale * w, math.exp(lin(actor.phi3)) / (2 * theta1))
+            # phi1 is a plain sum of signed terms: compare it on the scale of its terms
+            terms = math.fsum(
+                abs(actor.phi1[i, j] * s**i * tau ** (j + 1)) for i in range(m + 1) for j in range(m)
+            )
+            # the scalar rule is a one-row table: same formulas, its own product
+            for got in (row, policy.affine_fn(int(t), float(s))):
+                assert abs(got[0] - want[0]) <= 1e-12 * max(terms, 1e-300)
+                assert_rows_close(got[1:], want[1:], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# regime-only return draws
+# ---------------------------------------------------------------------------
+
+
+def skewed_market():
+    def skewed(mu, vol, skew):
+        return M.ReturnSpec(kind="skewed_t", annual_mean=mu, annual_vol=vol, dof=6, skew=skew,
+                            mean_is_gross=False)
+
+    def normal(mu, vol):
+        return M.ReturnSpec(kind="normal", annual_mean=mu, annual_vol=vol, mean_is_gross=False)
+
+    return M.MarketModel(
+        chain=M.RegimeChain(p=REFERENCE_P, p0=0.3),
+        e0=(M.ReturnSpec(kind="constant", annual_mean=1.2), normal(0.02, 0.01)),
+        e1=(skewed(0.5, 0.2, 0.1), skewed(0.06, 0.3, -0.3)),
+        q=(normal(0.05, 0.1), normal(0.01, 0.2)),
+        dt=1.0 / 12.0,
+    )
+
+
+def draw_then_scatter(regimes, model, rng):
+    """Per leg, draw every regime-1 period, then every regime-2 period, and
+    hand them out in time order."""
+    out = {}
+    for name in ("e0", "e1", "q"):
+        specs = getattr(model, name)
+        n1 = sum(1 for r in regimes if r == 1)
+        first = iter(np.atleast_1d(specs[0].sample(model.dt, rng, size=n1)))
+        second = iter(np.atleast_1d(specs[1].sample(model.dt, rng, size=len(regimes) - n1)))
+        out[name] = np.array([next(first) if r == 1 else next(second) for r in regimes])
+    return out
+
+
+class TestRegimeOnlyReturns:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        regimes=st.lists(st.sampled_from([1, 2]), min_size=0, max_size=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_draw_then_scatter(self, seed, regimes):
+        model = skewed_market()
+        path = np.array(regimes, dtype=np.int64)
+        rec = M.sample_return_paths(path, model, M.stream(seed, 3))
+        want = draw_then_scatter(regimes, model, M.stream(seed, 3))
+        for name in ("e0", "e1", "q"):
+            np.testing.assert_array_equal(getattr(rec, name), want[name])
+
+    def test_other_labels_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            M.sample_return_paths(np.array([1, 2, 0]), skewed_market(), M.stream(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# blocked out-of-sample evaluation
+# ---------------------------------------------------------------------------
+
+
+def eval_spec(horizon=36):
+    return C.ProblemSpec(horizon=horizon, target=2.0, multiplier=2.0, explore_weight=2.0,
+                         x0=1.0, l0=0.1)
+
+
+def analytic_policy(kind, model, spec):
+    pair = model.moment_pair()
+    if kind == "regime":
+        return C.regime_policy(
+            (F.regime_schedule(pair[0], spec.horizon), F.regime_schedule(pair[1], spec.horizon)),
+            spec,
+        )
+    schedule = F.filtered_schedule(pair, model.chain.p0, model.chain.matrix(), spec.horizon)
+    return C.schedule_policy(schedule, spec, kind="poemv_opt")
+
+
+def per_period_terminals(policy, model, n_paths, spec, seed, dynamics):
+    """Path by path and period by period, with the evaluation's stream keys."""
+    horizon = spec.horizon
+    noise = M.stream(seed, 0).standard_normal((n_paths, horizon))
+    p_hat = F.filter_states(model.chain.p0, model.chain.matrix(), horizon)
+    rates = M.deterministic_rates(model, horizon, "filtered")
+    out = np.empty(n_paths)
+    for i in range(n_paths):
+        if dynamics == "real":
+            regimes = M.regime_path(model.chain, horizon, M.stream(seed, 1 + i))
+            rec = M.sample_return_paths(regimes[:-1], model, M.stream(seed, M.RETURNS_KEY + i))
+            e0, ex, q, sig = rec.e0, rec.e1 - rec.e0, rec.q, regimes.astype(float)
+        else:
+            e0, ex, q, _ = rates
+            sig = p_hat
+        x, l = spec.x0, spec.l0
+        for t in range(horizon):
+            cx, cl, c0, var = policy.affine_fn(t, float(sig[t]))
+            u = cx * x + cl * l + c0 + math.sqrt(var) * noise[i, t]
+            x = e0[t] * x + ex[t] * u
+            l = q[t] * l
+        out[i] = x - l
+    return out
+
+
+class TestBlockedEvaluation:
+    @pytest.mark.parametrize("dynamics, kind", [("real", "regime"), ("filtered", "filtered")])
+    def test_matches_per_period_loop(self, dynamics, kind):
+        model, spec = skewed_market(), eval_spec()
+        policy = analytic_policy(kind, model, spec)
+        n = E._BLOCK + 37  # one full block and one partial block
+        got, _ = E._path_terminals(policy, model, n, spec, 11, dynamics, None, True, "expected_state")
+        want = per_period_terminals(policy, model, n, spec, 11, dynamics)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("dynamics, kind", [("real", "regime"), ("filtered", "filtered")])
+    def test_first_paths_do_not_depend_on_the_path_count(self, dynamics, kind):
+        model, spec = skewed_market(), eval_spec(24)
+        policy = analytic_policy(kind, model, spec)
+        args = (spec, 5, dynamics, None, True, "expected_state")
+        short, _ = E._path_terminals(policy, model, 1000, *args)
+        long, _ = E._path_terminals(policy, model, 2000, *args)
+        np.testing.assert_array_equal(long[:1000], short)
