@@ -68,13 +68,12 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     model = cfgmod.build_market(cfg)
     spec = cfgmod.build_problem(cfg)
-    pair = model.moment_pair()
-    chain = model.chain
-    schedule = filtered_schedule(pair, chain.p0, chain.matrix(), spec.horizon)
-    policy = schedule_policy(schedule, spec, kind="poemv_opt")
+    exp_sig = cfg["training"]["expectation_signal"]
+    policy = schedule_policy(_schedule("filtered", model, spec.horizon, exp_sig), spec, "poemv_opt")
     rng = market.stream(cfg["training"]["seed"], 0)
     episode = market.simulate_episode(
-        model, policy, spec.horizon, spec.x0, spec.l0, rng, dynamics=args.dynamics
+        model, policy, spec.horizon, spec.x0, spec.l0, rng, dynamics=args.dynamics,
+        expectation_signal=exp_sig,
     )
     (out / "episode.csv").write_text(episode.to_csv_text(), encoding="utf-8")
     _write_manifest(out, cfg, "simulate", {"dynamics": args.dynamics})
@@ -107,20 +106,8 @@ def cmd_policy_eval(args) -> int:
     out = _out_dir(args)
     model = cfgmod.build_market(cfg)
     spec = cfgmod.build_problem(cfg)
-    pair = model.moment_pair()
-    chain = model.chain
     flavor = args.flavor
-    if flavor == "filtered":
-        schedule = filtered_schedule(pair, chain.p0, chain.matrix(), spec.horizon)
-    elif flavor == "expectation":
-        schedule = expectation_schedule(
-            pair, chain.p0, chain.matrix(), spec.horizon,
-            signal=cfg["training"]["expectation_signal"],
-        )
-    elif flavor in ("regime1", "regime2"):
-        schedule = regime_schedule(pair[int(flavor[-1]) - 1], spec.horizon)
-    else:
-        raise ValueError(f"unknown schedule flavor {flavor!r}")
+    schedule = _schedule(flavor, model, spec.horizon, cfg["training"]["expectation_signal"])
     rows = policy_table_rows(schedule, spec)
     _write_csv(
         out / "policy.csv", rows, ["t", "mean_x_coeff", "mean_l_coeff", "mean_const", "variance"]
@@ -202,36 +189,40 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _analytic_policy(kind: str, model: market.MarketModel, spec, expectation_signal: str):
-    pair = model.moment_pair()
-    chain = model.chain
-    if kind == "coemv_opt":
-        return regime_policy(
-            (regime_schedule(pair[0], spec.horizon), regime_schedule(pair[1], spec.horizon)), spec
-        )
-    if kind == "poemv_opt":
-        return schedule_policy(
-            filtered_schedule(pair, chain.p0, chain.matrix(), spec.horizon), spec, kind
-        )
-    if kind == "poemv_sub":
-        return schedule_policy(
-            expectation_schedule(
-                pair, chain.p0, chain.matrix(), spec.horizon, signal=expectation_signal
-            ),
-            spec,
-            kind,
-        )
-    raise ValueError(f"unknown analytic policy kind {kind!r}")
-
-
+# policy -> (dynamics it is scored in, flavor of the signal it sees)
 _EVAL_DYNAMICS = {
     "coemv": ("real", "regime"),
-    "poemv1": ("filtered", "filtered_prob"),
-    "poemv2": ("filtered", "expected_state"),
+    "poemv1": ("filtered", "filtered"),
+    "poemv2": ("filtered", "expectation"),
     "coemv_opt": ("real", "regime"),
-    "poemv_opt": ("filtered", "filtered_prob"),
-    "poemv_sub": ("filtered", "expected_state"),
+    "poemv_opt": ("filtered", "filtered"),
+    "poemv_sub": ("filtered", "expectation"),
 }
+
+
+def _schedule(flavor: str, model: market.MarketModel, horizon: int, expectation_signal: str):
+    """The moment schedule of ``flavor``: filtered, expectation, regime1 or regime2."""
+    pair, chain = model.moment_pair(), model.chain
+    if flavor == "filtered":
+        return filtered_schedule(pair, chain.p0, chain.matrix(), horizon)
+    if flavor == "expectation":
+        return expectation_schedule(
+            pair, chain.p0, chain.matrix(), horizon, signal=expectation_signal
+        )
+    if flavor in ("regime1", "regime2"):
+        return regime_schedule(pair[int(flavor[-1]) - 1], horizon)
+    raise ValueError(f"unknown schedule flavor {flavor!r}")
+
+
+def _analytic_policy(kind: str, model: market.MarketModel, spec, expectation_signal: str):
+    if kind not in ("coemv_opt", "poemv_opt", "poemv_sub"):
+        raise ValueError(f"unknown analytic policy kind {kind!r}")
+    flavor = _EVAL_DYNAMICS[kind][1]
+    if flavor == "regime":
+        regimes = ("regime1", "regime2")
+        schedules = tuple(_schedule(f, model, spec.horizon, expectation_signal) for f in regimes)
+        return regime_policy(schedules, spec)
+    return schedule_policy(_schedule(flavor, model, spec.horizon, expectation_signal), spec, kind)
 
 
 def cmd_evaluate(args) -> int:
@@ -247,15 +238,18 @@ def cmd_evaluate(args) -> int:
         policy = rl.policy_from_state(state)
         algo = state.algo
         spec = state.spec
+        exp_sig = state.hyper.expectation_signal
     elif args.analytic:
         policy = _analytic_policy(args.analytic, model, spec, exp_sig)
         algo = args.analytic
     else:
         print("evaluate needs --checkpoint or --analytic", file=sys.stderr)
         return 1
-    dynamics, signal = (
-        _EVAL_DYNAMICS[algo] if ev["dynamics"] == "auto" else (ev["dynamics"], ev["signal"])
-    )
+    if ev["dynamics"] == "auto":
+        dynamics, flavor = _EVAL_DYNAMICS[algo]
+        signal = "regime" if flavor == "regime" else filtering.mixing_signal(flavor, exp_sig)
+    else:
+        dynamics, signal = ev["dynamics"], ev["signal"]
     report = evaluate.out_of_sample(
         policy,
         model,

@@ -115,11 +115,11 @@ class QuadraticValue:
         return (self.xx, self.xl, self.ll, self.x, self.l, self.c)
 
 
-def f_terms(m: MomentSet) -> tuple[float, float]:
+def f_terms(m: MomentSet | MomentSchedule):
     """The two per-period scalars the products are built from.
 
-    F1 = b0 b1 - cross^2 and F2 = a0 (b1 - a1^2) + a1 (b0 - a0^2); both use the
-    same code path whatever flavor of moment set is supplied.
+    F1 = b0 b1 - cross^2 and F2 = a0 (b1 - a1^2) + a1 (b0 - a0^2), for one
+    period's ``MomentSet`` or elementwise over a schedule's rows.
     """
     cross = m.cross()
     f1 = m.b0 * m.b1 - cross * cross
@@ -158,16 +158,10 @@ class _ScheduleTables:
             raise ValueError(
                 f"schedule length {len(schedule)} does not match horizon {spec.horizon}"
             )
-        self.schedule = schedule
         self.spec = spec
-        self.a1 = np.array([m.a1 for m in schedule.sets])
-        self.b1 = np.array([m.b1 for m in schedule.sets])
-        self.a2 = np.array([m.a2 for m in schedule.sets])
-        self.b2 = np.array([m.b2 for m in schedule.sets])
-        self.cross = np.array([m.cross() for m in schedule.sets])
-        fs = [f_terms(m) for m in schedule.sets]
-        self.f1 = np.array([f[0] for f in fs])
-        self.f2 = np.array([f[1] for f in fs])
+        self.a1, self.b1, self.a2, self.b2 = schedule.a1, schedule.b1, schedule.a2, schedule.b2
+        self.cross = schedule.cross()
+        self.f1, self.f2 = f_terms(schedule)
         bad = np.nonzero(self.f1 <= 0.0)[0]
         if bad.size:
             k = int(bad[0])

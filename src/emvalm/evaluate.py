@@ -20,15 +20,8 @@ import numpy as np
 
 from . import data_ingest, rl
 from .closed_form import GaussianPolicy, ProblemSpec
-from .filtering import filter_states
-from .market import (
-    RETURNS_KEY,
-    MarketModel,
-    deterministic_rates,
-    regime_path,
-    sample_return_paths,
-    stream,
-)
+from .filtering import filter_states, mix, mixed_schedule, mixing_signal, signal_path
+from .market import RETURNS_KEY, MarketModel, regime_path, sample_return_paths, stream
 
 _BLOCK = 32  # evaluation paths generated and rolled out together
 
@@ -184,12 +177,17 @@ def _path_terminals(
     horizon = spec.horizon
     chain = model.chain
 
+    probs = filter_states(chain.p0, chain.matrix(), horizon)
     if dynamics == "real":
         sig_kind = signal or "regime"
     elif dynamics in ("filtered", "expectation"):
-        sig_kind = signal or ("filtered_prob" if dynamics == "filtered" else "expected_state")
-        e0, ex, qq, _ = deterministic_rates(model, horizon, dynamics, expectation_signal)
-        l = np.cumprod(np.concatenate(([spec.l0], qq)))
+        weight_kind = mixing_signal(dynamics, expectation_signal)
+        sig_kind = signal or weight_kind
+        schedule = mixed_schedule(
+            model.moment_pair(), signal_path(weight_kind, probs)[:-1], dynamics
+        )
+        e0, ex = schedule.a0, schedule.a1
+        l = np.cumprod(np.concatenate(([spec.l0], schedule.a2)))
     else:
         raise ValueError(f"unknown dynamics flavor {dynamics!r}")
 
@@ -198,9 +196,7 @@ def _path_terminals(
             raise ValueError("regime signal requires real dynamics")
         by_regime = _regime_affine_tables(policy, horizon)
     else:
-        p_hat = filter_states(chain.p0, chain.matrix(), horizon)
-        sig = p_hat if sig_kind == "filtered_prob" else 2.0 - p_hat
-        coef = _affine_tables(policy, np.arange(horizon), sig[:-1]).T
+        coef = _affine_tables(policy, np.arange(horizon), signal_path(sig_kind, probs)[:-1]).T
 
     noise_rng = stream(seed, 0)
     terminal = np.empty(n_paths)
@@ -265,17 +261,8 @@ class BlockSource:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Closing prices of one sampled block (horizon + 1 values)."""
-        horizon = self.horizon_periods()
-        counts = [len(s.closes) - 1 - horizon + 1 for s in self.series_set]
-        if any(c < 1 for c in counts):
-            raise ValueError("every series must span at least one full horizon")
-        total = sum(counts)
-        pick = int(rng.integers(total))
-        for s, c in zip(self.series_set, counts):
-            if pick < c:
-                return s.closes[pick : pick + horizon + 1]
-            pick -= c
-        raise AssertionError("unreachable")
+        idx, start = data_ingest.block_sampler(self.series_set, self.horizon_years, self.dt, rng)
+        return self.series_set[idx].closes[start : start + self.horizon_periods() + 1]
 
 
 @dataclass
@@ -368,8 +355,8 @@ def empirical_train(
                 [[1.0 - running.p12, running.p12], [running.p21, 1.0 - running.p21]]
             )
             probs = filter_states(model.chain.p0, mat, horizon)
-            e0_bar = m2.a0 + probs[:-1] * (m1.a0 - m2.a0)
-            q_bar = m2.a2 + probs[:-1] * (m1.a2 - m2.a2)
+            e0_bar = mix(m1.a0, m2.a0, probs[:-1])
+            q_bar = mix(m1.a2, m2.a2, probs[:-1])
             sig = probs
             l_path = spec.l0 * np.concatenate(([1.0], np.cumprod(q_bar)))
         else:
@@ -411,8 +398,8 @@ def evaluate_on_market_paths(
         )
     m1, m2 = model.moment_pair()
     probs = filter_states(model.chain.p0, model.chain.matrix(), horizon)
-    e0_bar = m2.a0 + probs[:-1] * (m1.a0 - m2.a0)
-    q_bar = m2.a2 + probs[:-1] * (m1.a2 - m2.a2)
+    e0_bar = mix(m1.a0, m2.a0, probs[:-1])
+    q_bar = mix(m1.a2, m2.a2, probs[:-1])
     l_path = spec.l0 * np.concatenate(([1.0], np.cumprod(q_bar)))
 
     if state.algo == "poemv1":

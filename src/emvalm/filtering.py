@@ -1,4 +1,4 @@
-"""Hidden-regime estimation and the per-period moment sets that feed every policy.
+"""Hidden-regime estimation and the per-period moment schedules that feed every policy.
 
 The market regime is a two-state Markov chain that investors cannot observe.
 Because the regime enters the observable wealth/liability dynamics only through
@@ -7,20 +7,51 @@ a *deterministic* affine recursion: it never re-weights on realized returns.
 This module implements that recursion (iterated and closed form), the
 expectation-based state signal used by the learning-free variant, and the
 mixing of per-regime return moments into the "filtered" and "expectation"
-moment schedules consumed by the analytic policies.
+moment schedules: (6, T) arrays of the moments a0, b0, a1, b1, a2, b2, mixed
+along a weight path in one array expression.  The analytic policies read
+their rows, and the observable dynamics take their rates from the a0, a1 and
+a2 rows; ``mixing_signal`` names the weight path of each flavor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 _MOMENT_SLACK = 1e-9  # tolerance for second-moment >= first-moment^2 checks
+_DEFICITS = (("b0", "a0"), ("b1", "a1"), ("b2", "a2"))
+
+
+class _Moments:
+    """Moment formulas shared by one period (floats) and a schedule's rows (arrays)."""
+
+    def cross(self):
+        """E[base * excess] implied by the moments: a0*(a0 + a1) - b0.
+
+        Within one regime this is exact because the two asset returns are
+        independent; for mixed sets it is the definition the policy formulas use.
+        """
+        return self.a0 * (self.a0 + self.a1) - self.b0
+
+    def risky_mean(self):
+        return self.a0 + self.a1
+
+    def risky_sq(self):
+        """Raw second moment of the risky asset's gross return."""
+        return self.b1 + 2.0 * self.a0 * (self.a0 + self.a1) - self.b0
+
+    def deficits(self) -> tuple:
+        """Whether b0 < a0^2, b1 < a1^2 and b2 < a2^2 beyond the slack (variance < 0 readings)."""
+        return tuple(
+            getattr(self, b) < getattr(self, a) ** 2 - _MOMENT_SLACK for b, a in _DEFICITS
+        )
 
 
 @dataclass(frozen=True)
-class MomentSet:
+class MomentSet(_Moments):
     """First/second raw moments of the three per-period returns.
 
     ``a0/b0`` describe the gross return of the baseline asset, ``a1/b1`` the
@@ -45,36 +76,26 @@ class MomentSet:
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.a0, self.b0, self.a1, self.b1, self.a2, self.b2)
 
-    def cross(self) -> float:
-        """E[base * excess] implied by the set: a0*(a0 + a1) - b0.
-
-        Within one regime this is exact because the two asset returns are
-        independent; for mixed sets it is the definition the policy formulas use.
-        """
-        return self.a0 * (self.a0 + self.a1) - self.b0
-
-    def risky_mean(self) -> float:
-        return self.a0 + self.a1
-
-    def risky_sq(self) -> float:
-        """Raw second moment of the risky asset's gross return."""
-        return self.b1 + 2.0 * self.a0 * (self.a0 + self.a1) - self.b0
-
     def violations(self) -> list[str]:
         """Second-moment deficits (variance < 0 readings) present in the set."""
-        out = []
-        if self.b0 < self.a0**2 - _MOMENT_SLACK:
-            out.append(f"b0={self.b0} < a0^2={self.a0 ** 2}")
-        if self.b1 < self.a1**2 - _MOMENT_SLACK:
-            out.append(f"b1={self.b1} < a1^2={self.a1 ** 2}")
-        if self.b2 < self.a2**2 - _MOMENT_SLACK:
-            out.append(f"b2={self.b2} < a2^2={self.a2 ** 2}")
-        return out
+        return [
+            f"{b}={getattr(self, b)} < {a}^2={getattr(self, a) ** 2}"
+            for (b, a), bad in zip(_DEFICITS, self.deficits())
+            if bad
+        ]
 
 
-@dataclass(frozen=True)
-class MomentSchedule:
-    """Per-period moment sets for t = 0..T-1 plus the flavor that produced them.
+def _row_view(row: int) -> property:
+    return property(lambda self: self.rows[row])
+
+
+class MomentSchedule(_Moments):
+    """Moments of the periods t = 0..T-1 plus the flavor that produced them.
+
+    ``rows`` is one (6, T) array whose rows a0, b0, a1, b1, a2, b2 are also
+    attributes, either given or stacked from per-period ``sets``;
+    ``schedule[t]`` is period t's ``MomentSet`` and ``sets`` all of them.  A
+    mixed schedule keeps its weights in ``signals``.
 
     ``flavor`` is one of ``"regime"`` (conditioned on a fixed regime),
     ``"filtered"`` (mixed by the filter probability path) or ``"expectation"``
@@ -82,15 +103,35 @@ class MomentSchedule:
     produce the ``violations`` recorded here).
     """
 
-    sets: tuple[MomentSet, ...]
-    flavor: str
-    violations: tuple[str, ...] = ()
+    a0, b0, a1, b1, a2, b2 = map(_row_view, range(6))
+
+    def __init__(self, sets: Iterable[MomentSet] | None, flavor: str, rows=None, signals=None):
+        if rows is None:
+            rows = np.array([m.as_tuple() for m in sets], dtype=float).reshape(-1, 6).T
+        self.rows, self.flavor, self.signals = rows, flavor, signals
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return self.rows.shape[1]
 
     def __getitem__(self, t: int) -> MomentSet:
-        return self.sets[t]
+        return MomentSet(*self.rows[:, t].tolist())
+
+    @property
+    def sets(self) -> tuple[MomentSet, ...]:
+        return tuple(self[t] for t in range(len(self)))
+
+    @functools.cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Second-moment deficits of a mixed schedule as "t=.. signal=..: ..." lines,
+        formatted on first read."""
+        if self.signals is None:
+            return ()
+        flagged = np.flatnonzero(np.any(self.deficits(), axis=0))
+        return tuple(
+            f"t={t} signal={float(self.signals[t]):.6g}: {v}"
+            for t in flagged.tolist()
+            for v in self[t].violations()
+        )
 
 
 def _as_matrix(p) -> np.ndarray:
@@ -173,62 +214,92 @@ def expected_state_path(p0: float, p, horizon: int) -> np.ndarray:
     return 2.0 - filter_states(p0, p, horizon)
 
 
-def filtered_moments(signal: float, regime_moments: tuple[MomentSet, MomentSet]) -> MomentSet:
-    """Mix per-regime raw moments with weight ``signal`` on regime 1.
+def mix(v1, v2, signal):
+    """Moment ``v1`` of regime 1 and ``v2`` of regime 2 mixed with weight ``signal`` on regime 1."""
+    return v2 + signal * (v1 - v2)
+
+
+def mixed_schedule(
+    pair: tuple[MomentSet, MomentSet], signals: np.ndarray, flavor: str
+) -> MomentSchedule:
+    """Schedule of the pair mixed with weight ``signals[t]`` on regime 1 in period t.
 
     All first moments and the raw second moments of the three returns mix
     linearly.  The second moment of the excess return is then rebuilt from the
     mixed components, so its cross term is the product of the *mixed* means
-    rather than the mixture of per-regime cross products.
+    rather than the mixture of per-regime cross products.  The first period
+    with a non-positive mixed b1, a non-finite moment, or a second-moment
+    deficit at a signal inside [0, 1] (impossible for a true convex mixture)
+    raises.
     """
-    m1, m2 = regime_moments
+    m1, m2 = pair
+    s = np.asarray(signals, dtype=float)
+    a0, b0 = mix(m1.a0, m2.a0, s), mix(m1.b0, m2.b0, s)
+    risky_mean = mix(m1.risky_mean(), m2.risky_mean(), s)
+    b1 = mix(m1.risky_sq(), m2.risky_sq(), s) - 2.0 * risky_mean * a0 + b0
+    rows = np.stack([a0, b0, mix(m1.a1, m2.a1, s), b1, mix(m1.a2, m2.a2, s), mix(m1.b2, m2.b2, s)])
+    sched = MomentSchedule(None, flavor, rows=rows, signals=s)
+    inside = (s >= 0.0) & (s <= 1.0)
+    deficit = inside & np.any(sched.deficits(), axis=0)
+    failed = (b1 <= 0.0) | ~np.isfinite(rows).all(axis=0) | deficit
+    if failed.any():
+        t = int(np.argmax(failed))
+        if b1[t] <= 0.0:
+            raise ValueError(
+                f"mixed second moment of the excess return is non-positive ({float(b1[t])}) "
+                f"at signal {float(s[t])}"
+            )
+        bad = sched[t].violations()  # a non-finite period raises here
+        raise ValueError(f"moment mixing produced invalid set at signal {float(s[t])}: {bad}")
+    return sched
 
-    def mix(v1: float, v2: float) -> float:
-        return v2 + signal * (v1 - v2)
 
-    a0 = mix(m1.a0, m2.a0)
-    b0 = mix(m1.b0, m2.b0)
-    a1 = mix(m1.a1, m2.a1)
-    a2 = mix(m1.a2, m2.a2)
-    b2 = mix(m1.b2, m2.b2)
-    risky_mean = mix(m1.risky_mean(), m2.risky_mean())
-    risky_sq = mix(m1.risky_sq(), m2.risky_sq())
-    b1 = risky_sq - 2.0 * risky_mean * a0 + b0
-    if b1 <= 0.0:
-        raise ValueError(
-            f"mixed second moment of the excess return is non-positive ({b1}) at signal {signal}"
-        )
-    out = MomentSet(a0=a0, b0=b0, a1=a1, b1=b1, a2=a2, b2=b2)
-    if 0.0 <= signal <= 1.0:
-        bad = out.violations()
-        if bad:  # impossible for a true convex mixture
-            raise ValueError(f"moment mixing produced invalid set at signal {signal}: {bad}")
-    return out
+def filtered_moments(signal: float, regime_moments: tuple[MomentSet, MomentSet]) -> MomentSet:
+    """Per-regime raw moments mixed with weight ``signal`` on regime 1: one
+    period of ``mixed_schedule``."""
+    return mixed_schedule(regime_moments, [signal], "filtered")[0]
+
+
+def mixing_signal(flavor: str, expectation_signal: str = "expected_state") -> str:
+    """The signal a partial-information flavor is mixed along, and its learner sees.
+
+    "filtered" mixes along the regime-1 probability ("filtered_prob");
+    "expectation" substitutes E[state_t] in [1, 2] literally ("expected_state",
+    the faithful reading), or with ``expectation_signal="state1_prob"`` the
+    regime-1 probability, which keeps the weights inside [0, 1].
+    """
+    if flavor == "filtered":
+        return "filtered_prob"
+    if flavor != "expectation":
+        raise ValueError(f"partial-information flavor must be filtered/expectation, got {flavor!r}")
+    if expectation_signal == "expected_state":
+        return "expected_state"
+    if expectation_signal == "state1_prob":
+        return "filtered_prob"
+    raise ValueError(f"unknown expectation signal kind {expectation_signal!r}")
+
+
+def signal_path(kind: str, probs: np.ndarray) -> np.ndarray:
+    """The signal ``kind`` along the regime-1 probability path ``probs``: the
+    probabilities ("filtered_prob") or E[state_t] = 2 - p_t ("expected_state")."""
+    if kind == "filtered_prob":
+        return probs
+    if kind == "expected_state":
+        return 2.0 - probs
+    raise ValueError(f"unknown signal kind {kind!r}")
 
 
 def regime_schedule(moments: MomentSet, horizon: int) -> MomentSchedule:
     """Constant schedule conditioned on one regime (time-homogeneous market)."""
-    return MomentSchedule(sets=(moments,) * horizon, flavor="regime")
-
-
-def _mixed_schedule(
-    pair: tuple[MomentSet, MomentSet], signals: np.ndarray, flavor: str
-) -> MomentSchedule:
-    sets = []
-    violations: list[str] = []
-    for t, s in enumerate(signals):
-        ms = filtered_moments(float(s), pair)
-        sets.append(ms)
-        for v in ms.violations():
-            violations.append(f"t={t} signal={float(s):.6g}: {v}")
-    return MomentSchedule(sets=tuple(sets), flavor=flavor, violations=tuple(violations))
+    column = np.array(moments.as_tuple())[:, None]
+    return MomentSchedule(None, "regime", rows=np.broadcast_to(column, (6, horizon)))
 
 
 def filtered_schedule(
     pair: tuple[MomentSet, MomentSet], p0: float, p, horizon: int
 ) -> MomentSchedule:
     """Schedule mixed along the filter path p_0..p_{T-1}."""
-    return _mixed_schedule(pair, filter_states(p0, p, horizon)[:-1], "filtered")
+    return mixed_schedule(pair, filter_states(p0, p, horizon)[:-1], "filtered")
 
 
 def expectation_schedule(
@@ -238,17 +309,7 @@ def expectation_schedule(
     horizon: int,
     signal: str = "expected_state",
 ) -> MomentSchedule:
-    """Schedule for the learning-free variant.
-
-    ``signal="expected_state"`` substitutes E[state_t] in [1, 2] literally into
-    the mixing formulas (the faithful reading); ``signal="state1_prob"`` uses
-    the unconditional probability of regime 1 instead, which keeps the weights
-    inside [0, 1].
-    """
-    if signal == "expected_state":
-        sig = expected_state_path(p0, p, horizon)[:-1]
-    elif signal == "state1_prob":
-        sig = filter_states(p0, p, horizon)[:-1]
-    else:
-        raise ValueError(f"unknown expectation signal kind {signal!r}")
-    return _mixed_schedule(pair, sig, "expectation")
+    """Schedule for the learning-free variant, mixed along the path that
+    ``mixing_signal("expectation", signal)`` names."""
+    weights = signal_path(mixing_signal("expectation", signal), filter_states(p0, p, horizon))
+    return mixed_schedule(pair, weights[:-1], "expectation")

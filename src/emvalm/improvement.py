@@ -157,12 +157,6 @@ def initial_iterate(
     return IteratedPolicy(n=0, policy=policy, objective=evaluate_policy(policy, schedule, spec))
 
 
-def iterate_from_policy(
-    policy: AffineGaussianPolicy, schedule: MomentSchedule, spec: ProblemSpec
-) -> IteratedPolicy:
-    return IteratedPolicy(n=0, policy=policy, objective=evaluate_policy(policy, schedule, spec))
-
-
 def improve_once(
     current: IteratedPolicy, schedule: MomentSchedule, spec: ProblemSpec, t: int = 0
 ) -> IteratedPolicy:

@@ -8,7 +8,10 @@ becomes a per-period gross mean 1 + r*dt and an annual variance v becomes
 v*dt.  Besides the real dynamics, episodes can be generated from the
 "filtered" dynamics (returns replaced by their signal-weighted expectations,
 so the only randomness left is the action noise) and from the "expectation"
-dynamics (same, weighted by the expected-state signal).
+dynamics (same, weighted by the expected-state signal).  Their per-period
+baseline, excess and liability rates are the a0, a1 and a2 rows of the
+flavor's mixed moment schedule (``filtering.mixed_schedule``), the same
+schedule the analytic policies are built from.
 
 All randomness flows through counter-based Philox streams; `stream(seed, k)`
 gives the k-th independent stream, so episodes are reproducible and safely
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import GaussianPolicy
-from .filtering import MomentSet, filter_states
+from .filtering import MomentSet, filter_states, mixed_schedule, mixing_signal, signal_path
 
 _ROW_SUM_TOL = 1e-12
 
@@ -379,36 +382,6 @@ def step_surplus(
     return x_next, l_next, x_next - l_next
 
 
-def deterministic_rates(
-    model: MarketModel, horizon: int, flavor: str, expectation_signal: str = "expected_state"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-period (baseline, excess, liability) expected rates and the signal path.
-
-    ``flavor`` "filtered" mixes by the regime-1 probability path; "expectation"
-    mixes by the expected-state signal literally (or by the unconditional
-    regime-1 probability when ``expectation_signal="state1_prob"``).  These are
-    the coefficient paths of the observable-dynamics episodes.
-    """
-    m1, m2 = model.moment_pair()
-    chain = model.chain
-    probs = filter_states(chain.p0, chain.matrix(), horizon)
-    if flavor == "filtered":
-        weights = probs
-    elif flavor == "expectation":
-        if expectation_signal == "expected_state":
-            weights = 2.0 - probs
-        elif expectation_signal == "state1_prob":
-            weights = probs
-        else:
-            raise ValueError(f"unknown expectation signal kind {expectation_signal!r}")
-    else:
-        raise ValueError(f"deterministic dynamics flavor must be filtered/expectation, got {flavor}")
-    e0_bar = m2.a0 + weights * (m1.a0 - m2.a0)
-    ex_bar = m2.a1 + weights * (m1.a1 - m2.a1)
-    q_bar = m2.a2 + weights * (m1.a2 - m2.a2)
-    return e0_bar[:-1], ex_bar[:-1], q_bar[:-1], weights
-
-
 def simulate_episode(
     model: MarketModel,
     policy: GaussianPolicy,
@@ -419,13 +392,16 @@ def simulate_episode(
     dynamics: str = "real",
     signal: str | None = None,
     record_returns: bool = True,
+    expectation_signal: str = "expected_state",
 ) -> Episode:
     """Roll out one episode under ``policy``.
 
     The hidden regime path is always simulated and recorded for diagnostics;
     under "filtered"/"expectation" dynamics it does not influence wealth or
-    liability.  ``signal`` chooses what the policy sees (defaults: the regime
-    under real dynamics, the matching probability path otherwise).
+    liability, whose rates are the a0, a1 and a2 rows of the flavor's mixed
+    schedule (``expectation_signal`` as in ``filtering.mixing_signal``).
+    ``signal`` chooses what the policy sees (defaults: the regime under real
+    dynamics, the signal the schedule is mixed along otherwise).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -434,9 +410,7 @@ def simulate_episode(
     if dynamics not in DYNAMICS:
         raise ValueError(f"dynamics must be one of {DYNAMICS}, got {dynamics!r}")
     if signal is None:
-        signal = {"real": "regime", "filtered": "filtered_prob", "expectation": "expected_state"}[
-            dynamics
-        ]
+        signal = "regime" if dynamics == "real" else mixing_signal(dynamics, expectation_signal)
     if signal not in SIGNALS:
         raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
 
@@ -448,15 +422,12 @@ def simulate_episode(
         rec = sample_return_paths(regimes[:-1], model, rng)
         e0_arr, ex_arr, q_arr = rec.e0, rec.e1 - rec.e0, rec.q
     else:
-        e0_arr, ex_arr, q_arr, _ = deterministic_rates(model, horizon, dynamics)
+        weights = signal_path(mixing_signal(dynamics, expectation_signal), p_hat)
+        schedule = mixed_schedule(model.moment_pair(), weights[:-1], dynamics)
+        e0_arr, ex_arr, q_arr = schedule.a0, schedule.a1, schedule.a2
         rec = ReturnsRecord(e0=e0_arr, e1=e0_arr + ex_arr, q=q_arr)
 
-    if signal == "regime":
-        sig = regimes.astype(float)
-    elif signal == "filtered_prob":
-        sig = p_hat
-    else:
-        sig = 2.0 - p_hat
+    sig = regimes.astype(float) if signal == "regime" else signal_path(signal, p_hat)
 
     noise = rng.standard_normal(horizon)
     x = np.empty(horizon + 1)

@@ -41,20 +41,10 @@ from typing import Iterable
 import numpy as np
 
 from .closed_form import GaussianPolicy, ProblemSpec
-from .market import (
-    Episode,
-    MarketModel,
-    deterministic_rates,
-    regime_path,
-    sample_return_paths,
-    stream,
-)
+from .filtering import filter_states, mixed_schedule, mixing_signal, signal_path
+from .market import Episode, MarketModel, regime_path, sample_return_paths, stream
 
-ALGO_FLAVORS = {
-    "coemv": ("real", "regime"),
-    "poemv1": ("filtered", "filtered_prob"),
-    "poemv2": ("expectation", "expected_state"),
-}
+ALGO_FLAVORS = {"coemv": "real", "poemv1": "filtered", "poemv2": "expectation"}  # dynamics
 
 _CRITIC_GRIDS = ("theta1", "theta2", "theta3", "vartheta1", "vartheta2", "psi")
 _ACTOR_GRIDS = ("phi1", "phi2", "phi3")
@@ -273,11 +263,7 @@ def episode_signal(episode: Episode, kind: str) -> np.ndarray:
     """Signal path the learners condition on, derived from the episode record."""
     if kind == "regime":
         return episode.regime.astype(float)
-    if kind == "filtered_prob":
-        return episode.p_hat
-    if kind == "expected_state":
-        return 2.0 - episode.p_hat
-    raise ValueError(f"unknown signal kind {kind!r}")
+    return signal_path(kind, episode.p_hat)
 
 
 def terminal_objective(x: float, l: float, w: float, d: float) -> float:
@@ -575,7 +561,7 @@ class _TrainEnv:
 def _build_env(algo: str, model: MarketModel, hyper: Hyperparams, spec: ProblemSpec) -> _TrainEnv:
     if algo not in ALGO_FLAVORS:
         raise ValueError(f"algo must be one of {sorted(ALGO_FLAVORS)}, got {algo!r}")
-    dynamics = ALGO_FLAVORS[algo][0]
+    dynamics = ALGO_FLAVORS[algo]
     horizon = spec.horizon
     taus = _tau_grid(horizon, hyper.dt)
     if dynamics == "real":
@@ -583,11 +569,12 @@ def _build_env(algo: str, model: MarketModel, hyper: Hyperparams, spec: ProblemS
             [_flat(features(np.full(horizon + 1, s), taus, hyper.m)) for s in (1.0, 2.0)]
         )
         return _TrainEnv(model, horizon, spec.l0, feats_by_regime=feats_by_regime)
-    e0_bar, ex_bar, q_bar, signal = deterministic_rates(
-        model, horizon, dynamics, hyper.expectation_signal
-    )
-    l_path = spec.l0 * np.concatenate(([1.0], np.cumprod(q_bar)))
-    fixed = _Scenario(e0_bar, ex_bar, l_path, _flat(features(signal, taus, hyper.m)))
+    chain = model.chain
+    probs = filter_states(chain.p0, chain.matrix(), horizon)
+    signal = signal_path(mixing_signal(dynamics, hyper.expectation_signal), probs)
+    schedule = mixed_schedule(model.moment_pair(), signal[:-1], dynamics)
+    l_path = spec.l0 * np.concatenate(([1.0], np.cumprod(schedule.a2)))
+    fixed = _Scenario(schedule.a0, schedule.a1, l_path, _flat(features(signal, taus, hyper.m)))
     return _TrainEnv(model, horizon, spec.l0, fixed=fixed)
 
 

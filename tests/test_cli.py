@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emvalm import cli
+from emvalm import cli, evaluate, rl
 from emvalm import config as cfgmod
 
 
@@ -149,6 +149,42 @@ class TestArtifacts:
         report = (ev / "report.csv").read_text().strip().split("\n")
         assert report[0] == "algo,mean,variance,sharpe,n_paths,seed"
         assert report[1].startswith("poemv2,")
+
+    def test_poemv2_checkpoint_is_scored_on_the_signal_it_was_trained_on(self, tmp_path):
+        # with expectation_signal = "state1_prob" poemv2 learns on the filter
+        # probability; the checkpoint's setting decides the evaluation signal,
+        # whatever the evaluation config says
+        (tmp_path / "s1").mkdir()
+        train_cfg = write_config(tmp_path / "s1", training={"expectation_signal": "state1_prob"})
+        eval_cfg = write_config(tmp_path, evaluation={"n_paths": 40})
+        tr, ev = tmp_path / "tr", tmp_path / "ev"
+        assert run(["train", "--config", train_cfg, "--algo", "poemv2", "--out", str(tr)]) == 0
+        argv = ["evaluate", "--config", eval_cfg, "--checkpoint", str(tr / "checkpoint.json")]
+        assert run([*argv, "--out", str(ev)]) == 0
+        assert json.loads((ev / "manifest.json").read_text())["signal"] == "filtered_prob"
+        state = rl.TrainState.from_dict(json.loads((tr / "checkpoint.json").read_text()))
+        model = cfgmod.build_market(cfgmod.resolve_config(json.loads(Path(eval_cfg).read_text())))
+        want = evaluate.out_of_sample(
+            rl.policy_from_state(state), model, 40, state.spec, seed=4,
+            dynamics="filtered", signal="filtered_prob",
+        )
+        row = (ev / "report.csv").read_text().split("\n")[1].split(",")
+        assert float(row[1]) == want.mean and float(row[2]) == want.variance
+
+    def test_simulate_expectation_dynamics_honour_expectation_signal(self, tmp_path):
+        # "state1_prob" mixes the expectation dynamics along the filter
+        # probability, so they coincide with the filtered dynamics
+        (tmp_path / "s1").mkdir()
+        configs = {"default": write_config(tmp_path),
+                   "s1": write_config(tmp_path / "s1", training={"expectation_signal": "state1_prob"})}
+        episodes = {}
+        for name, cfg in configs.items():
+            for dynamics in ("filtered", "expectation"):
+                out = tmp_path / f"{name}-{dynamics}"
+                assert run(["simulate", "--config", cfg, "--dynamics", dynamics, "--out", str(out)]) == 0
+                episodes[name, dynamics] = (out / "episode.csv").read_bytes()
+        assert episodes["s1", "expectation"] == episodes["s1", "filtered"]
+        assert episodes["default", "expectation"] != episodes["default", "filtered"]
 
     def test_evaluate_analytic_policy(self, tmp_path):
         cfg = write_config(tmp_path, evaluation={"n_paths": 40})

@@ -116,6 +116,11 @@ class TestOptimalPolicy:
         with pytest.raises(ValueError, match="period 2"):
             C.optimal_policy(0, 1.0, 0.1, sched, spec_for(4))
 
+    def test_schedule_length_must_match_horizon(self, rng):
+        sched = F.regime_schedule(random_moment_set(rng), 3)
+        with pytest.raises(ValueError, match="schedule length 3 does not match horizon 4"):
+            C.schedule_policy(sched, spec_for(4), kind="poemv_opt")
+
 
 class TestSuboptimalPolicy:
     def test_identical_regimes_make_all_policies_coincide(self, rng):

@@ -180,6 +180,16 @@ def monthly_blocks(model, n_series=4, months=120, horizon_years=2.0):
     return E.BlockSource(series_set=tuple(series), horizon_years=horizon_years, dt=model.dt)
 
 
+class TestBlockSource:
+    def test_sample_is_the_block_sampler_pick(self):
+        blocks = monthly_blocks(monthly_study_market())
+        gen, twin = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(50):
+            idx, start = D.block_sampler(blocks.series_set, blocks.horizon_years, blocks.dt, twin)
+            want = blocks.series_set[idx].closes[start : start + blocks.horizon_periods() + 1]
+            assert np.array_equal(blocks.sample(gen), want)
+
+
 class TestEmpiricalTrain:
     def test_dt_mismatch_rejected(self):
         model = monthly_study_market()

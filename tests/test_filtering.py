@@ -59,6 +59,22 @@ class TestFilterPath:
         cl = F.filter_path_closed(p0, p, horizon)
         assert np.max(np.abs(it - cl)) < 1e-12
 
+    @given(
+        eps11=st.floats(0.0, 1e-3),
+        eps21=st.floats(0.0, 1e-3),
+        flip=st.booleans(),
+        p0=st.floats(0.001, 0.999),
+        horizon=st.integers(1, 2520),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_iterated_equals_closed_form_near_unit_modulus(self, eps11, eps21, flip, p0, horizon):
+        # P11 - P21 close to +1 (flip off) or -1 (flip on), where d^t decays slowest
+        p11, p21 = (eps11, 1.0 - eps21) if flip else (1.0 - eps11, eps21)
+        p = ((p11, 1.0 - p11), (p21, 1.0 - p21))
+        it = F.filter_path(p0, p, horizon)
+        cl = F.filter_path_closed(p0, p, horizon)
+        assert np.max(np.abs(it - cl)) < 1e-12
+
     def test_path_stays_interior_for_interior_transitions(self):
         path = F.filter_path(0.5, REFERENCE_P, 10_000)
         assert np.all(path > 0.0) and np.all(path < 1.0)
@@ -157,6 +173,30 @@ class TestFilteredMoments:
         m2 = F.MomentSet(a0=0.6, b0=0.37, a1=-0.9, b1=0.82, a2=1.0, b2=1.0)
         with pytest.raises(ValueError, match="non-positive"):
             F.filtered_moments(3.5, (m1, m2))
+
+
+class TestMomentSchedule:
+    def test_sets_round_trip_through_the_rows(self, rng):
+        sets = tuple(random_moment_set(rng) for _ in range(5))
+        sched = F.MomentSchedule(sets=sets, flavor="regime")
+        assert len(sched) == 5 and sched.flavor == "regime" and sched.violations == ()
+        assert sched.sets == sets and sched[3] == sets[3]
+        assert np.array_equal(sched.b1, [m.b1 for m in sets])
+        assert np.array_equal(sched.cross(), [m.cross() for m in sets])
+
+    def test_regime_schedule_repeats_one_column(self, rng):
+        m = random_moment_set(rng)
+        sched = F.regime_schedule(m, 4)
+        assert sched.rows.shape == (6, 4) and sched.sets == (m,) * 4
+
+    def test_mixing_signal_names_each_weight_path(self):
+        assert F.mixing_signal("filtered") == "filtered_prob"
+        assert F.mixing_signal("expectation") == "expected_state"
+        assert F.mixing_signal("expectation", "state1_prob") == "filtered_prob"
+        with pytest.raises(ValueError, match="unknown expectation signal kind 'nope'"):
+            F.mixing_signal("expectation", "nope")
+        with pytest.raises(ValueError, match="filtered/expectation"):
+            F.mixing_signal("real")
 
 
 class TestMomentSet:

@@ -96,7 +96,8 @@ class TestImproveOnce:
         sched = random_schedule(rng, T)
         spec = spec_for(T)
         opt = optimal_affine_policy(sched, spec)
-        improved = I.improve_once(I.iterate_from_policy(opt, sched, spec), sched, spec)
+        start = I.IteratedPolicy(0, opt, I.evaluate_policy(opt, sched, spec))
+        improved = I.improve_once(start, sched, spec)
         assert improved.policy.max_param_delta(opt) < 1e-12
 
     def test_objective_nonincreasing_at_probe_points(self, rng):

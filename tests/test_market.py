@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from emvalm import filtering as F
 from emvalm import market as M
 from emvalm.closed_form import GaussianPolicy
 from conftest import REFERENCE_P
@@ -252,7 +253,9 @@ class TestSimulateEpisode:
         ep = M.simulate_episode(
             model, zero_policy(), 40, 1.0, 0.1, M.stream(3, 3), dynamics="filtered"
         )
-        e0_bar, ex_bar, q_bar, _ = M.deterministic_rates(model, 40, "filtered")
+        chain = model.chain
+        schedule = F.filtered_schedule(model.moment_pair(), chain.p0, chain.matrix(), 40)
+        e0_bar, q_bar = schedule.a0, schedule.a2
         assert np.allclose(ep.x[1:] / ep.x[:-1], e0_bar, atol=1e-14)
         assert np.allclose(ep.l[1:] / ep.l[:-1], q_bar, atol=1e-14)
 

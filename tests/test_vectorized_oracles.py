@@ -3,8 +3,9 @@
 Each fast path is checked against a plain per-period or per-path
 computation written here: the blocked (paths, T) wealth rollout against the
 sequential recursion, policy coefficient tables against scalar formulas,
-regime-only return sampling against a draw-then-scatter oracle, and the
-blocked out-of-sample rollout against the per-period loop.
+regime-only return sampling against a draw-then-scatter oracle, the
+blocked out-of-sample rollout against the per-period loop, and the one-call
+moment mix against the per-period mixing loop.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emvalm import closed_form as C
+from emvalm import config
 from emvalm import evaluate as E
 from emvalm import filtering as F
 from emvalm import market as M
@@ -322,7 +324,9 @@ def per_period_terminals(policy, model, n_paths, spec, seed, dynamics):
     horizon = spec.horizon
     noise = M.stream(seed, 0).standard_normal((n_paths, horizon))
     p_hat = F.filter_states(model.chain.p0, model.chain.matrix(), horizon)
-    rates = M.deterministic_rates(model, horizon, "filtered")
+    m1, m2 = model.moment_pair()
+    rates = [m2.a0 + p_hat[:-1] * (m1.a0 - m2.a0), m2.a1 + p_hat[:-1] * (m1.a1 - m2.a1),
+             m2.a2 + p_hat[:-1] * (m1.a2 - m2.a2)]
     out = np.empty(n_paths)
     for i in range(n_paths):
         if dynamics == "real":
@@ -330,7 +334,7 @@ def per_period_terminals(policy, model, n_paths, spec, seed, dynamics):
             rec = M.sample_return_paths(regimes[:-1], model, M.stream(seed, M.RETURNS_KEY + i))
             e0, ex, q, sig = rec.e0, rec.e1 - rec.e0, rec.q, regimes.astype(float)
         else:
-            e0, ex, q, _ = rates
+            e0, ex, q = rates
             sig = p_hat
         x, l = spec.x0, spec.l0
         for t in range(horizon):
@@ -360,3 +364,113 @@ class TestBlockedEvaluation:
         short, _ = E._path_terminals(policy, model, 1000, *args)
         long, _ = E._path_terminals(policy, model, 2000, *args)
         np.testing.assert_array_equal(long[:1000], short)
+
+
+# ---------------------------------------------------------------------------
+# vectorized moment mixing against the per-period loop
+# ---------------------------------------------------------------------------
+
+
+def loop_violations(m):
+    out = []
+    if m.b0 < m.a0**2 - 1e-9:
+        out.append(f"b0={m.b0} < a0^2={m.a0 ** 2}")
+    if m.b1 < m.a1**2 - 1e-9:
+        out.append(f"b1={m.b1} < a1^2={m.a1 ** 2}")
+    if m.b2 < m.a2**2 - 1e-9:
+        out.append(f"b2={m.b2} < a2^2={m.a2 ** 2}")
+    return out
+
+
+def loop_moments(signal, pair):
+    """One period mixed in Python floats, checks in the per-period order."""
+    m1, m2 = pair
+
+    def mix(v1, v2):
+        return v2 + signal * (v1 - v2)
+
+    a0, b0 = mix(m1.a0, m2.a0), mix(m1.b0, m2.b0)
+    risky_mean = mix(m1.risky_mean(), m2.risky_mean())
+    risky_sq = mix(m1.risky_sq(), m2.risky_sq())
+    b1 = risky_sq - 2.0 * risky_mean * a0 + b0
+    if b1 <= 0.0:
+        raise ValueError(
+            f"mixed second moment of the excess return is non-positive ({b1}) at signal {signal}"
+        )
+    out = F.MomentSet(a0, b0, mix(m1.a1, m2.a1), b1, mix(m1.a2, m2.a2), mix(m1.b2, m2.b2))
+    if 0.0 <= signal <= 1.0:
+        bad = loop_violations(out)
+        if bad:
+            raise ValueError(f"moment mixing produced invalid set at signal {signal}: {bad}")
+    return out
+
+
+def loop_schedule(pair, signals):
+    """(T, 6) moments and the violation lines, one period at a time."""
+    sets, violations = [], []
+    for t, s in enumerate(signals):
+        m = loop_moments(float(s), pair)
+        sets.append(m.as_tuple())
+        violations += [f"t={t} signal={float(s):.6g}: {v}" for v in loop_violations(m)]
+    return np.array(sets), tuple(violations)
+
+
+def outcome(fn):
+    try:
+        with np.errstate(all="ignore"):
+            return fn(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def mixing_pair(gen, deficits):
+    """Two regimes; with ``deficits`` the baseline and liability variances may be negative."""
+    out = []
+    for _ in range(2):
+        a0, a1, a2 = gen.uniform(0.95, 1.1), gen.uniform(-0.05, 0.12), gen.uniform(0.9, 1.1)
+        lo = -0.01 if deficits else 0.0
+        out.append(F.MomentSet(a0, a0 * a0 + gen.uniform(lo, 0.01), a1,
+                               a1 * a1 + gen.uniform(0.001, 0.05), a2, a2 * a2 + gen.uniform(lo, 0.02)))
+    return tuple(out)
+
+
+mixing_signals = st.one_of(
+    st.floats(-0.5, 2.5),  # expected-state weights lie in [1, 2]
+    st.floats(-80.0, 80.0),  # far enough out for a non-positive mixed b1
+    st.sampled_from([0.0, 1.0, 2.0, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestMomentMixing:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        deficits=st.booleans(),
+        signals=st.lists(mixing_signals, min_size=1, max_size=30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_schedule_matches_per_period_loop(self, seed, deficits, signals):
+        pair = mixing_pair(np.random.default_rng(seed), deficits)
+        got, got_err = outcome(lambda: F.mixed_schedule(pair, np.array(signals), "expectation"))
+        want, want_err = outcome(lambda: loop_schedule(pair, signals))
+        assert got_err == want_err
+        if want is not None:
+            assert got.rows.tobytes() == want[0].T.tobytes()
+            assert got.violations == want[1]
+        # the one-period mix is the one-column case
+        one, one_err = outcome(lambda: F.filtered_moments(signals[0], pair))
+        want_one, want_one_err = outcome(lambda: loop_moments(float(signals[0]), pair))
+        assert one_err == want_one_err
+        if want_one is not None:
+            assert np.array(one.as_tuple()).tobytes() == np.array(want_one.as_tuple()).tobytes()
+
+    @pytest.mark.parametrize("signal", ["expected_state", "state1_prob"])
+    def test_reference_expectation_schedule_matches_per_period_loop(self, signal):
+        model = M.market_from_dict(config.default_config()["market"])
+        chain, pair, horizon = model.chain, model.moment_pair(), 2520
+        probs = F.filter_states(chain.p0, chain.matrix(), horizon)[:-1]
+        weights = 2.0 - probs if signal == "expected_state" else probs
+        sched = F.expectation_schedule(pair, chain.p0, chain.matrix(), horizon, signal)
+        rows, violations = loop_schedule(pair, weights)
+        assert sched.rows.tobytes() == rows.T.tobytes()
+        assert sched.violations == violations
+        assert len(violations) == (2596 if signal == "expected_state" else 0)
