@@ -8,7 +8,6 @@ from .closed_form import (
     bellman_residual,
     f_terms,
     optimal_policy,
-    suboptimal_policy,
     value_function,
 )
 from .filtering import (
@@ -34,10 +33,8 @@ from .market import (
     MarketModel,
     RegimeChain,
     ReturnSpec,
-    sample_returns,
     sample_skewed_t,
     simulate_episode,
-    step_regime,
     step_surplus,
     stream,
 )
@@ -46,7 +43,6 @@ from .rl import (
     CriticParams,
     Hyperparams,
     TrainState,
-    actor_sample,
     critic_value,
     martingale_loss,
     ml_gradients,

@@ -7,7 +7,9 @@ the optimal randomized control at each period is Gaussian, its mean affine in
 This module evaluates those formulas on any moment schedule (regime-
 conditioned, filtered, or expectation-based), exposes the value function as an
 explicit quadratic in (wealth, liability), and provides an independent
-Gauss-Hermite check of the one-step recursion.
+Gauss-Hermite check of the one-step recursion.  Every policy in the package,
+analytic or learned, is a ``GaussianPolicy``: its per-period table of
+(cx, cl, c0, variance) rows.
 
 Products over future periods are accumulated in log space with sign tracking;
 on multi-thousand-period horizons the raw products under/overflow double
@@ -52,49 +54,35 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class GaussianPolicy:
-    """Feedback rule mapping (t, wealth, liability, signal) to a Normal action law.
+    """A Gaussian feedback policy, given by its per-period affine table.
 
     ``affine_table(ts, signals) -> (n, 4)`` gives, for arrays of periods and
-    signals, the rows (cx, cl, c0, variance) of a policy whose mean is
-    cx*x + cl*l + c0; vectorized simulation builds its coefficient tables
-    from it in one call.  ``affine_fn(t, signal)`` is one such row, and the
-    scalar ``mean_fn``/``var_fn`` interface is always available.
+    the signals seen at them, the rows (cx, cl, c0, variance) of a Normal
+    action law whose mean is cx*x + cl*l + c0.  Analytic, expectation-based
+    and learned policies all take this form; ``table`` is how callers read it.
     """
 
-    mean_fn: Callable[[int, float, float, float], float]
-    var_fn: Callable[[int, float], float]
+    affine_table: Callable[[np.ndarray, np.ndarray], np.ndarray]
     kind: str = "custom"
-    affine_fn: Callable[[int, float], tuple[float, float, float, float]] | None = None
-    affine_table: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    @classmethod
-    def from_table(cls, affine_table, kind: str) -> "GaussianPolicy":
-        """Policy whose scalar rule is one row of ``affine_table``."""
+    def table(self, ts, signals) -> np.ndarray:
+        """A fresh (n, 4) array of ``affine_table`` rows at ``ts`` and ``signals``.
 
-        def affine_fn(t, signal):
-            row = affine_table(np.array([t]), np.array([signal], dtype=float))[0]
-            return tuple(float(v) for v in row)
-
-        return cls.from_affine(affine_fn, kind, affine_table)
-
-    @classmethod
-    def from_affine(cls, affine_fn, kind: str, affine_table=None) -> "GaussianPolicy":
-        """Policy from its scalar rule; without ``affine_table`` the table is
-        assembled row by row from ``affine_fn``."""
-        if affine_table is None:
-
-            def affine_table(ts, signals):
-                rows = [affine_fn(int(t), float(s)) for t, s in zip(ts, signals)]
-                return np.array(rows, dtype=float).reshape(len(rows), 4)
-
-        def mean_fn(t, x, l, signal):
-            cx, cl, c0, _ = affine_fn(t, signal)
-            return cx * x + cl * l + c0
-
-        def var_fn(t, signal):
-            return affine_fn(t, signal)[3]
-
-        return cls(mean_fn, var_fn, kind, affine_fn, affine_table)
+        Raises ``ValueError`` naming the first period whose coefficients are
+        not finite or whose variance is not a finite number >= 0.
+        """
+        ts = np.asarray(ts)
+        table = np.array(self.affine_table(ts, np.asarray(signals, dtype=float)), dtype=float)
+        if table.shape != (len(ts), 4):
+            raise ValueError(f"policy table has shape {table.shape}, expected ({len(ts)}, 4)")
+        ok = np.isfinite(table).all(axis=1) & (table[:, 3] >= 0.0)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(
+                f"policy row (cx, cl, c0, variance) = {tuple(table[i].tolist())} at t={ts[i]} "
+                "needs finite coefficients and a finite variance >= 0"
+            )
+        return table
 
 
 @dataclass(frozen=True)
@@ -274,13 +262,6 @@ def optimal_policy(
     return _ScheduleTables(schedule, spec).mean_variance(t, x, l)
 
 
-def suboptimal_policy(
-    t: int, x: float, l: float, tilde_schedule: MomentSchedule, spec: ProblemSpec
-) -> tuple[float, float]:
-    """Same formulas evaluated on an expectation-based schedule."""
-    return _ScheduleTables(tilde_schedule, spec).mean_variance(t, x, l)
-
-
 def value_function(
     t: int, x: float, l: float, schedule: MomentSchedule, spec: ProblemSpec
 ) -> float:
@@ -294,7 +275,7 @@ def schedule_policy(schedule: MomentSchedule, spec: ProblemSpec, kind: str) -> G
     """Policy object over one schedule; the runtime signal argument is ignored
     because the schedule already encodes the signal path."""
     tables = _ScheduleTables(schedule, spec)
-    return GaussianPolicy.from_table(lambda ts, signals: tables.affine_rows(ts), kind=kind)
+    return GaussianPolicy(lambda ts, signals: tables.affine_rows(ts), kind)
 
 
 def regime_policy(
@@ -320,7 +301,7 @@ def regime_policy(
                 rows[sel] = tab.affine_rows(ts[sel])
         return rows
 
-    return GaussianPolicy.from_table(affine_table, kind="coemv_opt")
+    return GaussianPolicy(affine_table, "coemv_opt")
 
 
 def bellman_step(

@@ -62,13 +62,8 @@ def sharpe_ratio(mean: float, variance: float, x0: float = 1.0) -> float:
 
 def _affine_tables(policy: GaussianPolicy, ts: np.ndarray, signals: np.ndarray) -> np.ndarray:
     """(n, 4) rows (cx, cl, c0, sd) at the periods ``ts`` and their signals, in one call."""
-    table = np.array(policy.affine_table(ts, np.asarray(signals, dtype=float)), dtype=float)
-    var = table[:, 3]
-    bad = np.flatnonzero(~(var >= 0.0) | ~np.isfinite(var))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"policy variance {var[i]} at t={ts[i]} is negative or non-finite")
-    table[:, 3] = np.sqrt(var)
+    table = policy.table(ts, signals)
+    table[:, 3] = np.sqrt(table[:, 3])
     return table
 
 
@@ -172,8 +167,6 @@ def _path_terminals(
     expectation_signal: str,
 ) -> tuple[np.ndarray, str]:
     """Per-path terminal net wealth of ``out_of_sample`` and the signal kind used."""
-    if policy.affine_table is None:
-        raise ValueError("evaluation requires a policy exposing affine coefficients")
     horizon = spec.horizon
     chain = model.chain
 

@@ -31,13 +31,14 @@ parallel.  The keys in use, and what each stream draws in order:
 No key depends on a path count, so the first n paths of an evaluation are
 the same whatever the total.  Returns along a regime path are drawn leg by
 leg (e0, then e1, then q), each leg drawing its regime-1 periods and then its
-regime-2 periods (``sample_return_paths``).
+regime-2 periods (``sample_return_paths``).  ``simulate_episode`` rolls one
+recorded episode under a ``GaussianPolicy`` table, period by period, in the
+same float arithmetic as ``step_surplus``.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -252,17 +253,6 @@ class Episode:
     def n_periods(self) -> int:
         return len(self.action)
 
-    def terminal_net_wealth(self) -> float:
-        return float(self.x[-1] - self.l[-1])
-
-    def validate(self) -> None:
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.l))):
-            raise ValueError("episode contains non-finite wealth or liability")
-        if np.any(self.p_hat <= 0.0) or np.any(self.p_hat >= 1.0):
-            raise ValueError("filter path left the open interval (0, 1)")
-        if not np.all(np.isin(self.regime, (1, 2))):
-            raise ValueError("regime path contains labels outside {1, 2}")
-
     def write_csv(self, fh: io.TextIOBase) -> None:
         fh.write("t,x,l,regime,p_hat,action\n")
         for t in range(self.n_periods):
@@ -280,14 +270,6 @@ class Episode:
         buf = io.StringIO()
         self.write_csv(buf)
         return buf.getvalue()
-
-
-def step_regime(current: int, chain: RegimeChain, rng: np.random.Generator) -> int:
-    """Advance the hidden regime one period."""
-    if current not in (1, 2):
-        raise ValueError(f"regime must be 1 or 2, got {current}")
-    row = chain.matrix()[current - 1]
-    return 1 if rng.random() < row[0] else 2
 
 
 def regime_path_reference(chain: RegimeChain, horizon: int, rng: np.random.Generator) -> np.ndarray:
@@ -334,19 +316,6 @@ def regime_path(chain: RegimeChain, horizon: int, rng: np.random.Generator) -> n
     return np.where(z, 1, 2).astype(np.int64)
 
 
-def sample_returns(
-    regime: int, model: MarketModel, rng: np.random.Generator
-) -> tuple[float, float, float]:
-    """Per-period (baseline, risky, liability) gross returns under one regime."""
-    if regime not in (1, 2):
-        raise ValueError(f"regime must be 1 or 2, got {regime}")
-    i = regime - 1
-    e0 = model.e0[i].sample(model.dt, rng)
-    e1 = model.e1[i].sample(model.dt, rng)
-    q = model.q[i].sample(model.dt, rng)
-    return float(e0), float(e1), float(q)
-
-
 def sample_return_paths(
     regimes: np.ndarray, model: MarketModel, rng: np.random.Generator
 ) -> ReturnsRecord:
@@ -391,7 +360,6 @@ def simulate_episode(
     rng: np.random.Generator,
     dynamics: str = "real",
     signal: str | None = None,
-    record_returns: bool = True,
     expectation_signal: str = "expected_state",
 ) -> Episode:
     """Roll out one episode under ``policy``.
@@ -401,7 +369,10 @@ def simulate_episode(
     liability, whose rates are the a0, a1 and a2 rows of the flavor's mixed
     schedule (``expectation_signal`` as in ``filtering.mixing_signal``).
     ``signal`` chooses what the policy sees (defaults: the regime under real
-    dynamics, the signal the schedule is mixed along otherwise).
+    dynamics, the signal the schedule is mixed along otherwise).  The policy's
+    (cx, cl, c0, variance) rows along that signal are read in one checked
+    ``GaussianPolicy.table`` call; the action at t is
+    (cx*x_t + cl*l_t + c0) + sqrt(variance) * noise_t.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -429,17 +400,14 @@ def simulate_episode(
 
     sig = regimes.astype(float) if signal == "regime" else signal_path(signal, p_hat)
 
+    rows = policy.table(np.arange(horizon), sig[:-1]).tolist()
     noise = rng.standard_normal(horizon)
     x = np.empty(horizon + 1)
     l = np.empty(horizon + 1)
     action = np.empty(horizon)
     x[0], l[0] = x0, l0
-    for t in range(horizon):
-        mean = policy.mean_fn(t, x[t], l[t], sig[t])
-        var = policy.var_fn(t, sig[t])
-        if not (np.isfinite(mean) and np.isfinite(var)) or var < 0.0:
-            raise ValueError(f"policy returned invalid mean/variance at t={t}: ({mean}, {var})")
-        u = mean + math.sqrt(var) * noise[t]
+    for t, (cx, cl, c0, var) in enumerate(rows):
+        u = (cx * x[t] + cl * l[t] + c0) + math.sqrt(var) * noise[t]
         action[t] = u
         x[t + 1] = e0_arr[t] * x[t] + ex_arr[t] * u
         l[t + 1] = q_arr[t] * l[t]
@@ -454,7 +422,7 @@ def simulate_episode(
         regime=regimes,
         p_hat=p_hat,
         action=action,
-        returns=rec if record_returns else None,
+        returns=rec,
     )
 
 
@@ -511,8 +479,3 @@ def market_to_dict(model: MarketModel) -> dict:
         pair = getattr(model, name)
         out[name] = {"regime1": _spec_to_dict(pair[0]), "regime2": _spec_to_dict(pair[1])}
     return out
-
-
-def load_market(path: str) -> MarketModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return market_from_dict(json.load(fh))

@@ -128,10 +128,22 @@ class Hyperparams:
 
     def __post_init__(self) -> None:
         for name in ("eta_theta", "eta_vartheta", "eta_psi", "eta_phi", "alpha", "dt"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.n_avg < 1 or self.n_iter < 0 or self.batch_size < 1 or self.m < 1:
-            raise ValueError("n_avg/batch_size/m must be >= 1 and n_iter >= 0")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name, low in (("n_avg", 1), ("batch_size", 1), ("m", 1), ("n_iter", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        clip = self.grad_clip
+        if clip is not None and not 0.0 < clip < math.inf:
+            raise ValueError(f"grad_clip must be positive and finite, or None; got {clip!r}")
+        if self.w0 is not None and not math.isfinite(self.w0):
+            raise ValueError(f"w0 must be finite or None, got {self.w0!r}")
+        try:
+            mixing_signal("expectation", self.expectation_signal)
+        except ValueError as exc:
+            raise ValueError(f"expectation_signal: {exc}") from None
 
     def require_market_dt(self, model: MarketModel) -> None:
         """Reject a market whose period length differs from the training dt."""
@@ -234,22 +246,6 @@ def actor_mean_var(
     )
     variance = math.exp(ph3[0]) / (2.0 * ce.theta1[0])
     return float(mean), float(variance)
-
-
-def actor_sample(
-    t: int,
-    x: float,
-    l: float,
-    signal: float,
-    critic: CriticParams,
-    actor: ActorParams,
-    w: float,
-    horizon: int,
-    dt: float,
-    rng: np.random.Generator,
-) -> float:
-    mean, variance = actor_mean_var(t, x, l, signal, critic, actor, w, horizon, dt)
-    return mean + math.sqrt(variance) * rng.standard_normal()
 
 
 def policy_entropy(theta1: float, phi3: float) -> float:
@@ -758,4 +754,4 @@ def policy_from_state(state: TrainState) -> GaussianPolicy:
         variance = np.exp(ph3) / (2.0 * ce.theta1)
         return np.stack([ph1, scale * ce.theta2, scale * w, variance], axis=1)
 
-    return GaussianPolicy.from_table(affine_table, kind="learned")
+    return GaussianPolicy(affine_table, "learned")

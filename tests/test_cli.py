@@ -46,6 +46,13 @@ class TestArgumentHandling:
         assert run(["filter-demo", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_bad_training_value_fails_at_load_naming_the_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, training={"expectation_signal": "state1prob"})
+        out = str(tmp_path / "o")
+        assert run(["train", "--config", cfg, "--algo", "poemv2", "--out", out]) == 1
+        assert "expectation_signal" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
+
     def test_evaluate_requires_a_policy_source(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

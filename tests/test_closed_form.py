@@ -133,7 +133,7 @@ class TestSuboptimalPolicy:
         reg = F.regime_schedule(m, T)
         for t in range(T):
             a = C.optimal_policy(t, 1.1, 0.2, filt, spec)
-            b = C.suboptimal_policy(t, 1.1, 0.2, tilde, spec)
+            b = C.optimal_policy(t, 1.1, 0.2, tilde, spec)
             c = C.optimal_policy(t, 1.1, 0.2, reg, spec)
             assert a == pytest.approx(b, rel=1e-12)
             assert a == pytest.approx(c, rel=1e-12)
@@ -144,7 +144,7 @@ class TestSuboptimalPolicy:
         tilde = F.expectation_schedule(pair, 0.3, REFERENCE_P, T)
         spec = spec_for(T)
         m = tilde[T - 1]
-        mean, var = C.suboptimal_policy(T - 1, 0.9, 0.4, tilde, spec)
+        mean, var = C.optimal_policy(T - 1, 0.9, 0.4, tilde, spec)
         mu = (m.a0 * (m.a1 + m.a0) - m.b0) * 0.9 - m.a1 * (spec.multiplier + m.a2 * 0.4)
         assert mean == pytest.approx(-mu / m.b1, rel=1e-12)
         assert var == pytest.approx(spec.explore_weight / (2 * m.b1), rel=1e-12)
@@ -175,7 +175,7 @@ class TestSuboptimalPolicy:
             cross = m.a0 * m.a1 - (m.b0 - m.a0**2)
             naive_mean = -(cross / m.b1 * x - (m.a1 / m.b1) * prod_f2f1 * (spec.multiplier + l * prod_a2))
             naive_var = spec.explore_weight / (2 * m.b1) * prod_b1f1
-            mean, var = C.suboptimal_policy(t, x, l, tilde, spec)
+            mean, var = C.optimal_policy(t, x, l, tilde, spec)
             assert mean == pytest.approx(naive_mean, rel=1e-10)
             assert var == pytest.approx(naive_var, rel=1e-10)
 
@@ -352,8 +352,9 @@ class TestPolicyObjects:
         policy = C.schedule_policy(sched, spec, kind="poemv_opt")
         for t in range(5):
             mean, var = C.optimal_policy(t, 1.3, 0.2, sched, spec)
-            assert policy.mean_fn(t, 1.3, 0.2, 0.5) == pytest.approx(mean, rel=1e-12)
-            assert policy.var_fn(t, 0.5) == pytest.approx(var, rel=1e-12)
+            cx, cl, c0, v = policy.table([t], [0.5])[0]
+            assert cx * 1.3 + cl * 0.2 + c0 == pytest.approx(mean, rel=1e-12)
+            assert v == pytest.approx(var, rel=1e-12)
 
     def test_regime_policy_selects_schedule_by_signal(self, rng):
         pair = (random_moment_set(rng), random_moment_set(rng))
@@ -364,5 +365,6 @@ class TestPolicyObjects:
             sched = F.regime_schedule(pair[regime - 1], T)
             for t in range(T):
                 mean, var = C.optimal_policy(t, 0.8, 0.3, sched, spec)
-                assert policy.mean_fn(t, 0.8, 0.3, float(regime)) == pytest.approx(mean, rel=1e-12)
-                assert policy.var_fn(t, float(regime)) == pytest.approx(var, rel=1e-12)
+                cx, cl, c0, v = policy.table([t], [float(regime)])[0]
+                assert cx * 0.8 + cl * 0.3 + c0 == pytest.approx(mean, rel=1e-12)
+                assert v == pytest.approx(var, rel=1e-12)

@@ -35,8 +35,23 @@ def tiny_market():
     )
 
 
+def constant_rows(*row):
+    return lambda ts, s: np.tile(row, (len(ts), 1))
+
+
 def const_policy(amount=0.1, var=0.0):
-    return GaussianPolicy.from_affine(lambda t, s: (0.0, 0.0, amount, var), kind="custom")
+    return GaussianPolicy(constant_rows(0.0, 0.0, amount, var), kind="custom")
+
+
+def bad_row_policy(column, bad):
+    """Rows (0, 0, 0.1, 0.01), except ``bad`` in ``column`` at t = 5."""
+
+    def table(ts, s):
+        rows = np.tile([0.0, 0.0, 0.1, 0.01], (len(ts), 1))
+        rows[ts == 5, column] = bad
+        return rows
+
+    return GaussianPolicy(table, kind="custom")
 
 
 def tiny_spec(horizon=36):
@@ -82,7 +97,7 @@ class TestOutOfSample:
         assert rep.variance == pytest.approx(0.0, abs=1e-25)
 
     def test_exploding_policy_exclusions_raise(self):
-        policy = GaussianPolicy.from_affine(lambda t, s: (1e200, 0.0, 0.0, 0.0), kind="custom")
+        policy = GaussianPolicy(constant_rows(1e200, 0.0, 0.0, 0.0), kind="custom")
         with pytest.raises(RuntimeError, match="non-finite"):
             E.out_of_sample(policy, tiny_market(), 100, tiny_spec(), seed=2)
 
@@ -105,12 +120,23 @@ class TestOutOfSample:
 
     def test_negative_or_nan_policy_variance_names_the_period(self):
         for bad in (-1e-3, float("nan")):
-            policy = GaussianPolicy.from_affine(
-                lambda t, s, bad=bad: (0.0, 0.0, 0.1, bad if t == 5 else 0.01), kind="custom"
-            )
+            policy = bad_row_policy(3, bad)
             for dynamics in ("real", "filtered"):
                 with pytest.raises(ValueError, match="t=5"):
                     E.out_of_sample(policy, tiny_market(), 10, tiny_spec(), seed=0, dynamics=dynamics)
+            with pytest.raises(ValueError, match="t=5"):
+                M.simulate_episode(tiny_market(), policy, 10, 1.0, 0.1, M.stream(0, 0))
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_non_finite_policy_coefficient_names_the_period(self, column):
+        # the table check rejects the row before any wealth is rolled, so the
+        # error names the period instead of counting non-finite terminals
+        policy = bad_row_policy(column, float("nan"))
+        for dynamics in ("real", "filtered"):
+            with pytest.raises(ValueError, match="t=5"):
+                E.out_of_sample(policy, tiny_market(), 10, tiny_spec(), seed=0, dynamics=dynamics)
+        with pytest.raises(ValueError, match="t=5"):
+            M.simulate_episode(tiny_market(), policy, 10, 1.0, 0.1, M.stream(0, 0))
 
     def test_regime_signal_requires_real_dynamics(self):
         with pytest.raises(ValueError, match="regime signal"):

@@ -35,7 +35,7 @@ def simple_model(dt: float = 1.0, e1_vol: float = 0.2) -> M.MarketModel:
 
 
 def zero_policy() -> GaussianPolicy:
-    return GaussianPolicy.from_affine(lambda t, s: (0.0, 0.0, 0.0, 0.0), kind="custom")
+    return GaussianPolicy(lambda ts, s: np.zeros((len(ts), 4)), kind="custom")
 
 
 class TestRegimeChain:
@@ -67,31 +67,6 @@ class TestStream:
             M.stream(1, 2, 3)
 
 
-class TestStepRegime:
-    def test_absorbing_chain(self):
-        chain = M.RegimeChain(p=((1.0, 0.0), (0.0, 1.0)), p0=0.5)
-        rng = M.stream(0, 0)
-        assert all(M.step_regime(1, chain, rng) == 1 for _ in range(50))
-
-    def test_deterministic_flip(self):
-        chain = M.RegimeChain(p=((0.0, 1.0), (1.0, 0.0)), p0=0.5)
-        rng = M.stream(0, 0)
-        assert all(M.step_regime(1, chain, rng) == 2 for _ in range(50))
-        assert all(M.step_regime(2, chain, rng) == 1 for _ in range(50))
-
-    def test_staying_fraction_binomial_ci(self):
-        chain = reference_chain()
-        rng = M.stream(11, 0)
-        n = 1_000_000
-        stays = sum(M.step_regime(1, chain, rng) == 1 for _ in range(n))
-        half_width = 3.0 * math.sqrt(0.9986 * 0.0014 / n)
-        assert abs(stays / n - 0.9986) < half_width
-
-    def test_invalid_regime(self):
-        with pytest.raises(ValueError, match="regime"):
-            M.step_regime(3, reference_chain(), M.stream(0, 0))
-
-
 class TestRegimePath:
     @pytest.mark.parametrize("p11,p21", [(0.9986, 0.0114), (0.3, 0.8), (0.5, 0.5), (0.05, 0.95)])
     def test_vectorized_matches_sequential_reference(self, p11, p21):
@@ -116,7 +91,7 @@ class TestReturnSpecs:
     def test_constant_gross_mean_at_unit_dt(self):
         # gross annual 1.2 over a one-year period is 1.2 exactly
         model = simple_model(dt=1.0)
-        e0, _, _ = M.sample_returns(1, model, M.stream(0, 0))
+        e0 = model.e0[0].sample(model.dt, M.stream(0, 0))
         assert e0 == pytest.approx(1.2, abs=1e-15)
 
     def test_zero_variance_normal_is_deterministic(self):
@@ -235,7 +210,7 @@ class TestSimulateEpisode:
 
     def test_wealth_and_liability_recursions_exact(self):
         model = simple_model(dt=1.0 / 252.0)
-        policy = GaussianPolicy.from_affine(lambda t, s: (0.1, -0.2, 0.5, 0.04), kind="custom")
+        policy = GaussianPolicy(lambda ts, s: np.tile([0.1, -0.2, 0.5, 0.04], (len(ts), 1)))
         ep = M.simulate_episode(model, policy, 100, 1.0, 0.1, M.stream(2, 7))
         ex = ep.returns.e1 - ep.returns.e0
         assert np.array_equal(ep.x[1:], ep.returns.e0 * ep.x[:-1] + ex * ep.action)
@@ -262,8 +237,7 @@ class TestSimulateEpisode:
     def test_invalid_policy_mean_names_offending_period(self):
         model = simple_model(dt=1.0 / 252.0)
         policy = GaussianPolicy(
-            mean_fn=lambda t, x, l, s: float("nan") if t == 7 else 0.0,
-            var_fn=lambda t, s: 0.0,
+            lambda ts, s: np.where((ts == 7)[:, None], [0.0, 0.0, float("nan"), 0.0], 0.0),
             kind="custom",
         )
         with pytest.raises(ValueError, match="t=7"):

@@ -93,16 +93,6 @@ class TestActor:
             )
             assert var > 0.0
 
-    def test_sample_moments_match_formula(self, rng):
-        critic, actor = random_critic(rng), random_actor(rng)
-        mean, var = rl.actor_mean_var(2, 1.4, 0.3, 0.6, critic, actor, 1.9, 8, 0.25)
-        rng2 = M.stream(17, 0)
-        draws = np.array(
-            [rl.actor_sample(2, 1.4, 0.3, 0.6, critic, actor, 1.9, 8, 0.25, rng2) for _ in range(100_000)]
-        )
-        assert abs(np.mean(draws) - mean) < 0.01 * max(1.0, abs(mean))
-        assert abs(np.var(draws) - var) < 0.01 * var * 3
-
 
 class TestPolicyEntropy:
     def test_reference_points(self):
@@ -405,6 +395,31 @@ def tiny_hyper(n_iter, seed=0, **kw):
     )
 
 
+class TestHyperparams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grad_clip", -1.0),  # np.clip(g, 1, -1) would set every entry to -1
+            ("grad_clip", 0.0),
+            ("grad_clip", float("nan")),
+            ("expectation_signal", "state1prob"),
+            ("w0", float("nan")),
+            ("n_avg", 0),
+            ("batch_size", 0),
+            ("m", 0),
+            ("n_iter", -1),
+            ("eta_phi", float("nan")),
+        ],
+    )
+    def test_bad_value_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            rl.Hyperparams(**{field: value})
+
+    def test_unset_and_edge_values_accepted(self):
+        hyper = rl.Hyperparams(grad_clip=None, w0=None, n_iter=0, expectation_signal="state1_prob")
+        assert (hyper.grad_clip, hyper.w0, hyper.n_iter) == (None, None, 0)
+
+
 class TestTrain:
     def test_zero_iterations_returns_initial_state(self):
         state = rl.train("poemv1", tiny_market(), tiny_hyper(0), tiny_spec())
@@ -492,8 +507,9 @@ class TestTrain:
             mean, var = rl.actor_mean_var(
                 t, 1.4, 0.2, sig, state.critic, state.actor, state.w, state.spec.horizon, state.hyper.dt
             )
-            assert policy.mean_fn(t, 1.4, 0.2, sig) == pytest.approx(mean, rel=1e-12)
-            assert policy.var_fn(t, sig) == pytest.approx(var, rel=1e-12)
+            cx, cl, c0, v = policy.table([t], [sig])[0]
+            assert cx * 1.4 + cl * 0.2 + c0 == pytest.approx(mean, rel=1e-12)
+            assert v == pytest.approx(var, rel=1e-12)
 
     def test_degenerate_single_regime_market_makes_flavors_indistinguishable(self):
         # with the chain frozen in regime 1 and a vanishing risky volatility

@@ -4,8 +4,9 @@ Each fast path is checked against a plain per-period or per-path
 computation written here: the blocked (paths, T) wealth rollout against the
 sequential recursion, policy coefficient tables against scalar formulas,
 regime-only return sampling against a draw-then-scatter oracle, the
-blocked out-of-sample rollout against the per-period loop, and the one-call
-moment mix against the per-period mixing loop.
+blocked out-of-sample rollout against the per-period loop, the one-call
+policy table of ``simulate_episode`` against a loop that asks for one row per
+period, and the one-call moment mix against the per-period mixing loop.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ class TestPolicyTables:
         for row, t in zip(table, ts):
             want = scalar_schedule_row(schedule, spec, int(t))
             assert_rows_close(row, want)
-            assert policy.affine_fn(int(t), 0.5) == tuple(float(v) for v in row)
+            assert tuple(policy.table([t], [0.5])[0]) == tuple(float(v) for v in row)
         tables = C._ScheduleTables(schedule, spec)
         for t in range(horizon):
             cx, k1, var = tables.policy_at(t)
@@ -199,7 +200,7 @@ class TestPolicyTables:
         with pytest.raises(ValueError, match="regime signal must be 1 or 2, got 0.4"):
             policy.affine_table(np.arange(3), np.array([1.0, 0.4, 2.0]))
         with pytest.raises(ValueError, match="regime signal"):
-            policy.affine_fn(0, 3.0)
+            policy.table([0], [3.0])
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -239,7 +240,7 @@ class TestPolicyTables:
                 abs(actor.phi1[i, j] * s**i * tau ** (j + 1)) for i in range(m + 1) for j in range(m)
             )
             # the scalar rule is a one-row table: same formulas, its own product
-            for got in (row, policy.affine_fn(int(t), float(s))):
+            for got in (row, policy.table([t], [s])[0]):
                 assert abs(got[0] - want[0]) <= 1e-12 * max(terms, 1e-300)
                 assert_rows_close(got[1:], want[1:], rel=1e-12)
 
@@ -338,7 +339,7 @@ def per_period_terminals(policy, model, n_paths, spec, seed, dynamics):
             sig = p_hat
         x, l = spec.x0, spec.l0
         for t in range(horizon):
-            cx, cl, c0, var = policy.affine_fn(t, float(sig[t]))
+            cx, cl, c0, var = policy.table([t], [sig[t]])[0].tolist()
             u = cx * x + cl * l + c0 + math.sqrt(var) * noise[i, t]
             x = e0[t] * x + ex[t] * u
             l = q[t] * l
@@ -364,6 +365,87 @@ class TestBlockedEvaluation:
         short, _ = E._path_terminals(policy, model, 1000, *args)
         long, _ = E._path_terminals(policy, model, 2000, *args)
         np.testing.assert_array_equal(long[:1000], short)
+
+
+# ---------------------------------------------------------------------------
+# single-episode simulation against the row-per-period loop
+# ---------------------------------------------------------------------------
+
+
+def row_per_period_episode(model, policy, horizon, x0, l0, rng, dynamics, signal, exp_signal):
+    """``simulate_episode`` asking the policy for one row in each period, with
+    the same draws in the same order and the action as mean + sd * noise."""
+    if signal is None:
+        signal = "regime" if dynamics == "real" else F.mixing_signal(dynamics, exp_signal)
+    chain = model.chain
+    regimes = M.regime_path(chain, horizon, rng)
+    p_hat = F.filter_states(chain.p0, chain.matrix(), horizon)
+    if dynamics == "real":
+        rec = M.sample_return_paths(regimes[:-1], model, rng)
+        e0, ex, q = rec.e0, rec.e1 - rec.e0, rec.q
+    else:
+        weights = F.signal_path(F.mixing_signal(dynamics, exp_signal), p_hat)
+        schedule = F.mixed_schedule(model.moment_pair(), weights[:-1], dynamics)
+        e0, ex, q = schedule.a0, schedule.a1, schedule.a2
+    sig = regimes.astype(float) if signal == "regime" else F.signal_path(signal, p_hat)
+    noise = rng.standard_normal(horizon)
+    x, l, action = [x0], [l0], []
+    for t in range(horizon):
+        row = policy.affine_table(np.array([t]), np.array([sig[t]], dtype=float))[0]
+        cx, cl, c0, var = (float(v) for v in row)
+        mean = cx * x[t] + cl * l[t] + c0
+        assert math.isfinite(mean) and math.isfinite(var) and var >= 0.0
+        action.append(mean + math.sqrt(var) * noise[t])
+        x.append(e0[t] * x[t] + ex[t] * action[t])
+        l.append(q[t] * l[t])
+    return np.array(x), np.array(l), np.array(action), regimes, p_hat
+
+
+def episode_policy(kind, model, spec, gen):
+    if kind in ("regime", "filtered"):
+        return analytic_policy(kind, model, spec)
+    if kind == "learned":
+        m = int(gen.integers(1, 4))
+        grids = [gen.normal(0, 0.1, size=(m + 1, m)) for _ in range(9)]
+        state = rl.TrainState("poemv1", rl.CriticParams(*grids[:6], m=m),
+                              rl.ActorParams(*grids[6:], m=m), float(gen.uniform(0.5, 3.0)),
+                              0, [], [], [], rl.Hyperparams(dt=model.dt, m=m), spec)
+        return rl.policy_from_state(state)
+    a, b, c, d, v = gen.normal(0, 0.5, size=5)
+
+    def table(ts, s):
+        return np.stack([a + b * s, c * s - 0.01 * ts, d + 0.0 * s, v * v * (1.0 + s * s)], axis=1)
+
+    return C.GaussianPolicy(table, kind="custom")
+
+
+class TestSimulateEpisode:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 30),
+        kind=st.sampled_from(["filtered", "regime", "learned", "custom"]),
+        dynamics=st.sampled_from(M.DYNAMICS),
+        signal=st.sampled_from([None, *M.SIGNALS]),
+        exp_signal=st.sampled_from(["expected_state", "state1_prob"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_per_period_loop(self, seed, horizon, kind, dynamics, signal, exp_signal):
+        if kind == "regime":
+            signal = "regime"  # the complete-information policy reads regime labels only
+        model, spec = skewed_market(), eval_spec(horizon)
+        policy = episode_policy(kind, model, spec, np.random.default_rng(seed))
+        args = (horizon, spec.x0, spec.l0)
+        got = M.simulate_episode(model, policy, *args, M.stream(seed, 2), dynamics=dynamics,
+                                 signal=signal, expectation_signal=exp_signal)
+        want = row_per_period_episode(model, policy, *args, M.stream(seed, 2), dynamics, signal,
+                                      exp_signal)
+        for name, w in zip(("x", "l", "action", "regime", "p_hat"), want):
+            if kind == "learned":
+                # a one-row learned table is a BLAS matrix-vector product and the
+                # full table a matrix-matrix product, which may round differently
+                np.testing.assert_allclose(getattr(got, name), w, rtol=1e-12, atol=1e-14)
+            else:
+                assert getattr(got, name).tobytes() == w.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
