@@ -94,7 +94,7 @@ def label_regimes(series: PriceSeries, gamma1: float = 0.24, gamma2: float = 0.1
     The initial label is decided by whichever threshold is crossed first; a
     series that never crosses either threshold is a single bull segment.
     """
-    closes = series.closes
+    closes = series.closes.tolist()  # Python floats: the same float64 arithmetic, faster to index
     n = len(closes)
     if n < 2:
         raise ValueError("series must contain at least two observations")
@@ -109,57 +109,26 @@ def label_regimes(series: PriceSeries, gamma1: float = 0.24, gamma2: float = 0.1
             min_idx = i
         if px > closes[max_idx]:
             max_idx = i
-        if direction == 0:
-            # searching for the first confirmation in either direction
-            if px >= closes[min_idx] * (1.0 + gamma1):
-                if min_idx > 0:
-                    pivots.append(start)
-                    labels_of_segments.append(BEAR)
-                    start = min_idx
-                direction = 1
-                max_idx = min_idx
-                for j in range(min_idx, i + 1):
-                    if closes[j] > closes[max_idx]:
-                        max_idx = j
-            elif px <= closes[max_idx] * (1.0 - gamma2):
-                if max_idx > 0:
-                    pivots.append(start)
-                    labels_of_segments.append(BULL)
-                    start = max_idx
-                direction = -1
-                min_idx = max_idx
-                for j in range(max_idx, i + 1):
-                    if closes[j] < closes[min_idx]:
-                        min_idx = j
-        elif direction == 1:
-            if px <= closes[max_idx] * (1.0 - gamma2):
-                pivots.append(start)
-                labels_of_segments.append(BULL)
-                start = max_idx
-                direction = -1
-                min_idx = max_idx
-                for j in range(max_idx, i + 1):
-                    if closes[j] < closes[min_idx]:
-                        min_idx = j
-        else:  # direction == -1
-            if px >= closes[min_idx] * (1.0 + gamma1):
+        # a bull confirmation (searching, or in a bear), else a bear one (searching, or in a
+        # bull); the first segment is recorded only if it is not empty
+        if direction <= 0 and px >= closes[min_idx] * (1.0 + gamma1):
+            if direction or min_idx > 0:
                 pivots.append(start)
                 labels_of_segments.append(BEAR)
                 start = min_idx
-                direction = 1
-                max_idx = min_idx
-                for j in range(min_idx, i + 1):
-                    if closes[j] > closes[max_idx]:
-                        max_idx = j
+            direction = 1
+            max_idx = max(range(min_idx, i + 1), key=closes.__getitem__)  # first maximum
+        elif direction >= 0 and px <= closes[max_idx] * (1.0 - gamma2):
+            if direction or max_idx > 0:
+                pivots.append(start)
+                labels_of_segments.append(BULL)
+                start = max_idx
+            direction = -1
+            min_idx = min(range(max_idx, i + 1), key=closes.__getitem__)  # first minimum
     # the tail inherits the current (last confirmed) direction; an untouched
     # series defaults to bull
     pivots.append(start)
-    if direction == 1:
-        labels_of_segments.append(BULL)
-    elif direction == -1:
-        labels_of_segments.append(BEAR)
-    else:
-        labels_of_segments.append(BULL)
+    labels_of_segments.append(BEAR if direction == -1 else BULL)
     bounds = pivots + [n]
     segments = []
     labels = np.empty(n, dtype=np.int64)

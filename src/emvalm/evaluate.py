@@ -317,6 +317,7 @@ def empirical_train(
     running: _RunningEstimate | None = None
     taus = rl._tau_grid(horizon, hyper.dt)
     m1, m2 = model.moment_pair()
+    work = rl._Workspace(horizon, 1)
 
     for k in range(hyper.n_iter):
         rng = stream(hyper.seed, k)
@@ -358,7 +359,7 @@ def empirical_train(
             sig = np.ones(horizon + 1)
             l_path = np.zeros(horizon + 1)
         feats = rl._flat(rl.features(sig, taus, hyper.m))
-        rl._train_step(state, [rl._Scenario(e0_bar, gross - e0_bar, l_path, feats)], rng, k)
+        rl._train_step(state, [rl._Scenario(e0_bar, gross - e0_bar, l_path, feats)], rng, k, work)
 
     state.iteration = hyper.n_iter
     return state

@@ -29,13 +29,18 @@ one gradient is one product D F[:-1] of the (grids, T) per-period weights D.
 A training iteration (``_train_step``, shared by ``train`` and the empirical
 pipeline) expands the critic twice and the actor once: sampling and the
 martingale-loss gradient share the pre-update expansions, and the policy
-gradient re-expands only the updated critic.
+gradient re-expands only the updated critic.  Each sampled episode is one
+fused kernel (``_Episode``) that computes every shared per-period quantity
+once -- exp(phi2), exp(phi3), the action offset and variance, the entropy
+path, wl = w + theta2 l -- for sampling and both gradients.  The expansions
+and the gradients' per-period weights are written into arrays a run reuses
+(``_Workspace``), so an iteration allocates nothing of their size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -49,6 +54,7 @@ ALGO_FLAVORS = {"coemv": "real", "poemv1": "filtered", "poemv2": "expectation"} 
 _CRITIC_GRIDS = ("theta1", "theta2", "theta3", "vartheta1", "vartheta2", "psi")
 _ACTOR_GRIDS = ("phi1", "phi2", "phi3")
 _N_EXP = 5  # the critic's first five grids enter through exp (the last two negated)
+_CRITIC_ROWS = len(_CRITIC_GRIDS) + _N_EXP  # an expansion: linear rows, then exp rows
 
 
 class DivergenceError(RuntimeError):
@@ -175,6 +181,7 @@ class _CriticExpansion:
     vartheta1: np.ndarray
     vartheta2: np.ndarray
     psi: np.ndarray
+    log_theta1: np.ndarray | None = None  # the linear expansion theta1 is the exp of
 
     def values(self, x, l, w: float) -> np.ndarray:
         wl = w + self.theta2 * l
@@ -188,19 +195,29 @@ class _CriticExpansion:
         )
 
 
-def _expand_critic(feats: np.ndarray, critic: CriticParams) -> _CriticExpansion:
-    z = critic.stacked @ _flat(feats).T
+def _expand_critic(
+    feats: np.ndarray, critic: CriticParams, out: np.ndarray | None = None
+) -> _CriticExpansion:
+    """Critic weights along ``feats``, held in ``out`` (_CRITIC_ROWS, n) when one
+    is given: the six linear expansions, then the five exponential rows."""
+    feats = _flat(feats)
+    out = np.empty((_CRITIC_ROWS, len(feats))) if out is None else out
+    z, e = out[:6], out[6:]
+    np.matmul(critic.stacked, feats.T, out=z)
     with np.errstate(over="ignore"):
-        e = np.exp(z[:_N_EXP])
-    if not np.all(np.isfinite(e)):
+        np.exp(z[:_N_EXP], out=e)
+    if not np.isfinite(e.max()):  # exp is never negative, so the max is inf or nan if any is
         bad = int(np.argmin(np.isfinite(e).all(axis=1)))
         raise OverflowError(f"exponential expansion of grid {_CRITIC_GRIDS[bad]} overflowed")
-    return _CriticExpansion(e[0], e[1], e[2], -e[3], -e[4], z[_N_EXP])
+    np.negative(e[3:], out=e[3:])
+    return _CriticExpansion(e[0], e[1], e[2], e[3], e[4], z[_N_EXP], z[0])
 
 
-def _expand_actor(feats: np.ndarray, actor: ActorParams) -> np.ndarray:
-    """(3, n) rows phi1, phi2, phi3 along the feature path."""
-    ph = actor.stacked @ _flat(feats).T
+def _expand_actor(
+    feats: np.ndarray, actor: ActorParams, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(3, n) rows phi1, phi2, phi3 along the feature path (in ``out`` if given)."""
+    ph = np.matmul(actor.stacked, _flat(feats).T, out=out)
     if not np.all(np.isfinite(ph[1:])):
         raise OverflowError("actor grid expansion is not finite")
     return ph
@@ -266,97 +283,110 @@ def terminal_objective(x: float, l: float, w: float, d: float) -> float:
     return (x - l - w) ** 2 - (w - d) ** 2
 
 
-@dataclass(frozen=True)
-class _EpisodeArrays:
-    """Everything the loss/gradient formulas need, in vector form (t = 0..T)."""
-
-    x: np.ndarray
-    l: np.ndarray
-    action: np.ndarray
-    feats: np.ndarray  # (T+1, K)
-
-
-def _episode_arrays(episode: Episode, signal_kind: str, m: int, dt: float) -> _EpisodeArrays:
-    sig = episode_signal(episode, signal_kind)
-    taus = _tau_grid(episode.n_periods, dt)
-    return _EpisodeArrays(
-        x=episode.x, l=episode.l, action=episode.action, feats=_flat(features(sig, taus, m))
-    )
-
-
 def _entropy_path(ce: _CriticExpansion, ph3: np.ndarray) -> np.ndarray:
     return -0.5 * np.log(ce.theta1 / math.pi) + 0.5 * (ph3 + 1.0)
 
 
-def _ml_deltas(
-    ep: _EpisodeArrays,
-    ce: _CriticExpansion,
-    w: float,
-    d: float,
-    lam: float,
-    dt: float,
-    entropies: np.ndarray,
-) -> np.ndarray:
-    """J_T - J_t^(params) - lam * sum_{k>=t} H_k dt for t = 0..T-1."""
-    values = ce.values(ep.x, ep.l, w)
-    jt_true = terminal_objective(float(ep.x[-1]), float(ep.l[-1]), w, d)
-    tail = np.cumsum((entropies * dt)[::-1])[::-1]
-    return jt_true - values[:-1] - lam * tail
+_SCORE_SCALE = np.array([[2.0], [-2.0], [1.0]])  # the score gain's 2 and the offset's sign
 
 
-def _critic_coefficient_arrays(ep: _EpisodeArrays, ce: _CriticExpansion, w: float) -> np.ndarray:
-    """(6, T) per-period partial derivatives of the critic value, sans the feature factor."""
-    x, l = ep.x[:-1], ep.l[:-1]
-    th2, v1, v2 = ce.theta2[:-1], ce.vartheta1[:-1], ce.vartheta2[:-1]
-    wl = w + th2 * l
-    return np.stack(
-        [
-            x * x * ce.theta1[:-1],
-            (v1 * l * x + 2.0 * wl * v2 * l + w * l) * th2,
-            l * l * ce.theta3[:-1],
-            wl * x * v1,
-            wl * wl * v2,
-            np.ones_like(x),
-        ]
-    )
+class _Episode:
+    """One episode under one critic and one actor expansion: the fused kernel
+    of a training iteration.  Construction computes once the per-period
+    quantities (t = 0..T-1) that sampling and both gradients read; ``sample``
+    (or ``_recorded``) adds the wealth path and the actions.  Each gradient
+    writes its per-period weights into the caller's ``out`` and contracts them
+    with F[:-1] in one product; the policy gradient, taken at the updated
+    critic, re-reads only the actor's quantities from here.
+    """
+
+    def __init__(self, sc: _Scenario, ce: _CriticExpansion, ph: np.ndarray, w: float):
+        self.sc, self.ce, self.w = sc, ce, w
+        th1 = ce.theta1[:-1]
+        self.ph1 = ph[0, :-1]
+        self.e2, self.e3 = np.exp(ph[1:, :-1])
+        self.th2l = ce.theta2[:-1] * sc.l[:-1]
+        self.wl = self.th2l + w
+        self.moff = ce.vartheta1[:-1] / th1 * self.e2 * self.wl
+        # entropy H = 0.5 (phi3 + 1 + log pi) - 0.5 log theta1: the actor's half once
+        self.half_ph3 = 0.5 * (ph[2, :-1] + (1.0 + math.log(math.pi)))
+        self.entropies = self.half_ph3 - 0.5 * ce.log_theta1[:-1]
+
+    def sample(self, x0: float, rng: np.random.Generator) -> None:
+        """Roll the policy through the scenario, drawing its action noise from ``rng``."""
+        sc, th1 = self.sc, self.ce.theta1[:-1]
+        shock = np.sqrt(self.e3 / (th1 + th1)) * rng.standard_normal(len(sc.e0)) - self.moff
+        x = _linear_rollout(sc.e0 + sc.ex * self.ph1, sc.ex * shock, x0)
+        if not np.isfinite(x).all():
+            raise OverflowError("episode wealth path became non-finite")
+        self.x, self.xx, self.ph1x = x, x * x, self.ph1 * x[:-1]
+        self.action = self.ph1x + shock
+
+    def critic_gradient(self, d, lam, dt, entropies, out: np.ndarray) -> np.ndarray:
+        """(6, K) martingale-loss gradient at this critic.  The per-period weights
+        go into ``out`` (6, T), whose last row keeps the deltas
+        J_T - J_t - lam * sum_{k>=t} H_k dt."""
+        ce, w, x, wl = self.ce, self.w, self.x[:-1], self.wl
+        v1x, v2wl = ce.vartheta1[:-1] * x, ce.vartheta2[:-1] * wl
+        np.multiply(self.xx[:-1], ce.theta1[:-1], out=out[0])
+        np.add(v2wl, v2wl, out=out[1])  # (vartheta1 x + 2 vartheta2 wl + w) l theta2
+        out[1] += v1x
+        out[1] += w
+        out[1] *= self.sc.l[:-1]
+        out[1] *= ce.theta2[:-1]
+        np.multiply(self.sc.ll[:-1], ce.theta3[:-1], out=out[2])
+        np.multiply(v1x, wl, out=out[3])
+        np.multiply(v2wl, wl, out=out[4])
+        values = out[0] + out[3]  # the critic value: rows 0, 2, 3, 4, theta2 w l and psi
+        values += out[4]
+        values += self.th2l * w
+        values += out[2]
+        values += ce.psi[:-1]
+        tail = np.cumsum((np.asarray(entropies) * (lam * dt))[::-1])[::-1]
+        jt = terminal_objective(float(self.x[-1]), float(self.sc.l[-1]), w, d)
+        deltas = np.subtract(jt, values, out=out[5])
+        deltas -= tail
+        out[:5] *= deltas
+        return -dt * (out @ self.sc.head)
+
+    def actor_gradient(self, ce: _CriticExpansion, lam, dt, out: np.ndarray) -> np.ndarray:
+        """(3, K) policy gradient at the critic expansion ``ce`` and this actor;
+        ``out`` is (3, T) scratch."""
+        x, l, w = self.x, self.sc.l, self.w
+        th2l = ce.theta2 * l
+        wl = th2l + w
+        values = ce.theta1 * self.xx
+        values += ce.vartheta1 * wl * x
+        values += ce.vartheta2 * wl * wl
+        values += th2l * w
+        values += ce.theta3 * self.sc.ll
+        values += ce.psi
+        th1 = ce.theta1[:-1]
+        td = values[1:] - values[:-1]
+        td -= lam * dt * (self.half_ph3 - 0.5 * ce.log_theta1[:-1])
+        moff = ce.vartheta1[:-1] / th1 * self.e2 * wl[:-1]
+        resid = self.action - (self.ph1x - moff)
+        q = th1 / self.e3 * resid  # half the score gain times the residual, times td
+        q *= td
+        np.multiply(q, x[:-1], out=out[0])
+        np.multiply(q, moff, out=out[1])
+        np.multiply(q, resid, out=out[2])
+        out[2] -= 0.5 * td
+        out[2] -= lam * 0.5 * dt
+        return (out @ self.sc.head) * _SCORE_SCALE
 
 
-def _ml_gradients_arrays(
-    ep: _EpisodeArrays,
-    ce: _CriticExpansion,
-    entropies: np.ndarray,
-    w: float,
-    d: float,
-    lam: float,
-    dt: float,
-) -> np.ndarray:
-    """(6, K) martingale-loss gradient of one episode at the critic expanded in ``ce``."""
-    deltas = _ml_deltas(ep, ce, w, d, lam, dt, np.asarray(entropies))
-    return -dt * ((_critic_coefficient_arrays(ep, ce, w) * deltas) @ ep.feats[:-1])
-
-
-def _policy_gradient_arrays(
-    ep: _EpisodeArrays,
-    ce: _CriticExpansion,
-    ph: np.ndarray,
-    w: float,
-    lam: float,
-    dt: float,
-) -> np.ndarray:
-    """(3, K) policy gradient of one episode at the expansions ``ce`` and ``ph``."""
-    ph1, ph2, ph3 = ph
-    entropies = _entropy_path(ce, ph3)[:-1]
-    td = np.diff(ce.values(ep.x, ep.l, w)) - lam * entropies * dt
-
-    x, l, u = ep.x[:-1], ep.l[:-1], ep.action
-    th1 = ce.theta1[:-1]
-    gain = 2.0 * th1 * np.exp(-ph3[:-1])
-    offset = -(ce.vartheta1[:-1] / th1) * np.exp(ph2[:-1]) * (w + ce.theta2[:-1] * l)
-    resid = u - (ph1[:-1] * x + offset)
-    s1 = gain * resid * x
-    s2 = gain * resid * offset
-    s3 = 0.5 * gain * resid * resid - 0.5
-    return np.stack([s1 * td, s2 * td, s3 * td - lam * 0.5 * dt]) @ ep.feats[:-1]
+def _recorded(
+    episode: Episode, critic: CriticParams, actor: ActorParams, w: float, dt: float, kind: str
+) -> _Episode:
+    """The kernel's view of a recorded episode under the given parameters."""
+    taus = _tau_grid(episode.n_periods, dt)
+    feats = _flat(features(episode_signal(episode, kind), taus, critic.m))
+    sc = _Scenario(None, None, episode.l, feats)  # a recorded episode needs no returns
+    ep = _Episode(sc, _expand_critic(feats, critic), _expand_actor(feats, actor), w)
+    x = episode.x
+    ep.x, ep.xx, ep.ph1x, ep.action = x, x * x, ep.ph1 * x[:-1], episode.action
+    return ep
 
 
 def martingale_loss(
@@ -377,12 +407,11 @@ def martingale_loss(
     default they are recomputed from the current parameters.
     """
     lam = spec.explore_weight if lam is None else lam
-    ep = _episode_arrays(episode, signal_kind, critic.m, dt)
-    ce = _expand_critic(ep.feats, critic)
-    if entropies is None:
-        entropies = _entropy_path(ce, _expand_actor(ep.feats, actor)[2])[:-1]
-    deltas = _ml_deltas(ep, ce, w, spec.target, lam, dt, np.asarray(entropies))
-    return float(0.5 * np.sum(deltas**2) * dt)
+    ep = _recorded(episode, critic, actor, w, dt, signal_kind)
+    entropies = ep.entropies if entropies is None else entropies
+    work = np.empty((6, episode.n_periods))
+    ep.critic_gradient(spec.target, lam, dt, entropies, work)
+    return float(0.5 * np.sum(work[5] ** 2) * dt)
 
 
 def ml_gradients(
@@ -402,11 +431,9 @@ def ml_gradients(
     objective; descending the loss means stepping *against* these values.
     """
     lam = spec.explore_weight if lam is None else lam
-    ep = _episode_arrays(episode, signal_kind, critic.m, dt)
-    ce = _expand_critic(ep.feats, critic)
-    if entropies is None:
-        entropies = _entropy_path(ce, _expand_actor(ep.feats, actor)[2])[:-1]
-    grads = _ml_gradients_arrays(ep, ce, entropies, w, spec.target, lam, dt)
+    ep = _recorded(episode, critic, actor, w, dt, signal_kind)
+    entropies = ep.entropies if entropies is None else entropies
+    grads = ep.critic_gradient(spec.target, lam, dt, entropies, np.empty((6, episode.n_periods)))
     return CriticParams.from_stacked(grads, critic.m)
 
 
@@ -422,9 +449,8 @@ def policy_gradient(
 ) -> ActorParams:
     """Episode estimate of the objective gradient w.r.t. the actor grids."""
     lam = spec.explore_weight if lam is None else lam
-    ep = _episode_arrays(episode, signal_kind, critic.m, dt)
-    ce = _expand_critic(ep.feats, critic)
-    grads = _policy_gradient_arrays(ep, ce, _expand_actor(ep.feats, actor), w, lam, dt)
+    ep = _recorded(episode, critic, actor, w, dt, signal_kind)
+    grads = ep.actor_gradient(ep.ce, lam, dt, np.empty((3, episode.n_periods)))
     return ActorParams.from_stacked(grads, actor.m)
 
 
@@ -486,30 +512,8 @@ class TrainState:
             "terminals": list(map(float, self.terminals)),
             "ws": list(map(float, self.ws)),
             "recent_terminals": list(map(float, self.recent_terminals)),
-            "hyper": {
-                "eta_theta": self.hyper.eta_theta,
-                "eta_vartheta": self.hyper.eta_vartheta,
-                "eta_psi": self.hyper.eta_psi,
-                "eta_phi": self.hyper.eta_phi,
-                "alpha": self.hyper.alpha,
-                "n_avg": self.hyper.n_avg,
-                "n_iter": self.hyper.n_iter,
-                "dt": self.hyper.dt,
-                "seed": self.hyper.seed,
-                "m": self.hyper.m,
-                "batch_size": self.hyper.batch_size,
-                "grad_clip": self.hyper.grad_clip,
-                "w0": self.hyper.w0,
-                "expectation_signal": self.hyper.expectation_signal,
-            },
-            "spec": {
-                "horizon": self.spec.horizon,
-                "target": self.spec.target,
-                "multiplier": self.spec.multiplier,
-                "explore_weight": self.spec.explore_weight,
-                "x0": self.spec.x0,
-                "l0": self.spec.l0,
-            },
+            "hyper": asdict(self.hyper),
+            "spec": asdict(self.spec),
         }
 
     @classmethod
@@ -531,16 +535,22 @@ class TrainState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Scenario:
     """What one training episode is rolled through: per-period baseline and
-    excess gross returns (t = 0..T-1), the liability path and the (T+1, K)
-    features (t = 0..T)."""
+    excess gross returns (t = 0..T-1), the liability path, its square and the
+    (T+1, K) features (t = 0..T)."""
 
     e0: np.ndarray
     ex: np.ndarray
     l: np.ndarray
     feats: np.ndarray
+    head: np.ndarray | None = None  # F[:-1], which the gradients read; a view if not given
+
+    def __post_init__(self) -> None:
+        self.ll = self.l * self.l
+        if self.head is None:
+            self.head = self.feats[:-1]
 
 
 @dataclass(frozen=True)
@@ -550,8 +560,10 @@ class _TrainEnv:
     l0: float
     # filtered/expectation dynamics: every episode sees the same scenario
     fixed: _Scenario | None = None
-    # real dynamics: (2, T+1, K) features of the regime labels 1 and 2
+    # real dynamics: (2, K, T+1) transposed features of the regime labels 1 and 2,
+    # and per batch slot the (K, T+1) array a drawn episode's features go into
     feats_by_regime: np.ndarray | None = None
+    drawn_feats: np.ndarray | None = None
 
 
 def _build_env(algo: str, model: MarketModel, hyper: Hyperparams, spec: ProblemSpec) -> _TrainEnv:
@@ -562,26 +574,34 @@ def _build_env(algo: str, model: MarketModel, hyper: Hyperparams, spec: ProblemS
     taus = _tau_grid(horizon, hyper.dt)
     if dynamics == "real":
         feats_by_regime = np.stack(
-            [_flat(features(np.full(horizon + 1, s), taus, hyper.m)) for s in (1.0, 2.0)]
+            [_flat(features(np.full(horizon + 1, s), taus, hyper.m)).T for s in (1.0, 2.0)]
         )
-        return _TrainEnv(model, horizon, spec.l0, feats_by_regime=feats_by_regime)
+        drawn = np.empty((hyper.batch_size, *feats_by_regime.shape[1:]))
+        return _TrainEnv(
+            model, horizon, spec.l0, feats_by_regime=feats_by_regime, drawn_feats=drawn
+        )
     chain = model.chain
     probs = filter_states(chain.p0, chain.matrix(), horizon)
     signal = signal_path(mixing_signal(dynamics, hyper.expectation_signal), probs)
     schedule = mixed_schedule(model.moment_pair(), signal[:-1], dynamics)
     l_path = spec.l0 * np.concatenate(([1.0], np.cumprod(schedule.a2)))
-    fixed = _Scenario(schedule.a0, schedule.a1, l_path, _flat(features(signal, taus, hyper.m)))
+    # column-major, so that the transpose every expansion multiplies by is contiguous
+    feats = np.asfortranarray(_flat(features(signal, taus, hyper.m)))
+    fixed = _Scenario(schedule.a0, schedule.a1, l_path, feats, np.ascontiguousarray(feats[:-1]))
     return _TrainEnv(model, horizon, spec.l0, fixed=fixed)
 
 
-def _draw_scenario(env: _TrainEnv, rng: np.random.Generator) -> _Scenario:
+def _draw_scenario(env: _TrainEnv, rng: np.random.Generator, slot: int) -> _Scenario:
+    """The scenario of batch slot ``slot``, drawn from ``rng`` in real dynamics."""
     if env.fixed is not None:
         return env.fixed
     regimes = regime_path(env.model.chain, env.horizon, rng)
     rec = sample_return_paths(regimes[:-1], env.model, rng)
     l_path = env.l0 * np.concatenate(([1.0], np.cumprod(rec.q)))
-    feats = env.feats_by_regime[regimes - 1, np.arange(env.horizon + 1)]
-    return _Scenario(rec.e0, rec.e1 - rec.e0, l_path, feats)
+    feats_t = env.drawn_feats[slot]
+    np.copyto(feats_t, env.feats_by_regime[1])
+    np.copyto(feats_t, env.feats_by_regime[0], where=regimes == 1)
+    return _Scenario(rec.e0, rec.e1 - rec.e0, l_path, feats_t.T)
 
 
 def _linear_rollout(alpha: np.ndarray, beta: np.ndarray, x0: float) -> np.ndarray:
@@ -610,50 +630,51 @@ def _linear_rollout(alpha: np.ndarray, beta: np.ndarray, x0: float) -> np.ndarra
     return x if np.ndim(beta) == 2 else x[0]
 
 
-def _sample_training_episode(
-    sc: _Scenario,
-    ce: _CriticExpansion,
-    ph: np.ndarray,
-    w: float,
-    x0: float,
-    rng: np.random.Generator,
-) -> _EpisodeArrays:
-    """Roll the policy expanded in ``ce``/``ph`` through one scenario, drawing
-    its action noise from ``rng``."""
-    ph1, ph2, ph3 = ph
-    offset = -(ce.vartheta1 / ce.theta1) * np.exp(ph2) * (w + ce.theta2 * sc.l)
-    var = np.exp(ph3) / (2.0 * ce.theta1)
-    noise = rng.standard_normal(len(sc.e0))
-    shock = offset[:-1] + np.sqrt(var[:-1]) * noise
-    x = _linear_rollout(sc.e0 + sc.ex * ph1[:-1], sc.ex * shock, x0)
-    if not np.all(np.isfinite(x)):
-        raise OverflowError("episode wealth path became non-finite")
-    return _EpisodeArrays(x=x, l=sc.l, action=ph1[:-1] * x[:-1] + shock, feats=sc.feats)
-
-
 def _clip(grad: np.ndarray, limit: float | None) -> np.ndarray:
     if limit is None:
         return grad
-    return np.clip(grad, -limit, limit)
+    return np.minimum(np.maximum(grad, -limit), limit)  # np.clip, without its wrapper
 
 
 def _check_finite(params: _Grids, iteration: int, kind: str) -> None:
-    finite = np.isfinite(params.stacked).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(params.stacked).all():
+        finite = np.isfinite(params.stacked).all(axis=1)
         name = params.names[int(np.argmin(finite))]
         raise DivergenceError(f"{kind} grid {name} became non-finite at iteration {iteration}")
 
 
+class _Workspace:
+    """Arrays a training run rewrites every iteration: per batch slot the
+    pre-update critic and the actor expansions, the updated critic's expansion
+    and both gradients' per-period weights.  Allocated afresh, they cost about
+    a hundred page faults per iteration at T = 2520, as the allocator returns
+    their memory to the system and takes it back."""
+
+    def __init__(self, horizon: int, batch: int):
+        n = horizon + 1
+        self.critic = np.empty((batch, _CRITIC_ROWS, n))
+        self.actor = np.empty((batch, len(_ACTOR_GRIDS), n))
+        self.updated = np.empty((_CRITIC_ROWS, n))
+        self.critic_weights = np.empty((len(_CRITIC_GRIDS), horizon))
+        self.actor_weights = np.empty((len(_ACTOR_GRIDS), horizon))
+
+
 def _train_step(
-    state: TrainState, scenarios: Iterable[_Scenario], rng: np.random.Generator, k: int
+    state: TrainState,
+    scenarios: Iterable[_Scenario],
+    rng: np.random.Generator,
+    k: int,
+    work: _Workspace,
 ) -> None:
     """Iteration ``k`` of the actor-critic loop, applied to ``state`` in place.
 
     ``scenarios`` is consumed lazily, one episode at a time, so an episode's
     market draws precede its action noise and the next episode's draws follow
-    it.  Each episode is sampled from one critic and one actor expansion,
-    which the martingale-loss gradient reuses; after the critic step only the
-    updated critic is expanded again for the policy gradient.  With several
+    it.  Each episode is one fused ``_Episode`` kernel: one critic and one
+    actor expansion, whose per-period quantities sampling and the
+    martingale-loss gradient share; after the critic step only the updated
+    critic is expanded again for the policy gradient.  Expansions and the
+    gradients' per-period weights are written into ``work``.  With several
     episodes each step follows the mean of the per-episode gradients.  Every
     ``n_avg`` iterations the multiplier moves against the windowed
     terminal-surplus error.
@@ -662,30 +683,28 @@ def _train_step(
     lam, d, dt, m = spec.explore_weight, spec.target, hyper.dt, hyper.m
     critic_rates = np.repeat([hyper.eta_theta, hyper.eta_vartheta, hyper.eta_psi], (3, 2, 1))
     try:
-        batch = []
-        for sc in scenarios:
-            ce = _expand_critic(sc.feats, state.critic)
-            ph = _expand_actor(sc.feats, state.actor)
-            batch.append((_sample_training_episode(sc, ce, ph, w, spec.x0, rng), ce, ph))
-        grads = [
-            _ml_gradients_arrays(ep, ce, _entropy_path(ce, ph[2])[:-1], w, d, lam, dt)
-            for ep, ce, ph in batch
-        ]
+        batch, grads = [], []
+        for slot, sc in enumerate(scenarios):
+            ce = _expand_critic(sc.feats, state.critic, work.critic[slot])
+            ep = _Episode(sc, ce, _expand_actor(sc.feats, state.actor, work.actor[slot]), w)
+            ep.sample(spec.x0, rng)
+            grads.append(ep.critic_gradient(d, lam, dt, ep.entropies, work.critic_weights))
+            batch.append(ep)
         step = critic_rates[:, None] * _clip(sum(grads) / len(grads), hyper.grad_clip)
         state.critic = CriticParams.from_stacked(state.critic.stacked - step, m)
         _check_finite(state.critic, k, "critic")
 
-        grads = [
-            _policy_gradient_arrays(ep, _expand_critic(ep.feats, state.critic), ph, w, lam, dt)
-            for ep, _, ph in batch
-        ]
+        grads = []
+        for ep in batch:
+            ce = _expand_critic(ep.sc.feats, state.critic, work.updated)
+            grads.append(ep.actor_gradient(ce, lam, dt, work.actor_weights))
         step = hyper.eta_phi * _clip(sum(grads) / len(grads), hyper.grad_clip)
         state.actor = ActorParams.from_stacked(state.actor.stacked - step, m)
         _check_finite(state.actor, k, "actor")
     except OverflowError as exc:
         raise DivergenceError(f"{exc} at iteration {k}") from exc
 
-    terminal = float(np.mean([ep.x[-1] - ep.l[-1] for ep, _, _ in batch]))
+    terminal = float(np.mean([ep.x[-1] - ep.sc.l[-1] for ep in batch]))
     ring = state.recent_terminals
     ring.append(terminal)
     del ring[: -hyper.n_avg]
@@ -725,6 +744,12 @@ def train(
             raise ValueError(
                 f"n_iter = {hyper.n_iter} is below the checkpoint's iteration {state.iteration}"
             )
+        if hyper.m != state.critic.m:
+            raise ValueError(f"hyper m = {hyper.m}, but the checkpoint has {state.critic.m}")
+        for name in (f.name for f in fields(spec)):
+            mine, theirs = getattr(spec, name), getattr(state.spec, name)
+            if mine != theirs:
+                raise ValueError(f"spec {name} = {mine!r}, but the checkpoint has {theirs!r}")
         run = replace(
             state,
             terminals=list(state.terminals),
@@ -734,9 +759,11 @@ def train(
             spec=spec,
         )
 
+    work = _Workspace(spec.horizon, hyper.batch_size)
     for k in range(run.iteration, hyper.n_iter):
         rng = stream(hyper.seed, k)
-        _train_step(run, (_draw_scenario(env, rng) for _ in range(hyper.batch_size)), rng, k)
+        scenarios = (_draw_scenario(env, rng, slot) for slot in range(hyper.batch_size))
+        _train_step(run, scenarios, rng, k, work)
     run.iteration = hyper.n_iter
     return run
 

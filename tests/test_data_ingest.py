@@ -64,6 +64,118 @@ class TestLabelRegimes:
             D.PriceSeries.from_closes(np.ones(121), frequency="weekly")
 
 
+def reference_label_regimes(series, gamma1=0.24, gamma2=0.19):
+    """The per-direction peak/trough loop ``label_regimes`` replaced, indexing the
+    numpy closes: the oracle for its labels and segments."""
+    closes = series.closes
+    n = len(closes)
+    pivots, labels_of_segments = [], []
+    direction = 0
+    min_idx = max_idx = 0
+    start = 0
+    for i in range(1, n):
+        px = closes[i]
+        if px < closes[min_idx]:
+            min_idx = i
+        if px > closes[max_idx]:
+            max_idx = i
+        if direction == 0:
+            if px >= closes[min_idx] * (1.0 + gamma1):
+                if min_idx > 0:
+                    pivots.append(start)
+                    labels_of_segments.append(D.BEAR)
+                    start = min_idx
+                direction = 1
+                max_idx = min_idx
+                for j in range(min_idx, i + 1):
+                    if closes[j] > closes[max_idx]:
+                        max_idx = j
+            elif px <= closes[max_idx] * (1.0 - gamma2):
+                if max_idx > 0:
+                    pivots.append(start)
+                    labels_of_segments.append(D.BULL)
+                    start = max_idx
+                direction = -1
+                min_idx = max_idx
+                for j in range(max_idx, i + 1):
+                    if closes[j] < closes[min_idx]:
+                        min_idx = j
+        elif direction == 1:
+            if px <= closes[max_idx] * (1.0 - gamma2):
+                pivots.append(start)
+                labels_of_segments.append(D.BULL)
+                start = max_idx
+                direction = -1
+                min_idx = max_idx
+                for j in range(max_idx, i + 1):
+                    if closes[j] < closes[min_idx]:
+                        min_idx = j
+        else:
+            if px >= closes[min_idx] * (1.0 + gamma1):
+                pivots.append(start)
+                labels_of_segments.append(D.BEAR)
+                start = min_idx
+                direction = 1
+                max_idx = min_idx
+                for j in range(min_idx, i + 1):
+                    if closes[j] > closes[max_idx]:
+                        max_idx = j
+    pivots.append(start)
+    labels_of_segments.append(D.BEAR if direction == -1 else D.BULL)
+    bounds = pivots + [n]
+    segments, labels = [], np.empty(n, dtype=np.int64)
+    for k in range(len(pivots)):
+        s, e, lab = bounds[k], bounds[k + 1], labels_of_segments[k]
+        if s == e:
+            continue
+        labels[s:e] = lab
+        if segments and segments[-1][2] == lab:
+            segments[-1] = (segments[-1][0], e, lab)
+        else:
+            segments.append((s, e, lab))
+    return labels, tuple(segments)
+
+
+@st.composite
+def tie_heavy_closes(draw):
+    """Positive closes in which many points sit exactly on a confirmation
+    threshold of an earlier close, or repeat an earlier close."""
+    closes = [draw(st.floats(1.0, 1000.0))]
+    for _ in range(draw(st.integers(1, 60))):
+        j = draw(st.integers(0, len(closes) - 1))
+        move = draw(st.sampled_from(["up", "down", "repeat", "free"]))
+        if move == "up":
+            closes.append(closes[j] * (1.0 + 0.24))
+        elif move == "down":
+            closes.append(closes[j] * (1.0 - 0.19))
+        elif move == "repeat":
+            closes.append(closes[j])
+        else:
+            closes.append(closes[-1] * draw(st.floats(0.7, 1.4)))
+    return closes
+
+
+class TestLabelRegimesOracle:
+    @given(closes=tie_heavy_closes())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_direction_loop_including_exact_threshold_ties(self, closes):
+        series = series_from(closes)
+        labels, segments = reference_label_regimes(series)
+        got = D.label_regimes(series)
+        assert got.labels.tolist() == labels.tolist()
+        assert got.segments == segments
+
+    @given(closes=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=80), g1=st.floats(0.01, 0.5),
+           g2=st.floats(0.01, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_direction_loop_at_any_thresholds(self, closes, g1, g2):
+        series = series_from(closes)
+        labels, segments = reference_label_regimes(series, g1, g2)
+        got = D.label_regimes(series, g1, g2)
+        assert got.labels.tolist() == labels.tolist()
+        assert got.segments == segments
+
+
 class TestEstimateParams:
     def _alternating_series(self, cycles=4, seg=100):
         closes = [100.0]
