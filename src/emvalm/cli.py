@@ -128,21 +128,12 @@ def cmd_improve(args) -> int:
     family = improvement.InitialPolicyFamily.random(horizon, rng)
     current = improvement.initial_iterate(family, schedule, spec)
     rows = []
-    probe = (spec.x0, spec.l0)
+    keys = ("mean_x_coeff", "mean_l_coeff", "mean_const", "variance")
     n_rounds = horizon if args.iters == "auto" else int(args.iters)
     for n in range(n_rounds + 1):
-        for t in range(horizon):
-            rows.append(
-                {
-                    "round": n,
-                    "t": t,
-                    "mean_x_coeff": float(current.policy.mx[t]),
-                    "mean_l_coeff": float(current.policy.ml[t]),
-                    "mean_const": float(current.policy.mc[t]),
-                    "variance": float(current.policy.var[t]),
-                    "objective_at_start": float(current.objective[t](probe[0], probe[1])),
-                }
-            )
+        starts = current.objective[:horizon](spec.x0, spec.l0)
+        for t, (coeffs, start) in enumerate(zip(current.policy.table.T.tolist(), starts.tolist())):
+            rows.append({"round": n, "t": t, **dict(zip(keys, coeffs)), "objective_at_start": start})
         if n < n_rounds:
             current = improvement.improve_once(current, schedule, spec)
     _write_csv(

@@ -87,7 +87,12 @@ class GaussianPolicy:
 
 @dataclass(frozen=True)
 class QuadraticValue:
-    """A value surface q_xx x^2 + q_xl xl + q_ll l^2 + q_x x + q_l l + q_c."""
+    """A value surface q_xx x^2 + q_xl xl + q_ll l^2 + q_x x + q_l l + q_c.
+
+    The six coefficients are floats for one surface, or equal-length arrays
+    for one surface per period; ``value[t]`` and ``value[a:b]`` then select
+    periods.
+    """
 
     xx: float
     xl: float
@@ -98,6 +103,9 @@ class QuadraticValue:
 
     def __call__(self, x: float, l: float):
         return self.xx * x * x + self.xl * x * l + self.ll * l * l + self.x * x + self.l * l + self.c
+
+    def __getitem__(self, t) -> "QuadraticValue":
+        return QuadraticValue(*(coef[t] for coef in self.as_tuple()))
 
     def as_tuple(self):
         return (self.xx, self.xl, self.ll, self.x, self.l, self.c)
@@ -113,6 +121,12 @@ def f_terms(m: MomentSet | MomentSchedule):
     f1 = m.b0 * m.b1 - cross * cross
     f2 = m.a0 * (m.b1 - m.a1 * m.a1) + m.a1 * (m.b0 - m.a0 * m.a0)
     return f1, f2
+
+
+def _first(bad) -> int | None:
+    """Index of the first True entry of a scalar or array mask, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
 
 
 class _SignedSuffixProducts:
@@ -150,9 +164,8 @@ class _ScheduleTables:
         self.a1, self.b1, self.a2, self.b2 = schedule.a1, schedule.b1, schedule.a2, schedule.b2
         self.cross = schedule.cross()
         self.f1, self.f2 = f_terms(schedule)
-        bad = np.nonzero(self.f1 <= 0.0)[0]
-        if bad.size:
-            k = int(bad[0])
+        k = _first(self.f1 <= 0.0)
+        if k is not None:
             raise ValueError(f"F1 is non-positive at period {k} (F1={self.f1[k]})")
         self.p_f1_over_b1 = _SignedSuffixProducts(self.f1 / self.b1)
         self.p_f2_over_b1 = _SignedSuffixProducts(self.f2 / self.b1)
@@ -164,26 +177,24 @@ class _ScheduleTables:
     @functools.cached_property
     def risk_sum(self) -> np.ndarray:
         """sum_{k=t}^{T-1} (a1_k^2 / b1_k) prod_{j>k} f2_j^2 / (b1_j f1_j), for t = 0..T."""
-        # backward: each new term carries the full product over the periods after it
-        out = np.zeros(self.spec.horizon + 1)
-        ptail = 1.0
-        for t in range(self.spec.horizon - 1, -1, -1):
-            out[t] = out[t + 1] + (self.a1[t] ** 2 / self.b1[t]) * ptail
-            ptail *= (self.f2[t] * self.f2[t]) / (self.b1[t] * self.f1[t])
-        return out
+        # scans from the end in the recursion's order; float_power is libm's pow, as a
+        # scalar ** 2 is (an array's ** 2 is x * x, which differs in ~0.1 % of last bits)
+        ratio = (self.f2 * self.f2) / (self.b1 * self.f1)
+        ptail = np.cumprod(np.concatenate(([1.0], ratio[:0:-1])))[::-1]
+        terms = (np.float_power(self.a1, 2) / self.b1) * ptail
+        return np.cumsum(np.concatenate(([0.0], terms[::-1])))[::-1]
 
     @functools.cached_property
     def log_entropy_prod(self) -> np.ndarray:
         """log of prod_{k=t}^{T-1} (b1_k / (pi * lam)) prod_{j>k} f1_j / b1_j, for t = 0..T."""
-        # each j > t contributes (j - t) copies of log(f1_j / b1_j)
+        # each j > t contributes (j - t) copies of log(f1_j / b1_j): a step back adds
+        # log_b1_pl[t], then the sum of log_ratio over j > t, in one interleaved scan
         log_b1_pl = np.log(self.b1 / (math.pi * self.spec.explore_weight))
         log_ratio = np.log(self.f1 / self.b1)
-        out = np.zeros(self.spec.horizon + 1)
-        acc_ratio = 0.0
-        for t in range(self.spec.horizon - 1, -1, -1):
-            out[t] = out[t + 1] + log_b1_pl[t] + acc_ratio
-            acc_ratio += log_ratio[t]
-        return out
+        steps = np.zeros(2 * self.spec.horizon + 1)
+        steps[1::2] = log_b1_pl[::-1]
+        steps[2::2] = np.cumsum(np.concatenate(([0.0], log_ratio[:0:-1])))
+        return np.cumsum(steps)[::2][::-1]
 
     def policy_arrays(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cx, k1, variance) at the periods ``ts``: mean = cx*x + k1*(w + l*prod_a2(t))."""
@@ -304,30 +315,14 @@ def regime_policy(
     return GaussianPolicy(affine_table, "coemv_opt")
 
 
-def bellman_step(
-    next_value: QuadraticValue, m: MomentSet, lam: float
-) -> tuple[QuadraticValue, tuple[float, float, float], float]:
-    """One entropy-regularized minimization step of the backward recursion.
+def _action_expansion(next_value: QuadraticValue, m: MomentSet | MomentSchedule):
+    """E[next_value(e0 x + (e1 - e0) u, q l)] = b u^2 + 2 mu u + rest, in the moments.
 
-    Expands E[next_value(e0 x + (e1 - e0) u, q l)] exactly in the period's
-    moments, minimizes over Gaussian action laws, and returns the new
-    quadratic value together with the minimizing policy's mean coefficients
-    (mx, ml, mc) and variance.  This is the independent route against which the
-    product formulas are tested, and the primitive the policy-improvement
-    iteration is built on.
+    Returns b, the coefficients (mu_x, mu_l, mu_c) of mu = mu_x x + mu_l l + mu_c
+    and the u-free quadratic ``rest``, for one period or elementwise over arrays.
     """
-    if lam <= 0.0:
-        raise ValueError("exploration weight must be positive")
-    cross = m.cross()
     b = next_value.xx * m.b1
-    if b <= 0.0:
-        raise ValueError(f"extracted action-quadratic coefficient is non-positive ({b})")
-    # E[next(x', l')] = alpha_u u^2 + 2 mu(x, l) u + (terms without u)
-    mu_x = next_value.xx * cross
-    mu_l = 0.5 * next_value.xl * m.a1 * m.a2
-    mu_c = 0.5 * next_value.x * m.a1
-    mx, ml, mc = -mu_x / b, -mu_l / b, -mu_c / b
-    variance = lam / (2.0 * b)
+    mu = (next_value.xx * m.cross(), 0.5 * next_value.xl * m.a1 * m.a2, 0.5 * next_value.x * m.a1)
     rest = QuadraticValue(
         xx=next_value.xx * m.b0,
         xl=next_value.xl * m.a0 * m.a2,
@@ -336,6 +331,34 @@ def bellman_step(
         l=next_value.l * m.a2,
         c=next_value.c,
     )
+    return b, mu, rest
+
+
+def bellman_step(
+    next_value: QuadraticValue, m: MomentSet | MomentSchedule, lam: float, first_period: int = 0
+):
+    """One entropy-regularized minimization step of the backward recursion.
+
+    Expands E[next_value(e0 x + (e1 - e0) u, q l)] exactly in the period's
+    moments, minimizes over Gaussian action laws, and returns the new
+    quadratic value together with the minimizing policy's mean coefficients
+    (mx, ml, mc) and variance.  Given arrays (a surface per period and a
+    schedule's rows) it steps every period at once, elementwise; errors count
+    periods from ``first_period``.  This is the independent route against
+    which the product formulas are tested, and the primitive the
+    policy-improvement iteration is built on.
+    """
+    if lam <= 0.0:
+        raise ValueError("exploration weight must be positive")
+    b, (mu_x, mu_l, mu_c), rest = _action_expansion(next_value, m)
+    k = _first(b <= 0.0)
+    if k is not None:
+        raise ValueError(
+            "extracted action-quadratic coefficient is non-positive at period "
+            f"{first_period + k} ({np.ravel(b)[k]})"
+        )
+    mx, ml, mc = -mu_x / b, -mu_l / b, -mu_c / b
+    variance = lam / (2.0 * b)
     # plugging the minimizing Gaussian into the one-step functional leaves
     # -mu^2 / b + (lam / 2) ln(b / (pi lam)) on top of the u-free terms
     new = QuadraticValue(
@@ -344,55 +367,37 @@ def bellman_step(
         ll=rest.ll - mu_l * mu_l / b,
         x=rest.x - 2.0 * mu_x * mu_c / b,
         l=rest.l - 2.0 * mu_l * mu_c / b,
-        c=rest.c - mu_c * mu_c / b + 0.5 * lam * math.log(b / (math.pi * lam)),
+        c=rest.c - mu_c * mu_c / b + 0.5 * lam * np.log(b / (math.pi * lam)),
     )
     return new, (mx, ml, mc), variance
 
 
-def backward_values(schedule: MomentSchedule, spec: ProblemSpec) -> list[QuadraticValue]:
-    """Value quadratics for t = 0..T computed purely by backward recursion."""
-    out = [terminal_value(spec.multiplier, spec.target)]
-    for t in range(spec.horizon - 1, -1, -1):
-        nxt, _, _ = bellman_step(out[0], schedule[t], spec.explore_weight)
-        out.insert(0, nxt)
-    return out
-
-
 def policy_value_step(
     next_value: QuadraticValue,
-    m: MomentSet,
-    mean_coeffs: tuple[float, float, float],
-    variance: float,
+    m: MomentSet | MomentSchedule,
+    mean_coeffs,
+    variance,
     lam: float,
 ) -> QuadraticValue:
-    """One-step objective of a *given* affine Gaussian policy (no minimization)."""
-    if variance < 0.0:
-        raise ValueError("policy variance must be non-negative")
-    cross = m.cross()
+    """One-step objective of a *given* affine Gaussian policy (no minimization),
+    for one period or elementwise over arrays as ``bellman_step``."""
+    k = _first(variance < 0.0)
+    if k is not None:
+        raise ValueError(f"policy variance must be non-negative (period {k})")
     mx, ml, mc = mean_coeffs
-    b = next_value.xx * m.b1
-    mu_x = next_value.xx * cross
-    mu_l = 0.5 * next_value.xl * m.a1 * m.a2
-    mu_c = 0.5 * next_value.x * m.a1
-    rest_xx = next_value.xx * m.b0
-    rest_xl = next_value.xl * m.a0 * m.a2
-    rest_ll = next_value.ll * m.b2
-    rest_x = next_value.x * m.a0
-    rest_l = next_value.l * m.a2
-    rest_c = next_value.c
-    # b E[u^2] + 2 E[mu u] with u = mx x + ml l + mc + sqrt(v) xi
-    if variance > 0.0:
-        entropy = 0.5 * math.log(2.0 * math.pi * math.e * variance)
-    else:
-        entropy = -math.inf  # degenerate policy: objective diverges unless lam = 0
+    b, (mu_x, mu_l, mu_c), rest = _action_expansion(next_value, m)
+    # b E[u^2] + 2 E[mu u] with u = mx x + ml l + mc + sqrt(v) xi; a degenerate
+    # policy (v = 0) has entropy -inf, so its objective diverges unless lam = 0
+    with np.errstate(divide="ignore"):
+        entropy = 0.5 * np.log(2.0 * math.pi * math.e * variance)
     c_from_noise = b * variance - lam * entropy
     return QuadraticValue(
-        xx=rest_xx + b * mx * mx + 2.0 * mu_x * mx,
-        xl=rest_xl + 2.0 * b * mx * ml + 2.0 * (mu_x * ml + mu_l * mx),
-        ll=rest_ll + b * ml * ml + 2.0 * mu_l * ml,
-        x=rest_x + 2.0 * b * mx * mc + 2.0 * (mu_x * mc + mu_c * mx),
-        l=rest_l + 2.0 * b * ml * mc + 2.0 * (mu_l * mc + mu_c * ml),
-        c=rest_c + b * mc * mc + 2.0 * mu_c * mc + c_from_noise,
+        xx=rest.xx + b * mx * mx + 2.0 * mu_x * mx,
+        xl=rest.xl + 2.0 * b * mx * ml + 2.0 * (mu_x * ml + mu_l * mx),
+        ll=rest.ll + b * ml * ml + 2.0 * mu_l * ml,
+        x=rest.x + 2.0 * b * mx * mc + 2.0 * (mu_x * mc + mu_c * mx),
+        l=rest.l + 2.0 * b * ml * mc + 2.0 * (mu_l * mc + mu_c * ml),
+        c=rest.c + b * mc * mc + 2.0 * mu_c * mc + c_from_noise,
     )
 
 

@@ -280,7 +280,12 @@ def episode_signal(episode: Episode, kind: str) -> np.ndarray:
 
 
 def terminal_objective(x: float, l: float, w: float, d: float) -> float:
-    return (x - l - w) ** 2 - (w - d) ** 2
+    """(x - l - w)^2 - (w - d)^2.  On floats whose square overflows (a surplus
+    above about 1e154) it raises an ``OverflowError`` naming the surplus."""
+    try:
+        return (x - l - w) ** 2 - (w - d) ** 2
+    except OverflowError:
+        raise OverflowError(f"terminal surplus x - l = {x - l!r} overflowed its square") from None
 
 
 def _entropy_path(ce: _CriticExpansion, ph3: np.ndarray) -> np.ndarray:

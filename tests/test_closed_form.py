@@ -14,6 +14,16 @@ def spec_for(horizon, w=2.0, lam=1.5, d=1.3):
     return C.ProblemSpec(horizon=horizon, target=d, multiplier=w, explore_weight=lam)
 
 
+def backward_values(schedule, spec):
+    """Value quadratics for t = 0..T by the one-step recursion alone, one
+    ``bellman_step`` per period: the reference the product formulas are held to."""
+    out = [C.terminal_value(spec.multiplier, spec.target)]
+    for t in range(spec.horizon - 1, -1, -1):
+        nxt, _, _ = C.bellman_step(out[0], schedule[t], spec.explore_weight)
+        out.insert(0, nxt)
+    return out
+
+
 class TestFTerms:
     def test_deterministic_baseline_unit(self):
         a, sigma2 = 0.3, 0.04
@@ -220,7 +230,7 @@ class TestValueFunction:
             T = int(rng.integers(2, 7))
             sched = random_schedule(rng, T, deterministic_liability=True)
             spec = spec_for(T, w=float(rng.uniform(0.2, 3.0)), lam=float(rng.uniform(0.5, 3.0)))
-            vals = C.backward_values(sched, spec)
+            vals = backward_values(sched, spec)
             for t in range(T + 1):
                 for x, l in ((1.0, 0.2), (2.5, 1.0), (-0.7, 0.4)):
                     assert C.value_function(t, x, l, sched, spec) == pytest.approx(
@@ -235,7 +245,7 @@ class TestValueFunction:
         sched = random_schedule(rng, T, deterministic_liability=False)
         assert any(m.b2 > m.a2**2 + 1e-12 for m in sched.sets)
         spec = spec_for(T)
-        vals = C.backward_values(sched, spec)
+        vals = backward_values(sched, spec)
         tables = C._ScheduleTables(sched, spec)
         for t in range(T + 1):
             exact = vals[t].as_tuple()
@@ -251,7 +261,7 @@ class TestValueFunction:
             T = int(rng.integers(2, 7))
             sched = random_schedule(rng, T)
             spec = spec_for(T)
-            vals = C.backward_values(sched, spec)
+            vals = backward_values(sched, spec)
             for t in range(T):
                 mean, var = C.optimal_policy(t, 1.3, 0.6, sched, spec)
                 _, (mx, ml, mc), var2 = C.bellman_step(vals[t + 1], sched[t], spec.explore_weight)

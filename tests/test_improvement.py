@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emvalm import closed_form as C
+from emvalm import config as cfgmod
 from emvalm import improvement as I
-from emvalm.filtering import MomentSchedule
-from conftest import random_moment_set, random_schedule
+from emvalm.filtering import MomentSchedule, filtered_schedule, regime_schedule
+from conftest import REFERENCE_P, random_moment_set, random_schedule
 
 
 def spec_for(horizon, w=1.8, lam=2.2, d=1.3):
@@ -17,15 +22,28 @@ def spec_for(horizon, w=1.8, lam=2.2, d=1.3):
 
 def optimal_affine_policy(schedule: MomentSchedule, spec: C.ProblemSpec) -> I.AffineGaussianPolicy:
     tables = C._ScheduleTables(schedule, spec)
-    T = spec.horizon
-    mx = np.empty(T)
-    ml = np.empty(T)
-    mc = np.empty(T)
-    var = np.empty(T)
-    for t in range(T):
-        cx, k1, v = tables.policy_at(t)
-        mx[t], ml[t], mc[t], var[t] = cx, k1 * tables.p_a2.value(t), k1 * spec.multiplier, v
-    return I.AffineGaussianPolicy(mx=mx, ml=ml, mc=mc, var=var)
+    return I.AffineGaussianPolicy(tables.affine_rows(np.arange(spec.horizon)).T)
+
+
+def per_period_round(current: I.IteratedPolicy, schedule, spec, t):
+    """The round as a loop of scalar ``bellman_step`` calls, one per period
+    s = T-1..t on Python floats: the (4, T) policy table and (6, T+1)
+    objective coefficients it leaves."""
+    table = current.policy.table.copy()
+    before = np.array(current.objective.as_tuple())
+    coef = before.copy()
+    for s in range(spec.horizon - 1, t - 1, -1):
+        backed, mean, var = C.bellman_step(
+            C.QuadraticValue(*before[:, s + 1].tolist()), schedule[s], spec.explore_weight
+        )
+        table[:, s] = (*mean, var)
+        coef[:, s] = backed.as_tuple()
+    return table, coef
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestGaussianEntropyMin:
@@ -131,6 +149,78 @@ class TestImproveOnce:
             assert stepped.as_tuple() == pytest.approx(it.objective[t].as_tuple(), rel=1e-10)
 
 
+class TestSweptRound:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 40),
+        flavor=st.sampled_from(["regime", "filtered"]),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_per_period_loop_bit_for_bit(self, seed, horizon, flavor, data):
+        rng = np.random.default_rng(seed)
+        if flavor == "regime":
+            sched = random_schedule(rng, horizon)
+        else:
+            pair = (random_moment_set(rng), random_moment_set(rng))
+            sched = filtered_schedule(pair, float(rng.uniform(0.0, 1.0)), REFERENCE_P, horizon)
+        spec = spec_for(
+            horizon, w=float(rng.uniform(0.3, 2.5)), lam=float(rng.uniform(0.5, 3.0))
+        )
+        t = data.draw(st.integers(0, horizon - 1), label="t")
+        current = I.initial_iterate(I.InitialPolicyFamily.random(horizon, rng), sched, spec)
+        for _ in range(min(horizon - t, 3)):
+            table, coef = per_period_round(current, sched, spec, t)
+            current = I.improve_once(current, sched, spec, t=t)
+            assert same_bits(current.policy.table, table)
+            assert same_bits(current.objective.as_tuple(), coef)
+
+    def test_array_steps_equal_scalar_steps_bit_for_bit(self, rng):
+        T = 30
+        sched = random_schedule(rng, T)
+        spec = spec_for(T)
+        it = I.initial_iterate(I.InitialPolicyFamily.random(T, rng), sched, spec)
+        lam, nxt = spec.explore_weight, it.objective[1:]
+        swept, mean, var = C.bellman_step(nxt, sched, lam)
+        valued = C.policy_value_step(nxt, sched, it.policy.table[:3], it.policy.var, lam)
+        for t in range(T):
+            one, one_mean, one_var = C.bellman_step(nxt[t], sched[t], lam)
+            assert same_bits(swept[t].as_tuple(), one.as_tuple())
+            assert same_bits([m[t] for m in mean] + [var[t]], [*one_mean, one_var])
+            row = it.policy.table[:, t].tolist()
+            one = C.policy_value_step(nxt[t], sched[t], row[:3], row[3], lam)
+            assert same_bits(valued[t].as_tuple(), one.as_tuple())
+
+    def test_non_finite_objective_names_its_period(self, rng):
+        T = 6
+        sched = random_schedule(rng, T)
+        spec = spec_for(T)
+        it = I.initial_iterate(I.InitialPolicyFamily.random(T, rng), sched, spec)
+        coef = np.array(it.objective.as_tuple())
+        coef[4, 3] = np.nan
+        broken = replace(it, objective=C.QuadraticValue(*coef))
+        with pytest.raises(ValueError, match="non-finite coefficients at period 3$"):
+            I.improve_once(broken, sched, spec, t=1)
+
+    def test_non_positive_action_coefficient_names_its_period(self, rng):
+        # b_s = objective.xx[s + 1] * b1_s, so a concave surface at 5 breaks period 4
+        T = 6
+        sched = random_schedule(rng, T)
+        spec = spec_for(T)
+        it = I.initial_iterate(I.InitialPolicyFamily.random(T, rng), sched, spec)
+        coef = np.array(it.objective.as_tuple())
+        coef[0, 5] = -1.0
+        broken = replace(it, objective=C.QuadraticValue(*coef))
+        with pytest.raises(ValueError, match=r"non-positive at period 4 \(-"):
+            I.improve_once(broken, sched, spec, t=2)
+
+    def test_negative_variance_names_its_period(self, rng):
+        sched = random_schedule(rng, 3)
+        nxt = C.QuadraticValue(*np.ones((6, 3)))
+        with pytest.raises(ValueError, match=r"non-negative \(period 2\)"):
+            C.policy_value_step(nxt, sched, np.zeros((3, 3)), np.array([1.0, 0.5, -0.1]), 1.0)
+
+
 class TestIterateToConvergence:
     def test_one_period_horizon_uses_single_round(self, rng):
         sched = random_schedule(rng, 3)
@@ -187,3 +277,16 @@ class TestIterateToConvergence:
         final, n_used = I.iterate_to_convergence(fam, sched, spec)
         assert n_used <= T
         assert final.policy.max_param_delta(optimal_affine_policy(sched, spec)) < 1e-10
+
+    def test_reference_schedule_converges_at_2520_periods(self):
+        # each round is one array sweep, so the T rounds cost O(T^2) flops but
+        # only O(T) Python calls: under a second at T = 2520
+        cfg = cfgmod.resolve_config(None)
+        T = 2520
+        spec = replace(cfgmod.build_problem(cfg), horizon=T)
+        sched = regime_schedule(cfgmod.build_market(cfg).regime_moment_set(1), T)
+        fam = I.InitialPolicyFamily.random(T, np.random.default_rng(3))
+        final, n_used = I.iterate_to_convergence(fam, sched, spec)
+        assert n_used <= T
+        expected = C._ScheduleTables(sched, spec).affine_rows(np.arange(T)).T
+        np.testing.assert_allclose(final.policy.table, expected, rtol=1e-11, atol=0.0)

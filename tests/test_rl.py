@@ -505,6 +505,22 @@ class TestTrain:
         with pytest.raises(rl.DivergenceError, match="iteration"):
             rl.train("coemv", tiny_market(), hyper, tiny_spec())
 
+    def test_overflowing_terminal_surplus_is_named(self):
+        # large steps blow the terminal surplus past 1e154, where squaring a
+        # float overflows; the error names the surplus and the iteration
+        hyper = replace(
+            tiny_hyper(50, seed=17, batch_size=2),
+            eta_theta=1e-9,
+            eta_vartheta=1e-9,
+            eta_psi=1e-7,
+            eta_phi=1e-7,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                rl.DivergenceError, match=r"terminal surplus x - l = \S+e\+\d+ .* at iteration 7$"
+            ):
+                rl.train("poemv2", tiny_market(e1_vol=0.2), hyper, tiny_spec(horizon=240))
+
     def test_multiplier_moves_terminal_mean_toward_target(self):
         spec = tiny_spec(horizon=24, d=1.6)
         state = rl.train("poemv1", tiny_market(), tiny_hyper(800, seed=1), spec)

@@ -6,7 +6,9 @@ sequential recursion, policy coefficient tables against scalar formulas,
 regime-only return sampling against a draw-then-scatter oracle, the
 blocked out-of-sample rollout against the per-period loop, the one-call
 policy table of ``simulate_episode`` against a loop that asks for one row per
-period, and the one-call moment mix against the per-period mixing loop.
+period, the one-call moment mix against the per-period mixing loop, and
+the scans behind the value function's risk sum and entropy product against
+their backward recursions.
 """
 
 from __future__ import annotations
@@ -556,3 +558,55 @@ class TestMomentMixing:
         assert sched.rows.tobytes() == rows.T.tobytes()
         assert sched.violations == violations
         assert len(violations) == (2596 if signal == "expected_state" else 0)
+
+
+# ---------------------------------------------------------------------------
+# the value function's backward scans
+# ---------------------------------------------------------------------------
+
+
+def loop_risk_sum(tables: C._ScheduleTables) -> np.ndarray:
+    out = np.zeros(tables.spec.horizon + 1)
+    ptail = 1.0
+    for t in range(tables.spec.horizon - 1, -1, -1):
+        out[t] = out[t + 1] + (tables.a1[t] ** 2 / tables.b1[t]) * ptail
+        ptail *= (tables.f2[t] * tables.f2[t]) / (tables.b1[t] * tables.f1[t])
+    return out
+
+
+def loop_log_entropy_prod(tables: C._ScheduleTables) -> np.ndarray:
+    log_b1_pl = np.log(tables.b1 / (math.pi * tables.spec.explore_weight))
+    log_ratio = np.log(tables.f1 / tables.b1)
+    out = np.zeros(tables.spec.horizon + 1)
+    acc_ratio = 0.0
+    for t in range(tables.spec.horizon - 1, -1, -1):
+        out[t] = out[t + 1] + log_b1_pl[t] + acc_ratio
+        acc_ratio += log_ratio[t]
+    return out
+
+
+class TestValueScans:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 400),
+        lam=st.floats(0.01, 50.0),
+        liability=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scans_match_backward_loops(self, seed, horizon, lam, liability):
+        sched = random_schedule(np.random.default_rng(seed), horizon, not liability)
+        spec = C.ProblemSpec(horizon=horizon, target=1.3, multiplier=1.7, explore_weight=lam)
+        tables = C._ScheduleTables(sched, spec)
+        assert tables.risk_sum.tobytes() == loop_risk_sum(tables).tobytes()
+        assert tables.log_entropy_prod.tobytes() == loop_log_entropy_prod(tables).tobytes()
+
+    @pytest.mark.parametrize("flavor", ["filtered", "expectation"])
+    def test_reference_schedules_match_backward_loops(self, flavor):
+        cfg = config.default_config()
+        model, spec = M.market_from_dict(cfg["market"]), config.build_problem(cfg)
+        chain = model.chain
+        build = F.filtered_schedule if flavor == "filtered" else F.expectation_schedule
+        sched = build(model.moment_pair(), chain.p0, chain.matrix(), spec.horizon)
+        tables = C._ScheduleTables(sched, spec)
+        assert tables.risk_sum.tobytes() == loop_risk_sum(tables).tobytes()
+        assert tables.log_entropy_prod.tobytes() == loop_log_entropy_prod(tables).tobytes()
