@@ -88,7 +88,7 @@ def cmd_filter_demo(args) -> int:
     spec = cfgmod.build_problem(cfg)
     chain = model.chain
     rng = market.stream(cfg["training"]["seed"], 0)
-    regimes = market.regime_path(chain, spec.horizon, rng)
+    regimes, _ = market.draw_path(model, spec.horizon, rng)
     p_hat = filtering.filter_states(chain.p0, chain.matrix(), spec.horizon)
     p_tilde = filtering.expected_state_path(chain.p0, chain.matrix(), spec.horizon)
     rows = [

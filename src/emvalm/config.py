@@ -87,35 +87,13 @@ def default_config() -> dict:
     }
 
 
-_SECTION_KEYS = {
-    "problem": {"T_years", "d", "lambda", "x0", "l0", "w"},
-    "training": {
-        "algo",
-        "n_iter",
-        "N",
-        "alpha",
-        "eta_theta",
-        "eta_vartheta",
-        "eta_psi",
-        "eta_phi",
-        "m",
-        "batch_size",
-        "grad_clip",
-        "w0",
-        "expectation_signal",
-        "seed",
-    },
-    "evaluation": {"n_paths", "dynamics", "signal", "explore"},
-}
-
-
 def resolve_config(overrides: dict | None) -> dict:
     """Merge user overrides into the defaults and validate the result."""
     cfg = default_config()
     if overrides:
         if not isinstance(overrides, dict):
             raise ValueError("config must be a JSON object")
-        unknown = set(overrides) - {"market", "problem", "training", "evaluation"}
+        unknown = set(overrides) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
         for section, values in overrides.items():
@@ -124,7 +102,7 @@ def resolve_config(overrides: dict | None) -> dict:
             if section == "market":
                 cfg["market"] = copy.deepcopy(values)  # the market block is taken whole
             else:
-                bad = set(values) - _SECTION_KEYS[section]
+                bad = set(values) - set(cfg[section])  # the defaults name every key
                 if bad:
                     raise ValueError(f"unknown keys in config section {section!r}: {sorted(bad)}")
                 cfg[section].update(values)

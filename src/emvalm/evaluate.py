@@ -20,8 +20,8 @@ import numpy as np
 
 from . import data_ingest, rl
 from .closed_form import GaussianPolicy, ProblemSpec
-from .filtering import filter_states, mix, mixed_schedule, mixing_signal, signal_path
-from .market import RETURNS_KEY, MarketModel, regime_path, sample_return_paths, stream
+from .filtering import filter_states, mixing_signal, signal_path
+from .market import RETURNS_KEY, MarketModel, draw_path, liability_path, observable_rates, stream
 
 _BLOCK = 32  # evaluation paths generated and rolled out together
 
@@ -71,21 +71,6 @@ def _regime_affine_tables(policy: GaussianPolicy, horizon: int) -> np.ndarray:
     """(2, horizon, 4) tables for the two possible regime signals."""
     ts = np.tile(np.arange(horizon), 2)
     return _affine_tables(policy, ts, np.repeat([1.0, 2.0], horizon)).reshape(2, horizon, 4)
-
-
-def _draw_block(
-    model: MarketModel, horizon: int, rngs: list[tuple[np.random.Generator, np.random.Generator]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Regime paths (P, T+1) and e0, e1, q draws (P, T) of a block of real-dynamics
-    paths, each drawing its regime path and then its returns from its own pair
-    of generators."""
-    regimes = np.empty((len(rngs), horizon + 1), dtype=np.int64)
-    e0, e1, q = (np.empty((len(rngs), horizon)) for _ in range(3))
-    for j, (regime_rng, return_rng) in enumerate(rngs):
-        regimes[j] = regime_path(model.chain, horizon, regime_rng)
-        rec = sample_return_paths(regimes[j, :-1], model, return_rng)
-        e0[j], e1[j], q[j] = rec.e0, rec.e1, rec.q
-    return regimes, e0, e1, q
 
 
 def _blocks(n_paths: int) -> list[range]:
@@ -168,19 +153,13 @@ def _path_terminals(
 ) -> tuple[np.ndarray, str]:
     """Per-path terminal net wealth of ``out_of_sample`` and the signal kind used."""
     horizon = spec.horizon
-    chain = model.chain
-
-    probs = filter_states(chain.p0, chain.matrix(), horizon)
+    probs = filter_states(model.chain.p0, model.chain.matrix(), horizon)
     if dynamics == "real":
         sig_kind = signal or "regime"
     elif dynamics in ("filtered", "expectation"):
-        weight_kind = mixing_signal(dynamics, expectation_signal)
-        sig_kind = signal or weight_kind
-        schedule = mixed_schedule(
-            model.moment_pair(), signal_path(weight_kind, probs)[:-1], dynamics
-        )
-        e0, ex = schedule.a0, schedule.a1
-        l = np.cumprod(np.concatenate(([spec.l0], schedule.a2)))
+        sig_kind = signal or mixing_signal(dynamics, expectation_signal)
+        _, schedule = observable_rates(model, horizon, dynamics, expectation_signal)
+        e0, ex, l = schedule.a0, schedule.a1, liability_path(spec.l0, schedule.a2)
     else:
         raise ValueError(f"unknown dynamics flavor {dynamics!r}")
 
@@ -197,12 +176,15 @@ def _path_terminals(
         shape = (len(rows), horizon)
         noise = noise_rng.standard_normal(shape) if explore else np.zeros(shape)
         if dynamics == "real":
-            rngs = [(stream(seed, 1 + i), stream(seed, RETURNS_KEY + i)) for i in rows]
-            regimes, e0, e1, qq = _draw_block(model, horizon, rngs)
-            ex = e1 - e0
-            l = np.cumprod(np.concatenate((np.full((len(rows), 1), spec.l0), qq), axis=1), axis=1)
+            regimes, recs = zip(
+                *(draw_path(model, horizon, stream(seed, 1 + i), stream(seed, RETURNS_KEY + i))
+                  for i in rows)
+            )
+            e0 = np.array([rec.e0 for rec in recs])
+            ex = np.array([rec.e1 for rec in recs]) - e0
+            l = liability_path(spec.l0, [rec.q for rec in recs])
             if sig_kind == "regime":
-                in1 = regimes[:, :-1] == 1
+                in1 = np.array(regimes)[:, :-1] == 1
                 coef = [np.where(in1, by_regime[0, :, k], by_regime[1, :, k]) for k in range(4)]
         cx, cl, c0, sd = coef
         x = rl._linear_rollout(e0 + ex * cx, ex * (cl * l[..., :-1] + c0 + sd * noise), spec.x0)
@@ -258,25 +240,6 @@ class BlockSource:
         return self.series_set[idx].closes[start : start + self.horizon_periods() + 1]
 
 
-@dataclass
-class _RunningEstimate:
-    mean1: float
-    var1: float
-    mean2: float
-    var2: float
-    p12: float
-    p21: float
-
-    def update(self, est: data_ingest.EstimatedParams, n_smooth: int) -> None:
-        upd = data_ingest.exp_average_update
-        self.mean1 = upd(self.mean1, est.regime1_mean, n_smooth)
-        self.var1 = upd(self.var1, est.regime1_var, n_smooth)
-        self.mean2 = upd(self.mean2, est.regime2_mean, n_smooth)
-        self.var2 = upd(self.var2, est.regime2_var, n_smooth)
-        self.p12 = upd(self.p12, est.p12, n_smooth)
-        self.p21 = upd(self.p21, est.p21, n_smooth)
-
-
 def _baseline_rate(model: MarketModel, p12: float, p21: float) -> float:
     """Sojourn-weighted mix of the per-regime baseline rates (annual, net)."""
     w1 = p21 / (p12 + p21)
@@ -314,9 +277,8 @@ def empirical_train(
     if horizon != blocks.horizon_periods():
         raise ValueError("problem horizon and block horizon disagree")
     state = rl.TrainState.start(algo, hyper, spec)
-    running: _RunningEstimate | None = None
+    running = None  # exponentially averaged (p12, p21) transition estimates
     taus = rl._tau_grid(horizon, hyper.dt)
-    m1, m2 = model.moment_pair()
     work = rl._Workspace(horizon, 1)
 
     for k in range(hyper.n_iter):
@@ -329,32 +291,21 @@ def empirical_train(
         except ValueError:
             est = None  # single-regime block: keep the previous estimate
         if est is not None:
-            if running is None:
-                running = _RunningEstimate(
-                    mean1=est.regime1_mean,
-                    var1=est.regime1_var,
-                    mean2=est.regime2_mean,
-                    var2=est.regime2_var,
-                    p12=est.p12,
-                    p21=est.p21,
-                )
-            else:
-                running.update(est, n_smooth)
+            new = np.array([est.p12, est.p21])
+            running = new if running is None else data_ingest.exp_average_update(
+                running, new, n_smooth
+            )
         if running is None:
             continue
 
         gross = closes[1:] / closes[:-1]
+        p12, p21 = running.tolist()
         if algo == "poemv1":
-            mat = np.array(
-                [[1.0 - running.p12, running.p12], [running.p21, 1.0 - running.p21]]
-            )
-            probs = filter_states(model.chain.p0, mat, horizon)
-            e0_bar = mix(m1.a0, m2.a0, probs[:-1])
-            q_bar = mix(m1.a2, m2.a2, probs[:-1])
-            sig = probs
-            l_path = spec.l0 * np.concatenate(([1.0], np.cumprod(q_bar)))
+            mat = np.array([[1.0 - p12, p12], [p21, 1.0 - p21]])
+            sig, schedule = observable_rates(model, horizon, "filtered", p=mat)
+            e0_bar, l_path = schedule.a0, liability_path(spec.l0, schedule.a2)
         else:
-            rate = _baseline_rate(model, running.p12, running.p21)
+            rate = _baseline_rate(model, p12, p21)
             e0_bar = np.full(horizon, 1.0 + rate * hyper.dt)
             sig = np.ones(horizon + 1)
             l_path = np.zeros(horizon + 1)
@@ -390,11 +341,8 @@ def evaluate_on_market_paths(
         raise ValueError(
             f"problem horizon {horizon} differs from the trained horizon {state.spec.horizon}"
         )
-    m1, m2 = model.moment_pair()
-    probs = filter_states(model.chain.p0, model.chain.matrix(), horizon)
-    e0_bar = mix(m1.a0, m2.a0, probs[:-1])
-    q_bar = mix(m1.a2, m2.a2, probs[:-1])
-    l_path = spec.l0 * np.concatenate(([1.0], np.cumprod(q_bar)))
+    probs, schedule = observable_rates(model, horizon, "filtered")
+    e0_bar, l_path = schedule.a0, liability_path(spec.l0, schedule.a2)
 
     if state.algo == "poemv1":
         sig, l_seen = probs, l_path
@@ -406,7 +354,7 @@ def evaluate_on_market_paths(
     terminals = np.empty(n_paths)
     for rows in _blocks(n_paths):
         rngs = [stream(seed, i) for i in rows]
-        _, _, e1, _ = _draw_block(model, horizon, [(rng, rng) for rng in rngs])
+        e1 = np.array([draw_path(model, horizon, rng, rng)[1].e1 for rng in rngs])
         shape = (len(rows), horizon)
         noise = np.stack([rng.standard_normal(horizon) for rng in rngs]) if explore else np.zeros(shape)
         ex = e1 - e0_bar

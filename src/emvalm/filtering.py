@@ -232,12 +232,13 @@ def mixed_schedule(
     deficit at a signal inside [0, 1] (impossible for a true convex mixture)
     raises.
     """
-    m1, m2 = pair
     s = np.asarray(signals, dtype=float)
-    a0, b0 = mix(m1.a0, m2.a0, s), mix(m1.b0, m2.b0, s)
-    risky_mean = mix(m1.risky_mean(), m2.risky_mean(), s)
-    b1 = mix(m1.risky_sq(), m2.risky_sq(), s) - 2.0 * risky_mean * a0 + b0
-    rows = np.stack([a0, b0, mix(m1.a1, m2.a1, s), b1, mix(m1.a2, m2.a2, s), mix(m1.b2, m2.b2, s)])
+    # rows a0, b0, a1, E[risky^2], a2, b2 and E[risky], each mixed in one expression
+    v1, v2 = (np.array([m.a0, m.b0, m.a1, m.risky_sq(), m.a2, m.b2, m.risky_mean()]) for m in pair)
+    mixed = mix(v1[:, None], v2[:, None], s)
+    rows, a0, b0, b1 = mixed[:6], mixed[0], mixed[1], mixed[3]
+    b1 -= 2.0 * mixed[6] * a0  # b1 = E[risky^2] - 2 E[risky] a0 + b0
+    b1 += b0
     sched = MomentSchedule(None, flavor, rows=rows, signals=s)
     inside = (s >= 0.0) & (s <= 1.0)
     deficit = inside & np.any(sched.deficits(), axis=0)

@@ -34,6 +34,15 @@ leg (e0, then e1, then q), each leg drawing its regime-1 periods and then its
 regime-2 periods (``sample_return_paths``).  ``simulate_episode`` rolls one
 recorded episode under a ``GaussianPolicy`` table, period by period, in the
 same float arithmetic as ``step_surplus``.
+
+Three functions build the inputs of every rollout, for training (``rl``),
+evaluation (``evaluate``, the empirical pipeline included) and
+``simulate_episode`` alike: ``observable_rates`` turns a partial-information
+flavor into its signal path and mixed schedule; ``draw_path`` draws one
+real-market path, its regime path and then its returns, from a pair of
+generators (training and ``simulate_episode`` pass one generator twice); and
+``liability_path`` multiplies l_0 by the liability returns in time order, so
+a learner is scored on the same liability path it was trained on.
 """
 
 from __future__ import annotations
@@ -45,7 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import GaussianPolicy
-from .filtering import MomentSet, filter_states, mixed_schedule, mixing_signal, signal_path
+from .filtering import (
+    MomentSchedule, MomentSet, filter_states, mixed_schedule, mixing_signal, signal_path,
+)
 
 _ROW_SUM_TOL = 1e-12
 
@@ -197,8 +208,8 @@ class MarketModel:
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        for regime in (1, 2):
-            m = self.regime_moment_set(regime)
+        pair = (self.regime_moment_set(1), self.regime_moment_set(2))
+        for regime, m in enumerate(pair, 1):
             # E[e e'] for (baseline, risky) is PD iff b0 > 0 and the 2x2 determinant
             # b0 * E[risky^2] - (a0 * E[risky])^2 is positive
             risky_sq = m.risky_sq()
@@ -207,6 +218,8 @@ class MarketModel:
                 raise ValueError(
                     f"second-moment matrix of regime {regime} returns is not positive definite"
                 )
+        # kept for moment_pair(): the empirical pipeline mixes them every iteration
+        object.__setattr__(self, "_pair", pair)
 
     def regime_moment_set(self, regime: int) -> MomentSet:
         i = regime - 1
@@ -221,7 +234,7 @@ class MarketModel:
         return MomentSet(a0=a0, b0=b0, a1=a1, b1=b1, a2=a2, b2=b2)
 
     def moment_pair(self) -> tuple[MomentSet, MomentSet]:
-        return self.regime_moment_set(1), self.regime_moment_set(2)
+        return self._pair
 
 
 @dataclass(frozen=True)
@@ -339,6 +352,47 @@ def sample_return_paths(
     return ReturnsRecord(**out)
 
 
+def draw_path(
+    model: MarketModel,
+    horizon: int,
+    regime_rng: np.random.Generator,
+    return_rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, ReturnsRecord | None]:
+    """One path of the real market: its regime path s_0..s_T drawn from
+    ``regime_rng``, then the e0, e1 and q draws of the periods t = 0..T-1
+    along it drawn from ``return_rng`` (None without one)."""
+    regimes = regime_path(model.chain, horizon, regime_rng)
+    if return_rng is None:
+        return regimes, None
+    return regimes, sample_return_paths(regimes[:-1], model, return_rng)
+
+
+def observable_rates(
+    model: MarketModel,
+    horizon: int,
+    dynamics: str,
+    expectation_signal: str = "expected_state",
+    p=None,
+) -> tuple[np.ndarray, MomentSchedule]:
+    """The signal path t = 0..T that a partial-information flavor is mixed
+    along (``filtering.mixing_signal``) and the model's moments mixed along it
+    (``filtering.mixed_schedule``), whose a0, a1 and a2 rows are the
+    per-period baseline, excess and liability rates.  The filter runs on the
+    chain's transition matrix, or on ``p`` when one is given."""
+    chain = model.chain
+    probs = filter_states(chain.p0, chain.matrix() if p is None else p, horizon)
+    signal = signal_path(mixing_signal(dynamics, expectation_signal), probs)
+    return signal, mixed_schedule(model.moment_pair(), signal[:-1], dynamics)
+
+
+def liability_path(l0: float, q) -> np.ndarray:
+    """Liabilities l_0 = l0, l_{t+1} = q_t l_t along the last axis of the gross
+    returns ``q``, one path (T,) or a block (P, T), multiplied in time order
+    so that every entry is the recursion's own float."""
+    q = np.asarray(q, dtype=float)
+    return np.cumprod(np.concatenate((np.full((*q.shape[:-1], 1), l0), q), axis=-1), axis=-1)
+
+
 def step_surplus(
     x: float, l: float, u: float, e0: float, e1: float, q: float
 ) -> tuple[float, float, float]:
@@ -385,32 +439,26 @@ def simulate_episode(
     if signal not in SIGNALS:
         raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
 
-    chain = model.chain
-    regimes = regime_path(chain, horizon, rng)
-    p_hat = filter_states(chain.p0, chain.matrix(), horizon)
-
-    if dynamics == "real":
-        rec = sample_return_paths(regimes[:-1], model, rng)
-        e0_arr, ex_arr, q_arr = rec.e0, rec.e1 - rec.e0, rec.q
+    regimes, rec = draw_path(model, horizon, rng, rng if dynamics == "real" else None)
+    p_hat = filter_states(model.chain.p0, model.chain.matrix(), horizon)
+    if rec is None:
+        _, schedule = observable_rates(model, horizon, dynamics, expectation_signal)
+        rec = ReturnsRecord(e0=schedule.a0, e1=schedule.a0 + schedule.a1, q=schedule.a2)
+        ex = schedule.a1
     else:
-        weights = signal_path(mixing_signal(dynamics, expectation_signal), p_hat)
-        schedule = mixed_schedule(model.moment_pair(), weights[:-1], dynamics)
-        e0_arr, ex_arr, q_arr = schedule.a0, schedule.a1, schedule.a2
-        rec = ReturnsRecord(e0=e0_arr, e1=e0_arr + ex_arr, q=q_arr)
-
+        ex = rec.e1 - rec.e0
     sig = regimes.astype(float) if signal == "regime" else signal_path(signal, p_hat)
 
     rows = policy.table(np.arange(horizon), sig[:-1]).tolist()
     noise = rng.standard_normal(horizon)
+    e0, l = rec.e0, liability_path(l0, rec.q)
     x = np.empty(horizon + 1)
-    l = np.empty(horizon + 1)
     action = np.empty(horizon)
-    x[0], l[0] = x0, l0
+    x[0] = x0
     for t, (cx, cl, c0, var) in enumerate(rows):
         u = (cx * x[t] + cl * l[t] + c0) + math.sqrt(var) * noise[t]
         action[t] = u
-        x[t + 1] = e0_arr[t] * x[t] + ex_arr[t] * u
-        l[t + 1] = q_arr[t] * l[t]
+        x[t + 1] = e0[t] * x[t] + ex[t] * u
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(l))):
         bad = int(np.nonzero(~np.isfinite(x))[0][0]) if not np.all(np.isfinite(x)) else int(
             np.nonzero(~np.isfinite(l))[0][0]

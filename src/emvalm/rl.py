@@ -46,8 +46,8 @@ from typing import Iterable
 import numpy as np
 
 from .closed_form import GaussianPolicy, ProblemSpec
-from .filtering import filter_states, mixed_schedule, mixing_signal, signal_path
-from .market import Episode, MarketModel, regime_path, sample_return_paths, stream
+from .filtering import mixing_signal, signal_path
+from .market import Episode, MarketModel, draw_path, liability_path, observable_rates, stream
 
 ALGO_FLAVORS = {"coemv": "real", "poemv1": "filtered", "poemv2": "expectation"}  # dynamics
 
@@ -585,11 +585,8 @@ def _build_env(algo: str, model: MarketModel, hyper: Hyperparams, spec: ProblemS
         return _TrainEnv(
             model, horizon, spec.l0, feats_by_regime=feats_by_regime, drawn_feats=drawn
         )
-    chain = model.chain
-    probs = filter_states(chain.p0, chain.matrix(), horizon)
-    signal = signal_path(mixing_signal(dynamics, hyper.expectation_signal), probs)
-    schedule = mixed_schedule(model.moment_pair(), signal[:-1], dynamics)
-    l_path = spec.l0 * np.concatenate(([1.0], np.cumprod(schedule.a2)))
+    signal, schedule = observable_rates(model, horizon, dynamics, hyper.expectation_signal)
+    l_path = liability_path(spec.l0, schedule.a2)
     # column-major, so that the transpose every expansion multiplies by is contiguous
     feats = np.asfortranarray(_flat(features(signal, taus, hyper.m)))
     fixed = _Scenario(schedule.a0, schedule.a1, l_path, feats, np.ascontiguousarray(feats[:-1]))
@@ -600,13 +597,11 @@ def _draw_scenario(env: _TrainEnv, rng: np.random.Generator, slot: int) -> _Scen
     """The scenario of batch slot ``slot``, drawn from ``rng`` in real dynamics."""
     if env.fixed is not None:
         return env.fixed
-    regimes = regime_path(env.model.chain, env.horizon, rng)
-    rec = sample_return_paths(regimes[:-1], env.model, rng)
-    l_path = env.l0 * np.concatenate(([1.0], np.cumprod(rec.q)))
+    regimes, rec = draw_path(env.model, env.horizon, rng, rng)
     feats_t = env.drawn_feats[slot]
     np.copyto(feats_t, env.feats_by_regime[1])
     np.copyto(feats_t, env.feats_by_regime[0], where=regimes == 1)
-    return _Scenario(rec.e0, rec.e1 - rec.e0, l_path, feats_t.T)
+    return _Scenario(rec.e0, rec.e1 - rec.e0, liability_path(env.l0, rec.q), feats_t.T)
 
 
 def _linear_rollout(alpha: np.ndarray, beta: np.ndarray, x0: float) -> np.ndarray:

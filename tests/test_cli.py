@@ -40,11 +40,14 @@ class TestArgumentHandling:
     def test_missing_config_file_is_user_error(self, tmp_path, capsys):
         assert run(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
 
-    def test_bad_config_key_is_user_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section", ["problem", "training", "evaluation"])
+    def test_bad_config_key_is_user_error(self, tmp_path, capsys, section):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"problem": {"horizon?": 1}}))
+        path.write_text(json.dumps({section: {"horizon?": 1}}))
         assert run(["filter-demo", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert f"unknown keys in config section {section!r}: ['horizon?']" in err
 
     def test_bad_training_value_fails_at_load_naming_the_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, training={"expectation_signal": "state1prob"})

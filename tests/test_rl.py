@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from emvalm import config
+from emvalm import evaluate as E
 from emvalm import market as M
 from emvalm import rl
-from emvalm.closed_form import ProblemSpec
+from emvalm.closed_form import GaussianPolicy, ProblemSpec
 from conftest import REFERENCE_P
 
 
@@ -944,3 +945,39 @@ class TestFusedTrainOracle:
             assert np.all(np.abs(got.stacked - want.stacked) <= self.REL * scale)
             # every grid moved: one left at zero would pass trivially
             assert scale.min() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# training scenarios take their liability path from the one market path layer
+# ---------------------------------------------------------------------------
+
+
+class TestTrainingLiabilityPath:
+    @staticmethod
+    def reference():
+        cfg = config.resolve_config(None)
+        return config.build_market(cfg), config.build_problem(cfg), config.build_hyper(cfg)
+
+    @pytest.mark.parametrize("algo", ["poemv1", "poemv2"])
+    def test_partial_information_scenario_is_scored_on_its_own_liability_path(self, algo):
+        model, spec, hyper = self.reference()
+        dynamics = rl.ALGO_FLAVORS[algo]
+        trained = rl._build_env(algo, model, hyper, spec).fixed.l
+        zero = GaussianPolicy(lambda ts, s: np.zeros((len(ts), 4)))
+        episode = M.simulate_episode(model, zero, spec.horizon, spec.x0, spec.l0, M.stream(1, 0),
+                                     dynamics=dynamics, expectation_signal=hyper.expectation_signal)
+        assert trained.tobytes() == episode.l.tobytes()
+        # with no wealth and no action, every terminal is -l_T
+        report = E.out_of_sample(zero, model, 2, replace(spec, x0=0.0), seed=1, dynamics=dynamics,
+                                 explore=False, expectation_signal=hyper.expectation_signal)
+        assert report.mean == -trained[-1]
+
+    def test_real_dynamics_scenario_follows_the_liability_recursion(self):
+        model, spec, hyper = self.reference()
+        env = rl._build_env("coemv", model, hyper, spec)
+        sc = rl._draw_scenario(env, M.stream(5, 3), 0)
+        twin = M.stream(5, 3)
+        regimes = M.regime_path(model.chain, spec.horizon, twin)
+        q = M.sample_return_paths(regimes[:-1], model, twin).q
+        assert sc.l[0] == spec.l0
+        assert np.array_equal(sc.l[1:], q * sc.l[:-1])

@@ -3,12 +3,13 @@
 Each fast path is checked against a plain per-period or per-path
 computation written here: the blocked (paths, T) wealth rollout against the
 sequential recursion, policy coefficient tables against scalar formulas,
-regime-only return sampling against a draw-then-scatter oracle, the
-blocked out-of-sample rollout against the per-period loop, the one-call
-policy table of ``simulate_episode`` against a loop that asks for one row per
-period, the one-call moment mix against the per-period mixing loop, and
-the scans behind the value function's risk sum and entropy product against
-their backward recursions.
+regime-only return sampling against a draw-then-scatter oracle, the one-path
+draw against the regime path followed by its returns, the liability path
+against the sequential recursion, the blocked out-of-sample rollout against
+the per-period loop, the one-call policy table of ``simulate_episode``
+against a loop that asks for one row per period, the one-call moment mix
+against the per-period mixing loop, and the scans behind the value
+function's risk sum and entropy product against their backward recursions.
 """
 
 from __future__ import annotations
@@ -299,6 +300,63 @@ class TestRegimeOnlyReturns:
     def test_other_labels_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             M.sample_return_paths(np.array([1, 2, 0]), skewed_market(), M.stream(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the one-path draw and the liability path
+# ---------------------------------------------------------------------------
+
+
+def sequential_liabilities(l0, q):
+    """l_{t+1} = q_t * l_t, one float product at a time."""
+    out = [float(l0)]
+    for qt in q:
+        out.append(float(qt) * out[-1])
+    return np.array(out)
+
+
+class TestPathLayer:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(0, 60),
+        p11=st.floats(0.0, 1.0),
+        p21=st.floats(0.0, 1.0),
+        one_generator=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_draw_path_is_regime_path_then_returns(self, seed, horizon, p11, p21, one_generator):
+        model = skewed_market()
+        model = M.MarketModel(M.RegimeChain.from_probs(p11, 1.0 - p11, p21, 1.0 - p21, 0.3),
+                              model.e0, model.e1, model.q, model.dt)
+        keys = (0, 0) if one_generator else (0, 1)
+        pair, twin = [M.stream(seed, k) for k in keys], [M.stream(seed, k) for k in keys]
+        if one_generator:
+            pair[1], twin[1] = pair[0], twin[0]
+        regimes, rec = M.draw_path(model, horizon, *pair)
+        want_regimes = M.regime_path(model.chain, horizon, twin[0])
+        want = M.sample_return_paths(want_regimes[:-1], model, twin[1])
+        assert regimes.tobytes() == want_regimes.tobytes()
+        for name in ("e0", "e1", "q"):
+            assert getattr(rec, name).tobytes() == getattr(want, name).tobytes(), name
+        # both generators end where the oracle's do
+        assert pair[0].random() == twin[0].random() and pair[1].random() == twin[1].random()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        paths=st.sampled_from([None, 1, 3]),
+        horizon=st.integers(0, 80),
+        l0=st.floats(-10.0, 10.0),
+        spread=st.sampled_from([0.01, 0.5, 3.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_liability_path_is_the_sequential_recursion(self, seed, paths, horizon, l0, spread):
+        gen = np.random.default_rng(seed)
+        shape = (horizon,) if paths is None else (paths, horizon)
+        q = 1.0 + gen.uniform(-spread, spread, size=shape)
+        got = M.liability_path(l0, q)
+        assert got.shape == (*shape[:-1], horizon + 1)
+        for row, q_row in zip(np.atleast_2d(got), np.atleast_2d(q)):
+            assert row.tobytes() == sequential_liabilities(l0, q_row).tobytes()
 
 
 # ---------------------------------------------------------------------------
