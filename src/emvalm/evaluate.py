@@ -153,12 +153,15 @@ def _path_terminals(
 ) -> tuple[np.ndarray, str]:
     """Per-path terminal net wealth of ``out_of_sample`` and the signal kind used."""
     horizon = spec.horizon
-    probs = filter_states(model.chain.p0, model.chain.matrix(), horizon)
     if dynamics == "real":
         sig_kind = signal or "regime"
+        if sig_kind != "regime":
+            probs = filter_states(model.chain.p0, model.chain.matrix(), horizon)
+        block = np.empty((3, _BLOCK, horizon))  # e0, e1, q rows of the paths in a block
+        in1 = np.empty((_BLOCK, horizon), dtype=bool)
     elif dynamics in ("filtered", "expectation"):
         sig_kind = signal or mixing_signal(dynamics, expectation_signal)
-        _, schedule = observable_rates(model, horizon, dynamics, expectation_signal)
+        probs, _, schedule = observable_rates(model, horizon, dynamics, expectation_signal)
         e0, ex, l = schedule.a0, schedule.a1, liability_path(spec.l0, schedule.a2)
     else:
         raise ValueError(f"unknown dynamics flavor {dynamics!r}")
@@ -176,16 +179,16 @@ def _path_terminals(
         shape = (len(rows), horizon)
         noise = noise_rng.standard_normal(shape) if explore else np.zeros(shape)
         if dynamics == "real":
-            regimes, recs = zip(
-                *(draw_path(model, horizon, stream(seed, 1 + i), stream(seed, RETURNS_KEY + i))
-                  for i in rows)
-            )
-            e0 = np.array([rec.e0 for rec in recs])
-            ex = np.array([rec.e1 for rec in recs]) - e0
-            l = liability_path(spec.l0, [rec.q for rec in recs])
+            for j, i in enumerate(rows):
+                regimes, _ = draw_path(model, horizon, stream(seed, 1 + i),
+                                       stream(seed, RETURNS_KEY + i), out=block[:, j])
+                np.equal(regimes[:-1], 1, out=in1[j])
+            e0, e1, q = block[:, : len(rows)]
+            ex = e1 - e0
+            l = liability_path(spec.l0, q)
             if sig_kind == "regime":
-                in1 = np.array(regimes)[:, :-1] == 1
-                coef = [np.where(in1, by_regime[0, :, k], by_regime[1, :, k]) for k in range(4)]
+                at1 = in1[: len(rows)]
+                coef = [np.where(at1, by_regime[0, :, k], by_regime[1, :, k]) for k in range(4)]
         cx, cl, c0, sd = coef
         x = rl._linear_rollout(e0 + ex * cx, ex * (cl * l[..., :-1] + c0 + sd * noise), spec.x0)
         terminal[rows.start : rows.stop] = x[:, -1] - l[..., -1]
@@ -302,7 +305,7 @@ def empirical_train(
         p12, p21 = running.tolist()
         if algo == "poemv1":
             mat = np.array([[1.0 - p12, p12], [p21, 1.0 - p21]])
-            sig, schedule = observable_rates(model, horizon, "filtered", p=mat)
+            _, sig, schedule = observable_rates(model, horizon, "filtered", p=mat)
             e0_bar, l_path = schedule.a0, liability_path(spec.l0, schedule.a2)
         else:
             rate = _baseline_rate(model, p12, p21)
@@ -341,7 +344,7 @@ def evaluate_on_market_paths(
         raise ValueError(
             f"problem horizon {horizon} differs from the trained horizon {state.spec.horizon}"
         )
-    probs, schedule = observable_rates(model, horizon, "filtered")
+    probs, _, schedule = observable_rates(model, horizon, "filtered")
     e0_bar, l_path = schedule.a0, liability_path(spec.l0, schedule.a2)
 
     if state.algo == "poemv1":
@@ -352,9 +355,12 @@ def evaluate_on_market_paths(
     shift = cl * l_seen[:-1] + c0
 
     terminals = np.empty(n_paths)
+    block = np.empty((3, _BLOCK, horizon))  # e0, e1, q rows of the paths in a block
     for rows in _blocks(n_paths):
         rngs = [stream(seed, i) for i in rows]
-        e1 = np.array([draw_path(model, horizon, rng, rng)[1].e1 for rng in rngs])
+        for j, rng in enumerate(rngs):
+            draw_path(model, horizon, rng, rng, out=block[:, j])
+        e1 = block[1, : len(rows)]
         shape = (len(rows), horizon)
         noise = np.stack([rng.standard_normal(horizon) for rng in rngs]) if explore else np.zeros(shape)
         ex = e1 - e0_bar

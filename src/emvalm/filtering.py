@@ -154,13 +154,17 @@ def update_filter(p_hat: float, p) -> float:
 
 def filter_states(p0: float, p, horizon: int) -> np.ndarray:
     """Probability-of-regime-1 path [p_0, p_1, ..., p_T], iterated."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     mat = _as_matrix(p)
-    out = np.empty(horizon + 1)
-    out[0] = p0
-    c, d = mat[1, 0], mat[0, 0] - mat[1, 0]
-    for t in range(horizon):
-        out[t + 1] = c + d * out[t]
-    return out
+    c, d = float(mat[1, 0]), float(mat[0, 0] - mat[1, 0])
+    # on Python floats: the same IEEE arithmetic, without a numpy scalar per step
+    prob = float(p0)
+    out = [prob]
+    for _ in range(horizon):
+        prob = c + d * prob
+        out.append(prob)
+    return np.array(out)
 
 
 def filter_path(p0: float, p, horizon: int) -> np.ndarray:

@@ -15,7 +15,8 @@ schedule the analytic policies are built from.
 
 All randomness flows through counter-based Philox streams; `stream(seed, k)`
 gives the k-th independent stream, so episodes are reproducible and safely
-parallel.  The keys in use, and what each stream draws in order:
+parallel.  A stream is keyed directly by the words (seed, k), without first
+gathering OS entropy.  The keys in use, and what each stream draws in order:
 
 | caller | key | draws |
 |---|---|---|
@@ -38,20 +39,24 @@ same float arithmetic as ``step_surplus``.
 Three functions build the inputs of every rollout, for training (``rl``),
 evaluation (``evaluate``, the empirical pipeline included) and
 ``simulate_episode`` alike: ``observable_rates`` turns a partial-information
-flavor into its signal path and mixed schedule; ``draw_path`` draws one
-real-market path, its regime path and then its returns, from a pair of
-generators (training and ``simulate_episode`` pass one generator twice); and
-``liability_path`` multiplies l_0 by the liability returns in time order, so
+flavor into its filter path, signal path and mixed schedule; ``draw_path``
+draws one real-market path, its regime path and then its returns, from a
+pair of generators (training and ``simulate_episode`` pass one generator
+twice), and the evaluations have it write each path's legs straight into
+that path's rows of their (3, paths, T) block; and ``liability_path``
+multiplies l_0 by the liability returns in time order, so
 a learner is scored on the same liability path it was trained on.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .closed_form import GaussianPolicy
 from .filtering import (
@@ -65,10 +70,27 @@ RETURNS_KEY = 1 << 32  # first stream key of the per-path evaluation returns
 SIGNALS = ("regime", "filtered_prob", "expected_state")
 
 
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its two 64-bit key words as they are.
+
+    ``Philox(key=...)`` would first seed a ``SeedSequence`` from OS entropy and
+    then overwrite its output with the key; this gives the same key and a zero
+    counter without that."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        state = self.words.view(dtype)
+        if len(state) != n_words:
+            raise ValueError(f"a Philox key has {len(state)} words of {dtype}, not {n_words}")
+        return state
+
+
 def stream(seed: int, key: int) -> np.random.Generator:
     """Independent counter-based RNG stream number ``key`` of ``seed``."""
-    words = [seed & 0xFFFFFFFFFFFFFFFF, key & 0xFFFFFFFFFFFFFFFF]
-    return np.random.Generator(np.random.Philox(key=np.array(words, dtype=np.uint64)))
+    words = np.array([seed & 0xFFFFFFFFFFFFFFFF, key & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(words)))
 
 
 @dataclass(frozen=True)
@@ -150,6 +172,7 @@ class ReturnSpec:
         return sample_skewed_t(mean, sd, self.dof, self.skew, rng, size=size)
 
 
+@functools.lru_cache(maxsize=64)
 def _hansen_constants(dof: float, skew: float) -> tuple[float, float]:
     c = math.gamma((dof + 1.0) / 2.0) / (
         math.sqrt(math.pi * (dof - 2.0)) * math.gamma(dof / 2.0)
@@ -187,12 +210,15 @@ def sample_skewed_t(
         return out if size is not None else float(out[0])
     a, b = _hansen_constants(dof, skew)
     scale = math.sqrt((dof - 2.0) / dof)  # standardizes the embedded t variate
-    right = u >= (1.0 - skew) / 2.0
-    halves = np.where(right, np.abs(tdraw), -np.abs(tdraw))
-    piece = np.where(right, 1.0 + skew, 1.0 - skew)
-    z = (piece * scale * halves - a) / b
-    out = mean + vol * z
-    return out if size is not None else float(out[0])
+    # the signed piece scale times |t| is (piece * scale) * (+-|t|) to the bit:
+    # an IEEE product is symmetric in sign
+    z = np.where(u >= (1.0 - skew) / 2.0, (1.0 + skew) * scale, -((1.0 - skew) * scale))
+    z *= np.abs(tdraw, out=tdraw)
+    z -= a
+    z /= b
+    z *= vol
+    z += mean
+    return z if size is not None else float(z[0])
 
 
 @dataclass(frozen=True)
@@ -285,71 +311,54 @@ class Episode:
         return buf.getvalue()
 
 
-def regime_path_reference(chain: RegimeChain, horizon: int, rng: np.random.Generator) -> np.ndarray:
-    """Sequential regime-path sampler (the oracle for the vectorized one)."""
-    out = np.empty(horizon + 1, dtype=np.int64)
-    out[0] = 1 if rng.random() < chain.p0 else 2
-    mat = chain.matrix()
-    for t in range(horizon):
-        thr = mat[out[t] - 1, 0]
-        out[t + 1] = 1 if rng.random() < thr else 2
-    return out
-
-
 def regime_path(chain: RegimeChain, horizon: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized regime path consuming the same uniforms as the reference.
+    """Regime labels s_0..s_T (int64, 1 or 2) from one uniform for s_0 and then
+    one per step, s_{t+1} = 1 exactly when the step's uniform is below the
+    regime-1 probability of the row of s_t.
 
-    With z in {1, 0} for regimes {1, 2}, a step is determined outright whenever
-    the uniform falls below both or above both row thresholds; between such
-    points the map is either the identity or a flip, so the path is a forward
-    fill corrected by the parity of accumulated flips.
+    With z = True for regime 1, a step is determined outright whenever its
+    uniform falls below both rows' probabilities or above both.  Between such
+    steps the map is the identity, or a flip when p21 > p11, so z_t is the
+    value set at the last determined index (0 for s_0) corrected, in the flip
+    case, by the parity of the steps since.
     """
-    mat = chain.matrix()
-    p11, p21 = mat[0, 0], mat[1, 0]
-    u0 = rng.random()
-    w = rng.random(horizon)
-    if horizon == 0:
-        return np.array([1 if u0 < chain.p0 else 2], dtype=np.int64)
-    n1 = w < p11  # next z if currently regime 1
-    n2 = w < p21  # next z if currently regime 2
-    z0 = u0 < chain.p0
-    determined = n1 == n2
-    flips = n2 & ~n1  # only possible when p21 > p11
+    (p11, _), (p21, _) = chain.p
     z = np.empty(horizon + 1, dtype=bool)
-    z[0] = z0
-    # index of the most recent determined step at or before each t (or -1)
-    steps = np.arange(horizon)
-    last_det = np.maximum.accumulate(np.where(determined, steps, -1))
-    det_value = np.where(determined, n1, False)
-    flip_cum = np.concatenate(([0], np.cumsum(flips)))
-    base = np.where(last_det >= 0, det_value[np.maximum(last_det, 0)], z0)
-    # flips strictly after the last determined step and up to t
-    flips_since = flip_cum[steps + 1] - np.where(last_det >= 0, flip_cum[last_det + 1], 0)
-    z[1:] = base ^ (flips_since % 2 == 1)
-    return np.where(z, 1, 2).astype(np.int64)
+    z[0] = rng.random() < chain.p0
+    w = rng.random(horizon)
+    n1 = np.less(w, p11, out=z[1:])  # z_{t+1} wherever step t is determined
+    last = np.arange(horizon + 1)
+    last[1:] *= n1 == (w < p21)  # 0 at the undetermined steps
+    np.maximum.accumulate(last, out=last)
+    z = z[last]
+    if p21 > p11:
+        z ^= (np.arange(horizon + 1) - last) % 2 == 1
+    return 2 - z
 
 
 def sample_return_paths(
-    regimes: np.ndarray, model: MarketModel, rng: np.random.Generator
+    regimes: np.ndarray,
+    model: MarketModel,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> ReturnsRecord:
     """Per-period draws along a regime path, only from the regime in force.
 
     Each leg (e0, then e1, then q) draws its regime-1 periods, then its
-    regime-2 periods, each in time order, and scatters them into place.
+    regime-2 periods, each in time order, and scatters them into place: into
+    the rows of ``out`` (3, len(regimes)) when given, which the returned
+    record then views.
     """
     regimes = np.asarray(regimes)
-    in1 = regimes == 1
-    if not np.all(in1 | (regimes == 2)):
+    at1, at2 = np.flatnonzero(regimes == 1), np.flatnonzero(regimes == 2)
+    if len(at1) + len(at2) != len(regimes):
         raise ValueError("regime path contains labels outside {1, 2}")
-    n1 = int(np.count_nonzero(in1))
-    out = {}
-    for name in ("e0", "e1", "q"):
-        specs = getattr(model, name)
-        vals = np.empty(len(regimes))
-        vals[in1] = specs[0].sample(model.dt, rng, size=n1)
-        vals[~in1] = specs[1].sample(model.dt, rng, size=len(regimes) - n1)
-        out[name] = vals
-    return ReturnsRecord(**out)
+    if out is None:
+        out = np.empty((3, len(regimes)))
+    for row, specs in zip(out, (model.e0, model.e1, model.q)):
+        row[at1] = specs[0].sample(model.dt, rng, size=len(at1))
+        row[at2] = specs[1].sample(model.dt, rng, size=len(at2))
+    return ReturnsRecord(*out)
 
 
 def draw_path(
@@ -357,14 +366,17 @@ def draw_path(
     horizon: int,
     regime_rng: np.random.Generator,
     return_rng: np.random.Generator | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ReturnsRecord | None]:
     """One path of the real market: its regime path s_0..s_T drawn from
     ``regime_rng``, then the e0, e1 and q draws of the periods t = 0..T-1
-    along it drawn from ``return_rng`` (None without one)."""
+    along it drawn from ``return_rng`` (None without one), written into the
+    rows of ``out`` (3, T) when given, e.g. one path's slice of a (3, P, T)
+    block."""
     regimes = regime_path(model.chain, horizon, regime_rng)
     if return_rng is None:
         return regimes, None
-    return regimes, sample_return_paths(regimes[:-1], model, return_rng)
+    return regimes, sample_return_paths(regimes[:-1], model, return_rng, out)
 
 
 def observable_rates(
@@ -373,16 +385,17 @@ def observable_rates(
     dynamics: str,
     expectation_signal: str = "expected_state",
     p=None,
-) -> tuple[np.ndarray, MomentSchedule]:
-    """The signal path t = 0..T that a partial-information flavor is mixed
-    along (``filtering.mixing_signal``) and the model's moments mixed along it
+) -> tuple[np.ndarray, np.ndarray, MomentSchedule]:
+    """The filter path p_0..p_T (``filtering.filter_states``), the signal path
+    t = 0..T that a partial-information flavor is mixed along
+    (``filtering.mixing_signal``) and the model's moments mixed along it
     (``filtering.mixed_schedule``), whose a0, a1 and a2 rows are the
     per-period baseline, excess and liability rates.  The filter runs on the
     chain's transition matrix, or on ``p`` when one is given."""
     chain = model.chain
     probs = filter_states(chain.p0, chain.matrix() if p is None else p, horizon)
     signal = signal_path(mixing_signal(dynamics, expectation_signal), probs)
-    return signal, mixed_schedule(model.moment_pair(), signal[:-1], dynamics)
+    return probs, signal, mixed_schedule(model.moment_pair(), signal[:-1], dynamics)
 
 
 def liability_path(l0: float, q) -> np.ndarray:
@@ -440,12 +453,12 @@ def simulate_episode(
         raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
 
     regimes, rec = draw_path(model, horizon, rng, rng if dynamics == "real" else None)
-    p_hat = filter_states(model.chain.p0, model.chain.matrix(), horizon)
     if rec is None:
-        _, schedule = observable_rates(model, horizon, dynamics, expectation_signal)
+        p_hat, _, schedule = observable_rates(model, horizon, dynamics, expectation_signal)
         rec = ReturnsRecord(e0=schedule.a0, e1=schedule.a0 + schedule.a1, q=schedule.a2)
         ex = schedule.a1
     else:
+        p_hat = filter_states(model.chain.p0, model.chain.matrix(), horizon)
         ex = rec.e1 - rec.e0
     sig = regimes.astype(float) if signal == "regime" else signal_path(signal, p_hat)
 

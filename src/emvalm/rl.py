@@ -585,7 +585,7 @@ def _build_env(algo: str, model: MarketModel, hyper: Hyperparams, spec: ProblemS
         return _TrainEnv(
             model, horizon, spec.l0, feats_by_regime=feats_by_regime, drawn_feats=drawn
         )
-    signal, schedule = observable_rates(model, horizon, dynamics, hyper.expectation_signal)
+    _, signal, schedule = observable_rates(model, horizon, dynamics, hyper.expectation_signal)
     l_path = liability_path(spec.l0, schedule.a2)
     # column-major, so that the transpose every expansion multiplies by is contiguous
     feats = np.asfortranarray(_flat(features(signal, taus, hyper.m)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from emvalm.filtering import MomentSchedule, MomentSet
+from emvalm.market import RegimeChain
 
 
 def random_moment_set(rng: np.random.Generator, deterministic_liability: bool = False) -> MomentSet:
@@ -32,3 +33,14 @@ def rng() -> np.random.Generator:
 
 
 REFERENCE_P = ((0.9986, 0.0014), (0.0114, 0.9886))
+
+
+def regime_path_reference(chain: RegimeChain, horizon: int, rng: np.random.Generator) -> np.ndarray:
+    """Sequential regime-path sampler (the oracle for ``market.regime_path``)."""
+    out = np.empty(horizon + 1, dtype=np.int64)
+    out[0] = 1 if rng.random() < chain.p0 else 2
+    mat = chain.matrix()
+    for t in range(horizon):
+        thr = mat[out[t] - 1, 0]
+        out[t + 1] = 1 if rng.random() < thr else 2
+    return out

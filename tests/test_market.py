@@ -9,7 +9,7 @@ from scipy import stats
 from emvalm import filtering as F
 from emvalm import market as M
 from emvalm.closed_form import GaussianPolicy
-from conftest import REFERENCE_P
+from conftest import REFERENCE_P, regime_path_reference
 
 
 def reference_chain(p0: float = 0.3) -> M.RegimeChain:
@@ -62,6 +62,14 @@ class TestStream:
             expected = np.random.Generator(np.random.Philox(key=words)).random(8)
             assert np.array_equal(M.stream(seed, key).random(8), expected)
 
+    def test_key_and_counter_equal_those_of_the_keyed_philox(self):
+        for seed, key in ((0, 0), (123, 0), (123, 4999), (2024, 19), (2**64 - 1, 2**63), (-1, 7)):
+            words = np.array([seed % 2**64, key % 2**64], dtype=np.uint64)
+            want = np.random.Philox(key=words).state["state"]
+            got = M.stream(seed, key).bit_generator.state["state"]
+            assert np.array_equal(got["key"], want["key"])
+            assert np.array_equal(got["counter"], want["counter"])
+
     def test_extra_key_words_are_rejected_not_dropped(self):
         with pytest.raises(TypeError):
             M.stream(1, 2, 3)
@@ -72,7 +80,7 @@ class TestRegimePath:
     def test_vectorized_matches_sequential_reference(self, p11, p21):
         chain = M.RegimeChain(p=((p11, 1 - p11), (p21, 1 - p21)), p0=0.4)
         fast = M.regime_path(chain, 4000, M.stream(3, 1))
-        slow = M.regime_path_reference(chain, 4000, M.stream(3, 1))
+        slow = regime_path_reference(chain, 4000, M.stream(3, 1))
         assert np.array_equal(fast, slow)
 
     def test_transition_frequencies_chi_squared(self):

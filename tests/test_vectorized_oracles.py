@@ -3,13 +3,16 @@
 Each fast path is checked against a plain per-period or per-path
 computation written here: the blocked (paths, T) wealth rollout against the
 sequential recursion, policy coefficient tables against scalar formulas,
-regime-only return sampling against a draw-then-scatter oracle, the one-path
-draw against the regime path followed by its returns, the liability path
-against the sequential recursion, the blocked out-of-sample rollout against
-the per-period loop, the one-call policy table of ``simulate_episode``
-against a loop that asks for one row per period, the one-call moment mix
-against the per-period mixing loop, and the scans behind the value
-function's risk sum and entropy product against their backward recursions.
+regime-only return sampling against a draw-then-scatter oracle, the regime
+path, the skewed-t transform and the filter recursion against their
+sequential or first-written forms, the one-path draw against the regime path
+followed by its returns and the block-row draw against the per-path one, the
+liability path against the sequential recursion, the blocked out-of-sample
+rollout against the per-period loop, the one-call policy table of
+``simulate_episode`` against a loop that asks for one row per period, the
+one-call moment mix against the per-period mixing loop, and the scans behind
+the value function's risk sum and entropy product against their backward
+recursions.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from emvalm import evaluate as E
 from emvalm import filtering as F
 from emvalm import market as M
 from emvalm import rl
-from conftest import REFERENCE_P, random_schedule
+from conftest import REFERENCE_P, random_schedule, regime_path_reference
 
 # ---------------------------------------------------------------------------
 # the (paths, T) rollout kernel
@@ -303,6 +306,98 @@ class TestRegimeOnlyReturns:
 
 
 # ---------------------------------------------------------------------------
+# regime paths, skewed-t draws and the filter recursion
+# ---------------------------------------------------------------------------
+
+# transition probabilities with the edges 0 and 1 drawn often
+PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def two_piece_skewed_t(mean, vol, dof, skew, rng, size=None):
+    """The Hansen transform as first written: the sign and the piece weight by
+    two ``where``s, then mean + vol * (piece * scale * halves - a) / b."""
+    u = rng.random(size=size if size is not None else 1)
+    tdraw = rng.standard_t(dof, size=size if size is not None else 1)
+    if vol == 0.0:
+        out = np.full(u.shape, float(mean))
+        return out if size is not None else float(out[0])
+    c = math.gamma((dof + 1.0) / 2.0) / (math.sqrt(math.pi * (dof - 2.0)) * math.gamma(dof / 2.0))
+    a = 4.0 * skew * c * (dof - 2.0) / (dof - 1.0)
+    b = math.sqrt(1.0 + 3.0 * skew * skew - a * a)
+    scale = math.sqrt((dof - 2.0) / dof)
+    right = u >= (1.0 - skew) / 2.0
+    halves = np.where(right, np.abs(tdraw), -np.abs(tdraw))
+    piece = np.where(right, 1.0 + skew, 1.0 - skew)
+    out = mean + vol * ((piece * scale * halves - a) / b)
+    return out if size is not None else float(out[0])
+
+
+def loop_filter_states(p0, p, horizon):
+    """p_{t+1} = P21 + (P11 - P21) p_t written element by element into a float array."""
+    mat = np.asarray(p, dtype=float)
+    out = np.empty(horizon + 1)
+    out[0] = p0
+    c, d = mat[1, 0], mat[0, 0] - mat[1, 0]
+    for t in range(horizon):
+        out[t + 1] = c + d * out[t]
+    return out
+
+
+class TestSequentialOracles:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.one_of(st.sampled_from([0, 1, 3000]), st.integers(0, 3000)),
+        p11=PROB,
+        p21=PROB,
+        flip=st.booleans(),
+        p0=st.one_of(st.floats(1e-12, 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-12),
+                     st.floats(1e-12, 1.0 - 1e-12)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_regime_path_is_the_sequential_sampler(self, seed, horizon, p11, p21, flip, p0):
+        if flip:  # p21 > p11: an undetermined step flips the regime
+            p11, p21 = min(p11, p21), max(p11, p21)
+        chain = M.RegimeChain.from_probs(p11, 1.0 - p11, p21, 1.0 - p21, p0)
+        rng, twin = M.stream(seed, 1), M.stream(seed, 1)
+        got, want = M.regime_path(chain, horizon, rng), regime_path_reference(chain, horizon, twin)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == twin.random()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.one_of(st.sampled_from([None, 0, 1]), st.integers(2, 300)),
+        mean=st.floats(-2.0, 2.0),
+        vol=st.one_of(st.just(0.0), st.floats(1e-6, 5.0)),
+        dof=st.one_of(st.floats(2.0 + 1e-9, 2.01), st.floats(2.01, 300.0)),
+        skew=st.one_of(st.sampled_from([-1.0 + 1e-12, 1.0 - 1e-12]),
+                       st.floats(-1.0 + 1e-9, 1.0 - 1e-9)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_skewed_t_is_the_first_written_transform(self, seed, size, mean, vol, dof, skew):
+        rng, twin = M.stream(seed, 2), M.stream(seed, 2)
+        got = M.sample_skewed_t(mean, vol, dof, skew, rng, size=size)
+        want = two_piece_skewed_t(mean, vol, dof, skew, twin, size=size)
+        if size is None:
+            assert type(got) is float and repr(got) == repr(want)
+        else:
+            assert got.shape == (size,) and got.tobytes() == want.tobytes()
+        # both variates are drawn even when vol = 0
+        assert rng.random() == twin.random()
+
+    @given(p11=st.floats(0.0, 1.0), p21=st.floats(0.0, 1.0), p0=st.floats(0.0, 1.0),
+           horizon=st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_filter_states_is_the_elementwise_loop(self, p11, p21, p0, horizon):
+        p = ((p11, 1.0 - p11), (p21, 1.0 - p21))
+        assert F.filter_states(p0, p, horizon).tobytes() == loop_filter_states(p0, p, horizon).tobytes()
+
+    def test_filter_states_rejects_a_negative_horizon(self):
+        with pytest.raises(ValueError, match="horizon"):
+            F.filter_states(0.3, REFERENCE_P, -1)
+
+
+# ---------------------------------------------------------------------------
 # the one-path draw and the liability path
 # ---------------------------------------------------------------------------
 
@@ -340,6 +435,36 @@ class TestPathLayer:
             assert getattr(rec, name).tobytes() == getattr(want, name).tobytes(), name
         # both generators end where the oracle's do
         assert pair[0].random() == twin[0].random() and pair[1].random() == twin[1].random()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_paths=st.integers(1, 4),
+        horizon=st.integers(0, 60),
+        p11=PROB,
+        p21=PROB,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_rows_equal_the_per_path_records(self, seed, n_paths, horizon, p11, p21):
+        normal = M.ReturnSpec(kind="normal", annual_mean=0.5, annual_vol=0.2, mean_is_gross=False)
+        skewed = M.ReturnSpec(kind="skewed_t", annual_mean=0.06, annual_vol=0.3, dof=5,
+                              skew=-0.2, mean_is_gross=False)
+        constant = M.ReturnSpec(kind="constant", annual_mean=1.03)
+        model = M.MarketModel(M.RegimeChain.from_probs(p11, 1.0 - p11, p21, 1.0 - p21, 0.4),
+                              e0=(constant, constant), e1=(normal, skewed),
+                              q=(M.ReturnSpec(kind="normal", annual_mean=0.01, annual_vol=0.1,
+                                              mean_is_gross=False), constant),
+                              dt=1.0 / 252.0)
+        block = np.full((3, n_paths + 1, horizon), np.nan)
+        for j in range(n_paths):
+            rng, twin = M.stream(seed, j), M.stream(seed, j)
+            regimes, rec = M.draw_path(model, horizon, rng, rng, out=block[:, j])
+            want_regimes, want = M.draw_path(model, horizon, twin, twin)
+            assert regimes.tobytes() == want_regimes.tobytes()
+            for k, name in enumerate(("e0", "e1", "q")):
+                assert block[k, j].tobytes() == getattr(want, name).tobytes(), name
+                assert getattr(rec, name).tobytes() == block[k, j].tobytes(), name
+            assert rng.random() == twin.random()
+        assert np.all(np.isnan(block[:, n_paths]))  # rows of other paths are left alone
 
     @given(
         seed=st.integers(0, 2**32 - 1),
