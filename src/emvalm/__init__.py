@@ -14,10 +14,8 @@ from .filtering import (
     MomentSchedule,
     MomentSet,
     expected_regime_signal,
-    expectation_schedule,
     filter_path,
     filtered_moments,
-    filtered_schedule,
     regime_schedule,
     update_filter,
 )

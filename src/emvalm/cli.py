@@ -19,8 +19,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import data_ingest, evaluate, filtering, improvement, market, rl
-from .closed_form import policy_table_rows, schedule_policy, regime_policy
-from .filtering import expectation_schedule, filtered_schedule, regime_schedule
+from .closed_form import policy_table_rows
 
 
 def _load_config(path: str | None) -> dict:
@@ -69,7 +68,7 @@ def cmd_simulate(args) -> int:
     model = cfgmod.build_market(cfg)
     spec = cfgmod.build_problem(cfg)
     exp_sig = cfg["training"]["expectation_signal"]
-    policy = schedule_policy(_schedule("filtered", model, spec.horizon, exp_sig), spec, "poemv_opt")
+    policy = evaluate.analytic_policy("poemv_opt", model, spec, exp_sig)
     rng = market.stream(cfg["training"]["seed"], 0)
     episode = market.simulate_episode(
         model, policy, spec.horizon, spec.x0, spec.l0, rng, dynamics=args.dynamics,
@@ -86,11 +85,10 @@ def cmd_filter_demo(args) -> int:
     out = _out_dir(args)
     model = cfgmod.build_market(cfg)
     spec = cfgmod.build_problem(cfg)
-    chain = model.chain
     rng = market.stream(cfg["training"]["seed"], 0)
     regimes, _ = market.draw_path(model, spec.horizon, rng)
-    p_hat = filtering.filter_states(chain.p0, chain.matrix(), spec.horizon)
-    p_tilde = filtering.expected_state_path(chain.p0, chain.matrix(), spec.horizon)
+    p_hat = filtering.filter_states(model.chain.p0, model.chain.matrix(), spec.horizon)
+    p_tilde = filtering.signal_path("expected_state", p_hat)
     rows = [
         {"t": t, "true_regime": int(regimes[t]), "p_hat": float(p_hat[t]), "p_tilde": float(p_tilde[t])}
         for t in range(spec.horizon + 1)
@@ -106,8 +104,11 @@ def cmd_policy_eval(args) -> int:
     out = _out_dir(args)
     model = cfgmod.build_market(cfg)
     spec = cfgmod.build_problem(cfg)
-    flavor = args.flavor
-    schedule = _schedule(flavor, model, spec.horizon, cfg["training"]["expectation_signal"])
+    flavor, exp_sig = args.flavor, cfg["training"]["expectation_signal"]
+    if flavor in ("regime1", "regime2"):
+        schedule = filtering.regime_schedule(model.moment_pair()[int(flavor[-1]) - 1], spec.horizon)
+    else:
+        schedule = market.observable_rates(model, spec.horizon, flavor, exp_sig)[2]
     rows = policy_table_rows(schedule, spec)
     _write_csv(
         out / "policy.csv", rows, ["t", "mean_x_coeff", "mean_l_coeff", "mean_const", "variance"]
@@ -123,7 +124,7 @@ def cmd_improve(args) -> int:
     model = cfgmod.build_market(cfg)
     horizon = args.T
     spec = replace(cfgmod.build_problem(cfg), horizon=horizon)
-    schedule = regime_schedule(model.regime_moment_set(1), horizon)
+    schedule = filtering.regime_schedule(model.moment_pair()[0], horizon)
     rng = market.stream(cfg["training"]["seed"], 0)
     family = improvement.InitialPolicyFamily.random(horizon, rng)
     current = improvement.initial_iterate(family, schedule, spec)
@@ -180,42 +181,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-# policy -> (dynamics it is scored in, flavor of the signal it sees)
-_EVAL_DYNAMICS = {
-    "coemv": ("real", "regime"),
-    "poemv1": ("filtered", "filtered"),
-    "poemv2": ("filtered", "expectation"),
-    "coemv_opt": ("real", "regime"),
-    "poemv_opt": ("filtered", "filtered"),
-    "poemv_sub": ("filtered", "expectation"),
-}
-
-
-def _schedule(flavor: str, model: market.MarketModel, horizon: int, expectation_signal: str):
-    """The moment schedule of ``flavor``: filtered, expectation, regime1 or regime2."""
-    pair, chain = model.moment_pair(), model.chain
-    if flavor == "filtered":
-        return filtered_schedule(pair, chain.p0, chain.matrix(), horizon)
-    if flavor == "expectation":
-        return expectation_schedule(
-            pair, chain.p0, chain.matrix(), horizon, signal=expectation_signal
-        )
-    if flavor in ("regime1", "regime2"):
-        return regime_schedule(pair[int(flavor[-1]) - 1], horizon)
-    raise ValueError(f"unknown schedule flavor {flavor!r}")
-
-
-def _analytic_policy(kind: str, model: market.MarketModel, spec, expectation_signal: str):
-    if kind not in ("coemv_opt", "poemv_opt", "poemv_sub"):
-        raise ValueError(f"unknown analytic policy kind {kind!r}")
-    flavor = _EVAL_DYNAMICS[kind][1]
-    if flavor == "regime":
-        regimes = ("regime1", "regime2")
-        schedules = tuple(_schedule(f, model, spec.horizon, expectation_signal) for f in regimes)
-        return regime_policy(schedules, spec)
-    return schedule_policy(_schedule(flavor, model, spec.horizon, expectation_signal), spec, kind)
-
-
 def cmd_evaluate(args) -> int:
     cfg = _apply_seed(_load_config(args.config), args)
     out = _out_dir(args)
@@ -231,14 +196,13 @@ def cmd_evaluate(args) -> int:
         spec = state.spec
         exp_sig = state.hyper.expectation_signal
     elif args.analytic:
-        policy = _analytic_policy(args.analytic, model, spec, exp_sig)
+        policy = evaluate.analytic_policy(args.analytic, model, spec, exp_sig)
         algo = args.analytic
     else:
         print("evaluate needs --checkpoint or --analytic", file=sys.stderr)
         return 1
     if ev["dynamics"] == "auto":
-        dynamics, flavor = _EVAL_DYNAMICS[algo]
-        signal = "regime" if flavor == "regime" else filtering.mixing_signal(flavor, exp_sig)
+        dynamics, signal = evaluate.auto_scoring(algo, exp_sig)
     else:
         dynamics, signal = ev["dynamics"], ev["signal"]
     report = evaluate.out_of_sample(
@@ -365,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="trained checkpoint JSON")
     p.add_argument(
         "--analytic",
-        choices=("coemv_opt", "poemv_opt", "poemv_sub"),
+        choices=sorted(evaluate.ANALYTIC_FLAVORS),
         help="evaluate an analytic policy instead of a checkpoint",
     )
     p.set_defaults(func=cmd_evaluate)

@@ -13,7 +13,7 @@ import hashlib
 import json
 
 from .closed_form import ProblemSpec
-from .market import MarketModel, market_from_dict
+from .market import DYNAMICS, SIGNALS, MarketModel, market_from_dict
 from .rl import Hyperparams
 
 
@@ -112,15 +112,17 @@ def resolve_config(overrides: dict | None) -> dict:
 
 def validate_config(cfg: dict) -> None:
     build_market(cfg)
-    spec = build_problem(cfg)
+    build_problem(cfg)
     build_hyper(cfg)
     ev = cfg["evaluation"]
-    if ev["dynamics"] not in ("auto", "real", "filtered", "expectation"):
+    if ev["dynamics"] not in ("auto", *DYNAMICS):
         raise ValueError(f"evaluation.dynamics {ev['dynamics']!r} is not recognized")
+    if ev["signal"] not in (None, *SIGNALS):
+        raise ValueError(f"evaluation.signal {ev['signal']!r} is not recognized")
+    if not isinstance(ev["explore"], bool):
+        raise ValueError(f"evaluation.explore must be true or false, got {ev['explore']!r}")
     if ev["n_paths"] < 2:
         raise ValueError("evaluation.n_paths must be >= 2")
-    if spec.horizon < 1:
-        raise ValueError("problem horizon must cover at least one period")
 
 
 def build_market(cfg: dict) -> MarketModel:

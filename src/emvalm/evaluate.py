@@ -19,11 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data_ingest, rl
-from .closed_form import GaussianPolicy, ProblemSpec
-from .filtering import filter_states, mixing_signal, signal_path
+from .closed_form import GaussianPolicy, ProblemSpec, regime_policy, schedule_policy
+from .filtering import filter_states, mixing_signal, regime_schedule, signal_path
 from .market import RETURNS_KEY, MarketModel, draw_path, liability_path, observable_rates, stream
 
 _BLOCK = 32  # evaluation paths generated and rolled out together
+
+# analytic policy -> the flavor it is built for (rl.ALGO_FLAVORS holds the learners')
+ANALYTIC_FLAVORS = {"coemv_opt": "real", "poemv_opt": "filtered", "poemv_sub": "expectation"}
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,29 @@ def sharpe_ratio(mean: float, variance: float, x0: float = 1.0) -> float:
     if variance == 0.0:
         return 0.0 if mean == x0 else math.copysign(math.inf, mean - x0)
     return (mean - x0) / math.sqrt(variance)
+
+
+def analytic_policy(
+    kind: str, model: MarketModel, spec: ProblemSpec, expectation_signal: str = "expected_state"
+) -> GaussianPolicy:
+    """The analytic policy ``kind`` of ``ANALYTIC_FLAVORS``: under "real" the
+    regime-conditioned optimum of the two regimes' schedules, otherwise the
+    optimum of the flavor's mixed schedule (``market.observable_rates``)."""
+    if kind not in ANALYTIC_FLAVORS:
+        raise ValueError(f"unknown analytic policy kind {kind!r}")
+    flavor = ANALYTIC_FLAVORS[kind]
+    if flavor == "real":
+        schedules = tuple(regime_schedule(m, spec.horizon) for m in model.moment_pair())
+        return regime_policy(schedules, spec)
+    _, _, schedule = observable_rates(model, spec.horizon, flavor, expectation_signal)
+    return schedule_policy(schedule, spec, kind)
+
+
+def auto_scoring(algo: str, expectation_signal: str) -> tuple[str, str]:
+    """Dynamics and signal ``algo`` is scored in under evaluation.dynamics = "auto":
+    real policies in the real market, partial ones in filtered dynamics."""
+    flavor = {**rl.ALGO_FLAVORS, **ANALYTIC_FLAVORS}[algo]
+    return "real" if flavor == "real" else "filtered", mixing_signal(flavor, expectation_signal)
 
 
 def _affine_tables(policy: GaussianPolicy, ts: np.ndarray, signals: np.ndarray) -> np.ndarray:
@@ -153,18 +179,15 @@ def _path_terminals(
 ) -> tuple[np.ndarray, str]:
     """Per-path terminal net wealth of ``out_of_sample`` and the signal kind used."""
     horizon = spec.horizon
+    sig_kind = signal or mixing_signal(dynamics, expectation_signal)
     if dynamics == "real":
-        sig_kind = signal or "regime"
         if sig_kind != "regime":
             probs = filter_states(model.chain.p0, model.chain.matrix(), horizon)
         block = np.empty((3, _BLOCK, horizon))  # e0, e1, q rows of the paths in a block
         in1 = np.empty((_BLOCK, horizon), dtype=bool)
-    elif dynamics in ("filtered", "expectation"):
-        sig_kind = signal or mixing_signal(dynamics, expectation_signal)
+    else:  # observable_rates rejects an unknown flavor
         probs, _, schedule = observable_rates(model, horizon, dynamics, expectation_signal)
         e0, ex, l = schedule.a0, schedule.a1, liability_path(spec.l0, schedule.a2)
-    else:
-        raise ValueError(f"unknown dynamics flavor {dynamics!r}")
 
     if sig_kind == "regime":
         if dynamics != "real":
@@ -276,9 +299,9 @@ def empirical_train(
         raise ValueError(
             f"empirical training runs one block per iteration; batch_size = {hyper.batch_size}"
         )
-    horizon = spec.horizon
-    if horizon != blocks.horizon_periods():
-        raise ValueError("problem horizon and block horizon disagree")
+    horizon, n_block = spec.horizon, blocks.horizon_periods()
+    if horizon != n_block:
+        raise ValueError(f"problem horizon {horizon} and block horizon {n_block} disagree")
     state = rl.TrainState.start(algo, hyper, spec)
     running = None  # exponentially averaged (p12, p21) transition estimates
     taus = rl._tau_grid(horizon, hyper.dt)

@@ -6,11 +6,11 @@ conditional expectations, the posterior probability of being in regime 1 follows
 a *deterministic* affine recursion: it never re-weights on realized returns.
 This module implements that recursion (iterated and closed form), the
 expectation-based state signal used by the learning-free variant, and the
-mixing of per-regime return moments into the "filtered" and "expectation"
-moment schedules: (6, T) arrays of the moments a0, b0, a1, b1, a2, b2, mixed
-along a weight path in one array expression.  The analytic policies read
-their rows, and the observable dynamics take their rates from the a0, a1 and
-a2 rows; ``mixing_signal`` names the weight path of each flavor.
+mixing of per-regime return moments along a weight path into (6, T) schedules
+of the moments a0, b0, a1, b1, a2, b2.  ``mixing_signal`` names each flavor's
+signal; ``market.observable_rates`` is the only builder of the "filtered" and
+"expectation" schedules, whose rows the analytic policies and the observable
+dynamics read, and ``regime_schedule`` gives the one of a single regime.
 """
 
 from __future__ import annotations
@@ -213,11 +213,6 @@ def expected_regime_signal(p0: float, p, t: int) -> float:
     return (pt[0, 0] + 2.0 * pt[0, 1]) * p0 + (pt[1, 0] + 2.0 * pt[1, 1]) * (1.0 - p0)
 
 
-def expected_state_path(p0: float, p, horizon: int) -> np.ndarray:
-    """[E[state_0], ..., E[state_T]]; equals 2 - P(state_t = 1) path."""
-    return 2.0 - filter_states(p0, p, horizon)
-
-
 def mix(v1, v2, signal):
     """Moment ``v1`` of regime 1 and ``v2`` of regime 2 mixed with weight ``signal`` on regime 1."""
     return v2 + signal * (v1 - v2)
@@ -266,17 +261,19 @@ def filtered_moments(signal: float, regime_moments: tuple[MomentSet, MomentSet])
 
 
 def mixing_signal(flavor: str, expectation_signal: str = "expected_state") -> str:
-    """The signal a partial-information flavor is mixed along, and its learner sees.
+    """The signal a flavor's policies see, and a partial-information flavor is mixed along.
 
-    "filtered" mixes along the regime-1 probability ("filtered_prob");
-    "expectation" substitutes E[state_t] in [1, 2] literally ("expected_state",
-    the faithful reading), or with ``expectation_signal="state1_prob"`` the
-    regime-1 probability, which keeps the weights inside [0, 1].
+    "real" sees the regime ("regime"), "filtered" the regime-1 probability
+    ("filtered_prob"); "expectation" takes E[state_t] in [1, 2] literally
+    ("expected_state", the faithful reading), or with ``expectation_signal=
+    "state1_prob"`` the regime-1 probability, keeping the weights in [0, 1].
     """
+    if flavor == "real":
+        return "regime"
     if flavor == "filtered":
         return "filtered_prob"
     if flavor != "expectation":
-        raise ValueError(f"partial-information flavor must be filtered/expectation, got {flavor!r}")
+        raise ValueError(f"flavor must be real/filtered/expectation, got {flavor!r}")
     if expectation_signal == "expected_state":
         return "expected_state"
     if expectation_signal == "state1_prob":
@@ -299,22 +296,3 @@ def regime_schedule(moments: MomentSet, horizon: int) -> MomentSchedule:
     column = np.array(moments.as_tuple())[:, None]
     return MomentSchedule(None, "regime", rows=np.broadcast_to(column, (6, horizon)))
 
-
-def filtered_schedule(
-    pair: tuple[MomentSet, MomentSet], p0: float, p, horizon: int
-) -> MomentSchedule:
-    """Schedule mixed along the filter path p_0..p_{T-1}."""
-    return mixed_schedule(pair, filter_states(p0, p, horizon)[:-1], "filtered")
-
-
-def expectation_schedule(
-    pair: tuple[MomentSet, MomentSet],
-    p0: float,
-    p,
-    horizon: int,
-    signal: str = "expected_state",
-) -> MomentSchedule:
-    """Schedule for the learning-free variant, mixed along the path that
-    ``mixing_signal("expectation", signal)`` names."""
-    weights = signal_path(mixing_signal("expectation", signal), filter_states(p0, p, horizon))
-    return mixed_schedule(pair, weights[:-1], "expectation")

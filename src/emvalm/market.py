@@ -39,12 +39,13 @@ same float arithmetic as ``step_surplus``.
 Three functions build the inputs of every rollout, for training (``rl``),
 evaluation (``evaluate``, the empirical pipeline included) and
 ``simulate_episode`` alike: ``observable_rates`` turns a partial-information
-flavor into its filter path, signal path and mixed schedule; ``draw_path``
-draws one real-market path, its regime path and then its returns, from a
-pair of generators (training and ``simulate_episode`` pass one generator
-twice), and the evaluations have it write each path's legs straight into
-that path's rows of their (3, paths, T) block; and ``liability_path``
-multiplies l_0 by the liability returns in time order, so
+flavor into its filter path, signal path and mixed schedule, and is the only
+builder of filtered and expectation schedules, the analytic policies' too;
+``draw_path`` draws one real-market path, its regime path and then its
+returns, from a pair of generators (training and ``simulate_episode`` pass
+one generator twice), and the evaluations have it write each path's legs
+straight into that path's rows of their (3, paths, T) block; and
+``liability_path`` multiplies l_0 by the liability returns in time order, so
 a learner is scored on the same liability path it was trained on.
 """
 
@@ -174,9 +175,13 @@ class ReturnSpec:
 
 @functools.lru_cache(maxsize=64)
 def _hansen_constants(dof: float, skew: float) -> tuple[float, float]:
-    c = math.gamma((dof + 1.0) / 2.0) / (
-        math.sqrt(math.pi * (dof - 2.0)) * math.gamma(dof / 2.0)
-    )
+    root = math.sqrt(math.pi * (dof - 2.0))
+    try:
+        c = math.gamma((dof + 1.0) / 2.0) / (root * math.gamma(dof / 2.0))
+    except OverflowError:  # the numerator, from dof = 342.25
+        c = 0.0
+    if not c > 0.0:  # the denominator overflows from dof = 341.9: the same ratio in logs
+        c = math.exp(math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0)) / root
     a = 4.0 * skew * c * (dof - 2.0) / (dof - 1.0)
     b = math.sqrt(1.0 + 3.0 * skew * skew - a * a)
     return a, b
@@ -447,8 +452,7 @@ def simulate_episode(
         raise ValueError("initial wealth must be positive")
     if dynamics not in DYNAMICS:
         raise ValueError(f"dynamics must be one of {DYNAMICS}, got {dynamics!r}")
-    if signal is None:
-        signal = "regime" if dynamics == "real" else mixing_signal(dynamics, expectation_signal)
+    signal = signal or mixing_signal(dynamics, expectation_signal)
     if signal not in SIGNALS:
         raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
 

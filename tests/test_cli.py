@@ -8,6 +8,8 @@ import pytest
 
 from emvalm import cli, evaluate, rl
 from emvalm import config as cfgmod
+from emvalm import filtering as F
+from emvalm.closed_form import policy_table_rows
 
 
 def write_config(tmp_path: Path, **overrides) -> str:
@@ -55,6 +57,15 @@ class TestArgumentHandling:
         assert run(["train", "--config", cfg, "--algo", "poemv2", "--out", out]) == 1
         assert "expectation_signal" in capsys.readouterr().err
         assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, value", [("dynamics", "regime"), ("signal", "filtered"), ("explore", "false")]
+    )
+    def test_bad_evaluation_value_fails_at_load_naming_the_field(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, evaluation={field: value})
+        assert run(["filter-demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: evaluation.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_evaluate_requires_a_policy_source(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -272,3 +283,62 @@ class TestArtifacts:
         from emvalm.market import market_from_dict
 
         market_from_dict(params["market"])
+
+
+# (dynamics, signal) each policy is scored in under evaluation.dynamics = "auto",
+# per training.expectation_signal
+AUTO_SCORING = {
+    ("coemv", "expected_state"): ("real", "regime"),
+    ("coemv", "state1_prob"): ("real", "regime"),
+    ("coemv_opt", "expected_state"): ("real", "regime"),
+    ("coemv_opt", "state1_prob"): ("real", "regime"),
+    ("poemv1", "expected_state"): ("filtered", "filtered_prob"),
+    ("poemv1", "state1_prob"): ("filtered", "filtered_prob"),
+    ("poemv_opt", "expected_state"): ("filtered", "filtered_prob"),
+    ("poemv_opt", "state1_prob"): ("filtered", "filtered_prob"),
+    ("poemv2", "expected_state"): ("filtered", "expected_state"),
+    ("poemv2", "state1_prob"): ("filtered", "filtered_prob"),
+    ("poemv_sub", "expected_state"): ("filtered", "expected_state"),
+    ("poemv_sub", "state1_prob"): ("filtered", "filtered_prob"),
+}
+
+
+class TestFlavorTable:
+    @pytest.mark.parametrize("exp_sig", ["expected_state", "state1_prob"])
+    @pytest.mark.parametrize(
+        "policy", ["coemv", "poemv1", "poemv2", "coemv_opt", "poemv_opt", "poemv_sub"]
+    )
+    def test_auto_evaluation_scores_each_policy_in_its_flavor(self, tmp_path, policy, exp_sig):
+        cfg = write_config(
+            tmp_path, training={"n_iter": 5, "expectation_signal": exp_sig},
+            evaluation={"n_paths": 4},
+        )
+        if policy in rl.ALGO_FLAVORS:
+            tr = tmp_path / "tr"
+            assert run(["train", "--config", cfg, "--algo", policy, "--out", str(tr)]) == 0
+            source = ["--checkpoint", str(tr / "checkpoint.json")]
+        else:
+            source = ["--analytic", policy]
+        ev = tmp_path / "ev"
+        assert run(["evaluate", "--config", cfg, *source, "--out", str(ev)]) == 0
+        man = json.loads((ev / "manifest.json").read_text())
+        assert (man["algo"], man["dynamics"], man["signal"]) == (policy, *AUTO_SCORING[policy, exp_sig])
+
+    @pytest.mark.parametrize("exp_sig", ["expected_state", "state1_prob"])
+    @pytest.mark.parametrize("flavor", ["filtered", "expectation", "regime1", "regime2"])
+    def test_policy_eval_reads_the_flavor_schedule(self, tmp_path, flavor, exp_sig):
+        path = write_config(tmp_path, training={"expectation_signal": exp_sig})
+        out = tmp_path / "pe"
+        assert run(["policy-eval", "--config", path, "--flavor", flavor, "--out", str(out)]) == 0
+        cfg = cfgmod.resolve_config(json.loads(Path(path).read_text()))
+        model, spec = cfgmod.build_market(cfg), cfgmod.build_problem(cfg)
+        pair, chain = model.moment_pair(), model.chain
+        if flavor in ("regime1", "regime2"):
+            schedule = F.regime_schedule(pair[int(flavor[-1]) - 1], spec.horizon)
+        else:
+            probs = F.filter_states(chain.p0, chain.matrix(), spec.horizon)[:-1]
+            literal = (flavor, exp_sig) == ("expectation", "expected_state")
+            schedule = F.mixed_schedule(pair, 2.0 - probs if literal else probs, flavor)
+        header = ["t", "mean_x_coeff", "mean_l_coeff", "mean_const", "variance"]
+        cli._write_csv(tmp_path / "want.csv", policy_table_rows(schedule, spec), header)
+        assert (out / "policy.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

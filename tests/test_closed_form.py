@@ -138,8 +138,9 @@ class TestSuboptimalPolicy:
         pair = (m, m)
         T = 6
         spec = spec_for(T)
-        filt = F.filtered_schedule(pair, 0.3, REFERENCE_P, T)
-        tilde = F.expectation_schedule(pair, 0.3, REFERENCE_P, T)
+        probs = F.filter_states(0.3, REFERENCE_P, T)[:-1]
+        filt = F.mixed_schedule(pair, probs, "filtered")
+        tilde = F.mixed_schedule(pair, 2.0 - probs, "expectation")
         reg = F.regime_schedule(m, T)
         for t in range(T):
             a = C.optimal_policy(t, 1.1, 0.2, filt, spec)
@@ -151,7 +152,7 @@ class TestSuboptimalPolicy:
     def test_last_period_tilde_substitution(self, rng):
         pair = (random_moment_set(rng), random_moment_set(rng))
         T = 3
-        tilde = F.expectation_schedule(pair, 0.3, REFERENCE_P, T)
+        tilde = F.mixed_schedule(pair, 2.0 - F.filter_states(0.3, REFERENCE_P, T)[:-1], "expectation")
         spec = spec_for(T)
         m = tilde[T - 1]
         mean, var = C.optimal_policy(T - 1, 0.9, 0.4, tilde, spec)
@@ -162,11 +163,11 @@ class TestSuboptimalPolicy:
     def test_reference_market_cross_check_against_naive_products(self):
         # independent reimplementation of the product formulas with plain loops
         from emvalm.config import default_config, build_market
+        from emvalm.market import observable_rates
 
         model = build_market(default_config())
-        pair = model.moment_pair()
         T = 252
-        tilde = F.expectation_schedule(pair, 0.3, REFERENCE_P, T)
+        tilde = observable_rates(model, T, "expectation")[2]
         spec = C.ProblemSpec(horizon=T, target=8.0, multiplier=8.0, explore_weight=2.0)
         x, l = 1.0, 0.1
         for t in (0, 100, T - 1):

@@ -223,6 +223,12 @@ class TestEmpiricalTrain:
         with pytest.raises(ValueError, match=r"dt.*0\.00396.*0\.0833"):
             E.empirical_train("poemv1", monthly_blocks(model), model, hyper, tiny_spec(24))
 
+    def test_horizon_mismatch_names_both_horizons(self):
+        model = monthly_study_market()
+        hyper = rl.Hyperparams(n_iter=5, dt=model.dt, n_avg=5)
+        with pytest.raises(ValueError, match="problem horizon 30 and block horizon 24 disagree"):
+            E.empirical_train("poemv1", monthly_blocks(model), model, hyper, tiny_spec(30))
+
     def test_batch_size_other_than_one_rejected(self):
         # each iteration trains on exactly one sampled block
         model = monthly_study_market()

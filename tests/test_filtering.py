@@ -96,14 +96,14 @@ class TestExpectedRegimeSignal:
         )
 
     def test_path_matches_matrix_power_op(self):
-        path = F.expected_state_path(0.37, REFERENCE_P, 40)
+        path = F.signal_path("expected_state", F.filter_states(0.37, REFERENCE_P, 40))
         for t in range(41):
             assert path[t] == pytest.approx(
                 F.expected_regime_signal(0.37, REFERENCE_P, t), abs=1e-12
             )
 
     def test_signal_lies_between_one_and_two(self):
-        path = F.expected_state_path(0.01, REFERENCE_P, 500)
+        path = F.signal_path("expected_state", F.filter_states(0.01, REFERENCE_P, 500))
         assert np.all(path >= 1.0) and np.all(path <= 2.0)
 
 
@@ -151,20 +151,25 @@ class TestFilteredMoments:
         # produces a negative implied variance, which must be recorded
         m1 = F.MomentSet(a0=1.0008, b0=1.0008**2, a1=0.0012, b1=1.6e-4, a2=1.0002, b2=1.0002**2 + 4e-5)
         m2 = F.MomentSet(a0=1.0002, b0=1.0002**2, a1=4e-5, b1=3.6e-4, a2=1.00004, b2=1.00004**2 + 1.6e-4)
-        sched = F.expectation_schedule((m1, m2), 0.3, REFERENCE_P, 40, signal="expected_state")
+        weights = 2.0 - F.filter_states(0.3, REFERENCE_P, 40)[:-1]
+        sched = F.mixed_schedule((m1, m2), weights, "expectation")
         assert sched.flavor == "expectation"
         assert any("b2" in v for v in sched.violations)
 
     def test_interior_schedules_report_no_violations(self, rng):
         pair = self._pair(rng)
-        sched = F.filtered_schedule(pair, 0.3, REFERENCE_P, 50)
+        sched = F.mixed_schedule(pair, F.filter_states(0.3, REFERENCE_P, 50)[:-1], "filtered")
         assert sched.violations == ()
         assert len(sched) == 50
 
     def test_expectation_schedule_state1_prob_variant(self, rng):
         pair = self._pair(rng)
-        a = F.expectation_schedule(pair, 0.3, REFERENCE_P, 10, signal="state1_prob")
-        b = F.filtered_schedule(pair, 0.3, REFERENCE_P, 10)
+        probs = F.filter_states(0.3, REFERENCE_P, 10)
+        a = F.mixed_schedule(
+            pair, F.signal_path(F.mixing_signal("expectation", "state1_prob"), probs)[:-1],
+            "expectation",
+        )
+        b = F.mixed_schedule(pair, probs[:-1], "filtered")
         for t in range(10):
             assert a[t].as_tuple() == pytest.approx(b[t].as_tuple(), abs=1e-15)
 
@@ -190,13 +195,14 @@ class TestMomentSchedule:
         assert sched.rows.shape == (6, 4) and sched.sets == (m,) * 4
 
     def test_mixing_signal_names_each_weight_path(self):
+        assert F.mixing_signal("real") == "regime"
         assert F.mixing_signal("filtered") == "filtered_prob"
         assert F.mixing_signal("expectation") == "expected_state"
         assert F.mixing_signal("expectation", "state1_prob") == "filtered_prob"
         with pytest.raises(ValueError, match="unknown expectation signal kind 'nope'"):
             F.mixing_signal("expectation", "nope")
-        with pytest.raises(ValueError, match="filtered/expectation"):
-            F.mixing_signal("real")
+        with pytest.raises(ValueError, match="real/filtered/expectation, got 'regime1'"):
+            F.mixing_signal("regime1")
 
 
 class TestMomentSet:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from emvalm import closed_form as C
 from emvalm import config as cfgmod
 from emvalm import improvement as I
-from emvalm.filtering import MomentSchedule, filtered_schedule, regime_schedule
+from emvalm.filtering import MomentSchedule, filter_states, mixed_schedule, regime_schedule
 from conftest import REFERENCE_P, random_moment_set, random_schedule
 
 
@@ -163,7 +163,8 @@ class TestSweptRound:
             sched = random_schedule(rng, horizon)
         else:
             pair = (random_moment_set(rng), random_moment_set(rng))
-            sched = filtered_schedule(pair, float(rng.uniform(0.0, 1.0)), REFERENCE_P, horizon)
+            probs = filter_states(float(rng.uniform(0.0, 1.0)), REFERENCE_P, horizon)
+            sched = mixed_schedule(pair, probs[:-1], "filtered")
         spec = spec_for(
             horizon, w=float(rng.uniform(0.3, 2.5)), lam=float(rng.uniform(0.5, 3.0))
         )
@@ -266,12 +267,9 @@ class TestIterateToConvergence:
         assert it.policy.max_param_delta(opt) < 1e-12
 
     def test_partial_information_schedule_uses_the_same_code_path(self, rng):
-        from emvalm.filtering import filtered_schedule
-        from conftest import REFERENCE_P
-
         pair = (random_moment_set(rng), random_moment_set(rng))
         T = 5
-        sched = filtered_schedule(pair, 0.3, REFERENCE_P, T)
+        sched = mixed_schedule(pair, filter_states(0.3, REFERENCE_P, T)[:-1], "filtered")
         spec = spec_for(T)
         fam = I.InitialPolicyFamily.random(T, rng)
         final, n_used = I.iterate_to_convergence(fam, sched, spec)

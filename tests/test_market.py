@@ -169,6 +169,35 @@ class TestSkewedT:
 
         assert stats.kstest(z, cdf).statistic < 0.006
 
+    def test_hansen_constants_at_the_reference_dof_keep_their_bits(self):
+        # the gamma-ratio values the reference market's draws rest on
+        assert M._hansen_constants(10, 0.1) == (0.1546796083845573, 1.0030325113125695)
+        assert M._hansen_constants(6.0, -0.4) == (-0.6, 1.0583005244258363)
+
+    @pytest.mark.parametrize("dof", [342.0, 343.0, 1e4])
+    def test_hansen_constants_stay_finite_at_large_dof(self, dof):
+        # the gamma ratio's denominator overflows from dof = 341.9 and its
+        # numerator from 342.25
+        skew = 0.1
+        c = math.exp(math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0)) / math.sqrt(
+            math.pi * (dof - 2.0)
+        )
+        a, b = M._hansen_constants(dof, skew)
+        assert a > 0.0
+        assert abs(a - 4.0 * skew * c * (dof - 2.0) / (dof - 1.0)) < 1e-12
+        assert abs(b - math.sqrt(1.0 + 3.0 * skew * skew - a * a)) < 1e-12
+
+    @pytest.mark.parametrize("dof", [342.0, 343.0])
+    def test_skewed_t_leg_at_large_dof_draws_its_moments(self, dof):
+        spec = M.ReturnSpec(kind="skewed_t", annual_mean=0.05, annual_vol=0.2, dof=dof,
+                            skew=0.1, mean_is_gross=False)
+        dt, n = 1.0 / 252.0, 200_000
+        z = spec.sample(dt, M.stream(0, 0), size=n)
+        mean, sd = spec.period_mean(dt), spec.period_sd(dt)
+        assert np.all(np.isfinite(z))
+        assert abs(z.mean() - mean) < 4.0 * sd / math.sqrt(n)
+        assert abs(z.std() - sd) < 4.0 * sd / math.sqrt(2.0 * n)
+
 
 class TestStepSurplus:
     def test_hand_arithmetic(self):
@@ -236,8 +265,7 @@ class TestSimulateEpisode:
         ep = M.simulate_episode(
             model, zero_policy(), 40, 1.0, 0.1, M.stream(3, 3), dynamics="filtered"
         )
-        chain = model.chain
-        schedule = F.filtered_schedule(model.moment_pair(), chain.p0, chain.matrix(), 40)
+        schedule = M.observable_rates(model, 40, "filtered")[2]
         e0_bar, q_bar = schedule.a0, schedule.a2
         assert np.allclose(ep.x[1:] / ep.x[:-1], e0_bar, atol=1e-14)
         assert np.allclose(ep.l[1:] / ep.l[:-1], q_bar, atol=1e-14)

@@ -495,14 +495,7 @@ def eval_spec(horizon=36):
 
 
 def analytic_policy(kind, model, spec):
-    pair = model.moment_pair()
-    if kind == "regime":
-        return C.regime_policy(
-            (F.regime_schedule(pair[0], spec.horizon), F.regime_schedule(pair[1], spec.horizon)),
-            spec,
-        )
-    schedule = F.filtered_schedule(pair, model.chain.p0, model.chain.matrix(), spec.horizon)
-    return C.schedule_policy(schedule, spec, kind="poemv_opt")
+    return E.analytic_policy("coemv_opt" if kind == "regime" else "poemv_opt", model, spec)
 
 
 def per_period_terminals(policy, model, n_paths, spec, seed, dynamics):
@@ -736,7 +729,7 @@ class TestMomentMixing:
         chain, pair, horizon = model.chain, model.moment_pair(), 2520
         probs = F.filter_states(chain.p0, chain.matrix(), horizon)[:-1]
         weights = 2.0 - probs if signal == "expected_state" else probs
-        sched = F.expectation_schedule(pair, chain.p0, chain.matrix(), horizon, signal)
+        sched = M.observable_rates(model, horizon, "expectation", signal)[2]
         rows, violations = loop_schedule(pair, weights)
         assert sched.rows.tobytes() == rows.T.tobytes()
         assert sched.violations == violations
@@ -787,9 +780,7 @@ class TestValueScans:
     def test_reference_schedules_match_backward_loops(self, flavor):
         cfg = config.default_config()
         model, spec = M.market_from_dict(cfg["market"]), config.build_problem(cfg)
-        chain = model.chain
-        build = F.filtered_schedule if flavor == "filtered" else F.expectation_schedule
-        sched = build(model.moment_pair(), chain.p0, chain.matrix(), spec.horizon)
+        sched = M.observable_rates(model, spec.horizon, flavor)[2]
         tables = C._ScheduleTables(sched, spec)
         assert tables.risk_sum.tobytes() == loop_risk_sum(tables).tobytes()
         assert tables.log_entropy_prod.tobytes() == loop_log_entropy_prod(tables).tobytes()
