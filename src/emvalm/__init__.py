@@ -32,8 +32,6 @@ from .market import (
     RegimeChain,
     ReturnSpec,
     sample_skewed_t,
-    simulate_episode,
-    step_surplus,
     stream,
 )
 from .rl import (
@@ -49,6 +47,6 @@ from .rl import (
     train,
     update_lagrange,
 )
-from .evaluate import EvalReport, compare_table, out_of_sample
+from .evaluate import EvalReport, compare_table, out_of_sample, simulate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -69,9 +69,8 @@ def cmd_simulate(args) -> int:
     spec = cfgmod.build_problem(cfg)
     exp_sig = cfg["training"]["expectation_signal"]
     policy = evaluate.analytic_policy("poemv_opt", model, spec, exp_sig)
-    rng = market.stream(cfg["training"]["seed"], 0)
-    episode = market.simulate_episode(
-        model, policy, spec.horizon, spec.x0, spec.l0, rng, dynamics=args.dynamics,
+    episode = evaluate.simulate(
+        policy, model, spec, cfg["training"]["seed"], dynamics=args.dynamics,
         expectation_signal=exp_sig,
     )
     (out / "episode.csv").write_text(episode.to_csv_text(), encoding="utf-8")

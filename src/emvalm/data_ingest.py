@@ -241,21 +241,3 @@ def block_sampler(
         pick -= c
     raise AssertionError("unreachable")
 
-
-def estimate_beta(stock: PriceSeries, index: PriceSeries, min_overlap: int = 30) -> float:
-    """OLS slope of stock returns on index returns over the common dates."""
-    common = sorted(set(stock.dates) & set(index.dates))
-    if len(common) < min_overlap + 1:
-        raise ValueError(
-            f"need at least {min_overlap + 1} overlapping observations, got {len(common)}"
-        )
-    s_idx = {d: i for i, d in enumerate(stock.dates)}
-    i_idx = {d: i for i, d in enumerate(index.dates)}
-    s_px = np.array([stock.closes[s_idx[d]] for d in common])
-    i_px = np.array([index.closes[i_idx[d]] for d in common])
-    s_ret = s_px[1:] / s_px[:-1] - 1.0
-    i_ret = i_px[1:] / i_px[:-1] - 1.0
-    cov = np.cov(i_ret, s_ret, ddof=1)
-    if cov[0, 0] == 0.0:
-        raise ValueError("index returns have zero variance over the overlap")
-    return float(cov[0, 1] / cov[0, 0])

@@ -3,10 +3,11 @@
 ``out_of_sample`` freezes a policy, rolls it over many independently seeded
 paths of the chosen dynamics flavor, and reports mean/variance of terminal net
 wealth plus the horizon Sharpe ratio (mean minus initial wealth over the
-terminal standard deviation).  ``empirical_study`` drives the block-resampling
-pipeline: per training iteration a historical window is sampled, regimes are
-labeled and parameters re-estimated with exponential averaging, and the block's
-actual risky returns form the episode the learners update on.
+terminal standard deviation); ``simulate`` records its path 0 period by
+period.  ``empirical_train`` drives the block-resampling pipeline: per
+training iteration a historical window is sampled, regimes are labeled and
+parameters re-estimated with exponential averaging, and the block's actual
+risky returns form the episode the learners update on.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ import numpy as np
 from . import data_ingest, rl
 from .closed_form import GaussianPolicy, ProblemSpec, regime_policy, schedule_policy
 from .filtering import filter_states, mixing_signal, regime_schedule, signal_path
-from .market import RETURNS_KEY, MarketModel, draw_path, liability_path, observable_rates, stream
+from .market import (
+    DYNAMICS, RETURNS_KEY, SIGNALS, Episode, MarketModel, ReturnsRecord, draw_path, liability_path,
+    observable_rates, regime_path, stream,
+)
 
 _BLOCK = 32  # evaluation paths generated and rolled out together
 
@@ -82,7 +86,13 @@ def analytic_policy(
 def auto_scoring(algo: str, expectation_signal: str) -> tuple[str, str]:
     """Dynamics and signal ``algo`` is scored in under evaluation.dynamics = "auto":
     real policies in the real market, partial ones in filtered dynamics."""
-    flavor = {**rl.ALGO_FLAVORS, **ANALYTIC_FLAVORS}[algo]
+    flavors = {**rl.ALGO_FLAVORS, **ANALYTIC_FLAVORS}
+    if algo not in flavors:
+        raise ValueError(
+            f"evaluation.dynamics = 'auto' has no scoring rule for algo {algo!r}; the "
+            "regime-blind 'emv' baseline is scored by evaluate.evaluate_on_market_paths"
+        )
+    flavor = flavors[algo]
     return "real" if flavor == "real" else "filtered", mixing_signal(flavor, expectation_signal)
 
 
@@ -178,8 +188,26 @@ def _path_terminals(
     expectation_signal: str,
 ) -> tuple[np.ndarray, str]:
     """Per-path terminal net wealth of ``out_of_sample`` and the signal kind used."""
-    horizon = spec.horizon
     sig_kind = signal or mixing_signal(dynamics, expectation_signal)
+    blocks = _rollout_blocks(policy, model, n_paths, spec, seed, dynamics, sig_kind, explore,
+                             expectation_signal)
+    # map lets go of each block before the next one is drawn, which bounds the peak memory
+    terminals = map(lambda block: block[0][:, -1] - block[1][..., -1], blocks)
+    return np.concatenate(list(terminals)), sig_kind
+
+
+def _rollout_blocks(
+    policy: GaussianPolicy, model: MarketModel, n_paths: int, spec: ProblemSpec, seed: int,
+    dynamics: str, sig_kind: str, explore: bool, expectation_signal: str,
+):
+    """The paths of ``out_of_sample``, generated and rolled out ``_BLOCK`` at a time.
+
+    Yields per block the wealth x (paths, T + 1), the liabilities l
+    ((paths, T + 1) in real dynamics, otherwise the one (T + 1,) path every
+    path shares), the (e0, e1, q) rates, the (cx, cl, c0, sd) coefficients
+    and the action noise.  The next block overwrites the real-dynamics rates.
+    """
+    horizon = spec.horizon
     if dynamics == "real":
         if sig_kind != "regime":
             probs = filter_states(model.chain.p0, model.chain.matrix(), horizon)
@@ -187,7 +215,8 @@ def _path_terminals(
         in1 = np.empty((_BLOCK, horizon), dtype=bool)
     else:  # observable_rates rejects an unknown flavor
         probs, _, schedule = observable_rates(model, horizon, dynamics, expectation_signal)
-        e0, ex, l = schedule.a0, schedule.a1, liability_path(spec.l0, schedule.a2)
+        e0, ex, q = schedule.a0, schedule.a1, schedule.a2
+        e1, l = e0 + ex, liability_path(spec.l0, q)
 
     if sig_kind == "regime":
         if dynamics != "real":
@@ -197,7 +226,6 @@ def _path_terminals(
         coef = _affine_tables(policy, np.arange(horizon), signal_path(sig_kind, probs)[:-1]).T
 
     noise_rng = stream(seed, 0)
-    terminal = np.empty(n_paths)
     for rows in _blocks(n_paths):
         shape = (len(rows), horizon)
         noise = noise_rng.standard_normal(shape) if explore else np.zeros(shape)
@@ -214,8 +242,39 @@ def _path_terminals(
                 coef = [np.where(at1, by_regime[0, :, k], by_regime[1, :, k]) for k in range(4)]
         cx, cl, c0, sd = coef
         x = rl._linear_rollout(e0 + ex * cx, ex * (cl * l[..., :-1] + c0 + sd * noise), spec.x0)
-        terminal[rows.start : rows.stop] = x[:, -1] - l[..., -1]
-    return terminal, sig_kind
+        yield x, l, (e0, e1, q), coef, noise
+
+
+def simulate(
+    policy: GaussianPolicy, model: MarketModel, spec: ProblemSpec, seed: int,
+    dynamics: str = "real", signal: str | None = None, expectation_signal: str = "expected_state",
+) -> Episode:
+    """One recorded episode: path 0 of ``out_of_sample`` with the same arguments.
+
+    Its terminal x_T - l_T is that evaluation's first terminal, and the action
+    at t is (cx*x_t + cl*l_t + c0) + sd*noise_t.  The hidden regime path
+    (stream 1) is recorded under every flavor, with the filter path p_0..p_T.
+    A state that is not finite raises, naming its first period.
+    """
+    if spec.x0 <= 0.0:
+        raise ValueError("initial wealth must be positive")
+    if dynamics not in DYNAMICS:
+        raise ValueError(f"dynamics must be one of {DYNAMICS}, got {dynamics!r}")
+    signal = signal or mixing_signal(dynamics, expectation_signal)
+    if signal not in SIGNALS:
+        raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
+    x, l, rates, (cx, cl, c0, sd), noise = next(
+        _rollout_blocks(policy, model, 1, spec, seed, dynamics, signal, True, expectation_signal)
+    )
+    x, l = x[0], np.ravel(l)  # real dynamics give a block of one path
+    bad = ~(np.isfinite(x) & np.isfinite(l))
+    if bad.any():
+        raise ValueError(f"episode diverged to non-finite state at t={int(np.argmax(bad))}")
+    action = (cx * x[:-1] + (cl * l[:-1] + c0)) + sd * noise
+    chain, horizon = model.chain, spec.horizon
+    return Episode(x, l, regime_path(chain, horizon, stream(seed, 1)),
+                   filter_states(chain.p0, chain.matrix(), horizon), action[0],
+                   ReturnsRecord(*(np.ravel(r) for r in rates)))
 
 
 def _digest(obj) -> str:

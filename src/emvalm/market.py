@@ -1,4 +1,4 @@
-"""Two-regime market simulation: regimes, returns, surplus, full episodes.
+"""Two-regime market simulation: regimes, returns, rollout inputs, episode records.
 
 The simulation ground truth is a hidden two-state Markov chain driving the
 per-period return distributions of a baseline asset, a risky asset and an
@@ -26,40 +26,36 @@ gathering OS entropy.  The keys in use, and what each stream draws in order:
 | ``evaluate.out_of_sample``, path i | 1 + i | regime path (real dynamics) |
 | ``evaluate.out_of_sample``, path i | ``RETURNS_KEY`` + i | returns (real dynamics) |
 | ``evaluate.evaluate_on_market_paths``, path i | i | regime path, returns, action noise |
-| ``cli`` simulate | 0 | regime path, returns, action noise (``simulate_episode``) |
+| ``cli`` simulate (``evaluate.simulate``) | 0, 1, ``RETURNS_KEY`` | path 0 of ``out_of_sample``'s keys (0, 1, ``RETURNS_KEY``), its regime path drawn under every flavor |
 | ``cli`` filter-demo / improve | 0 | regime path / initial policy family |
 
 No key depends on a path count, so the first n paths of an evaluation are
 the same whatever the total.  Returns along a regime path are drawn leg by
 leg (e0, then e1, then q), each leg drawing its regime-1 periods and then its
-regime-2 periods (``sample_return_paths``).  ``simulate_episode`` rolls one
-recorded episode under a ``GaussianPolicy`` table, period by period, in the
-same float arithmetic as ``step_surplus``.
+regime-2 periods (``sample_return_paths``).
 
-Three functions build the inputs of every rollout, for training (``rl``),
-evaluation (``evaluate``, the empirical pipeline included) and
-``simulate_episode`` alike: ``observable_rates`` turns a partial-information
-flavor into its filter path, signal path and mixed schedule, and is the only
-builder of filtered and expectation schedules, the analytic policies' too;
+Three functions build the inputs of every rollout, for training (``rl``) and
+evaluation (``evaluate``, the empirical pipeline and ``simulate`` included)
+alike: ``observable_rates`` turns a partial-information flavor into its
+filter path, signal path and mixed schedule, and is the only builder of
+filtered and expectation schedules, the analytic policies' too;
 ``draw_path`` draws one real-market path, its regime path and then its
-returns, from a pair of generators (training and ``simulate_episode`` pass
-one generator twice), and the evaluations have it write each path's legs
-straight into that path's rows of their (3, paths, T) block; and
-``liability_path`` multiplies l_0 by the liability returns in time order, so
-a learner is scored on the same liability path it was trained on.
+returns, from a pair of generators (training passes one generator twice),
+and the evaluations have it write each path's legs straight into that
+path's rows of their (3, paths, T) block; and ``liability_path`` multiplies
+l_0 by the liability returns in time order, so a learner is scored on the
+same liability path it was trained on.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .closed_form import GaussianPolicy
 from .filtering import (
     MomentSchedule, MomentSet, filter_states, mixed_schedule, mixing_signal, signal_path,
 )
@@ -297,23 +293,12 @@ class Episode:
     def n_periods(self) -> int:
         return len(self.action)
 
-    def write_csv(self, fh: io.TextIOBase) -> None:
-        fh.write("t,x,l,regime,p_hat,action\n")
-        for t in range(self.n_periods):
-            fh.write(
-                f"{t},{float(self.x[t])!r},{float(self.l[t])!r},{int(self.regime[t])},"
-                f"{float(self.p_hat[t])!r},{float(self.action[t])!r}\n"
-            )
-        t = self.n_periods
-        fh.write(
-            f"{t},{float(self.x[t])!r},{float(self.l[t])!r},{int(self.regime[t])},"
-            f"{float(self.p_hat[t])!r},\n"
-        )
-
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+        """``t,x,l,regime,p_hat,action``: one row per state, the terminal one with no action."""
+        actions = [repr(float(u)) for u in self.action] + [""]
+        rows = (f"{t},{float(self.x[t])!r},{float(self.l[t])!r},{int(self.regime[t])},"
+                f"{float(self.p_hat[t])!r},{u}\n" for t, u in enumerate(actions))
+        return "t,x,l,regime,p_hat,action\n" + "".join(rows)
 
 
 def regime_path(chain: RegimeChain, horizon: int, rng: np.random.Generator) -> np.ndarray:
@@ -409,86 +394,6 @@ def liability_path(l0: float, q) -> np.ndarray:
     so that every entry is the recursion's own float."""
     q = np.asarray(q, dtype=float)
     return np.cumprod(np.concatenate((np.full((*q.shape[:-1], 1), l0), q), axis=-1), axis=-1)
-
-
-def step_surplus(
-    x: float, l: float, u: float, e0: float, e1: float, q: float
-) -> tuple[float, float, float]:
-    """One period of the wealth/liability/surplus dynamics."""
-    vals = (x, l, u, e0, e1, q)
-    if not all(np.isfinite(v) for v in vals):
-        raise ValueError(f"non-finite input to surplus step: {vals}")
-    x_next = e0 * x + (e1 - e0) * u
-    l_next = q * l
-    return x_next, l_next, x_next - l_next
-
-
-def simulate_episode(
-    model: MarketModel,
-    policy: GaussianPolicy,
-    horizon: int,
-    x0: float,
-    l0: float,
-    rng: np.random.Generator,
-    dynamics: str = "real",
-    signal: str | None = None,
-    expectation_signal: str = "expected_state",
-) -> Episode:
-    """Roll out one episode under ``policy``.
-
-    The hidden regime path is always simulated and recorded for diagnostics;
-    under "filtered"/"expectation" dynamics it does not influence wealth or
-    liability, whose rates are the a0, a1 and a2 rows of the flavor's mixed
-    schedule (``expectation_signal`` as in ``filtering.mixing_signal``).
-    ``signal`` chooses what the policy sees (defaults: the regime under real
-    dynamics, the signal the schedule is mixed along otherwise).  The policy's
-    (cx, cl, c0, variance) rows along that signal are read in one checked
-    ``GaussianPolicy.table`` call; the action at t is
-    (cx*x_t + cl*l_t + c0) + sqrt(variance) * noise_t.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if x0 <= 0.0:
-        raise ValueError("initial wealth must be positive")
-    if dynamics not in DYNAMICS:
-        raise ValueError(f"dynamics must be one of {DYNAMICS}, got {dynamics!r}")
-    signal = signal or mixing_signal(dynamics, expectation_signal)
-    if signal not in SIGNALS:
-        raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
-
-    regimes, rec = draw_path(model, horizon, rng, rng if dynamics == "real" else None)
-    if rec is None:
-        p_hat, _, schedule = observable_rates(model, horizon, dynamics, expectation_signal)
-        rec = ReturnsRecord(e0=schedule.a0, e1=schedule.a0 + schedule.a1, q=schedule.a2)
-        ex = schedule.a1
-    else:
-        p_hat = filter_states(model.chain.p0, model.chain.matrix(), horizon)
-        ex = rec.e1 - rec.e0
-    sig = regimes.astype(float) if signal == "regime" else signal_path(signal, p_hat)
-
-    rows = policy.table(np.arange(horizon), sig[:-1]).tolist()
-    noise = rng.standard_normal(horizon)
-    e0, l = rec.e0, liability_path(l0, rec.q)
-    x = np.empty(horizon + 1)
-    action = np.empty(horizon)
-    x[0] = x0
-    for t, (cx, cl, c0, var) in enumerate(rows):
-        u = (cx * x[t] + cl * l[t] + c0) + math.sqrt(var) * noise[t]
-        action[t] = u
-        x[t + 1] = e0[t] * x[t] + ex[t] * u
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(l))):
-        bad = int(np.nonzero(~np.isfinite(x))[0][0]) if not np.all(np.isfinite(x)) else int(
-            np.nonzero(~np.isfinite(l))[0][0]
-        )
-        raise ValueError(f"episode diverged to non-finite state at t={bad}")
-    return Episode(
-        x=x,
-        l=l,
-        regime=regimes,
-        p_hat=p_hat,
-        action=action,
-        returns=rec,
-    )
 
 
 _SPEC_KEYS = ("kind", "annual_mean", "annual_vol", "dof", "skew", "mean_is_gross", "vol_is_variance")

@@ -44,3 +44,11 @@ def regime_path_reference(chain: RegimeChain, horizon: int, rng: np.random.Gener
         thr = mat[out[t] - 1, 0]
         out[t + 1] = 1 if rng.random() < thr else 2
     return out
+
+
+def closed_form_scale(alpha, beta, x0):
+    """|A_t| (|x0| + sum_{k<t} |beta_k / A_{k+1}|): the rounding scale of the closed-form
+    rollout x_{t+1} = alpha_t x_t + beta_t over the cumulative products A of alpha."""
+    cum = np.cumprod(alpha)
+    terms = np.concatenate(([0.0], np.cumsum(np.abs(beta / cum))))
+    return np.concatenate(([1.0], np.abs(cum))) * (abs(x0) + terms)

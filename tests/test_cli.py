@@ -10,6 +10,7 @@ from emvalm import cli, evaluate, rl
 from emvalm import config as cfgmod
 from emvalm import filtering as F
 from emvalm.closed_form import policy_table_rows
+from test_evaluate import monthly_blocks, monthly_study_market, tiny_spec
 
 
 def write_config(tmp_path: Path, **overrides) -> str:
@@ -323,6 +324,19 @@ class TestFlavorTable:
         assert run(["evaluate", "--config", cfg, *source, "--out", str(ev)]) == 0
         man = json.loads((ev / "manifest.json").read_text())
         assert (man["algo"], man["dynamics"], man["signal"]) == (policy, *AUTO_SCORING[policy, exp_sig])
+
+    def test_auto_evaluation_of_an_emv_checkpoint_is_a_user_error(self, tmp_path, capsys):
+        model = monthly_study_market()
+        hyper = rl.Hyperparams(n_iter=20, dt=model.dt, n_avg=5)
+        state = evaluate.empirical_train("emv", monthly_blocks(model), model, hyper, tiny_spec(24))
+        ckpt = tmp_path / "emv.json"
+        ckpt.write_text(cfgmod.canonical_json(state.to_dict()), encoding="utf-8")
+        cfg = write_config(tmp_path, evaluation={"n_paths": 4})
+        out = tmp_path / "ev"
+        assert run(["evaluate", "--config", cfg, "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "'emv'" in err and "evaluate_on_market_paths" in err
+        assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("exp_sig", ["expected_state", "state1_prob"])
     @pytest.mark.parametrize("flavor", ["filtered", "expectation", "regime1", "regime2"])

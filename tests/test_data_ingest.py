@@ -275,42 +275,6 @@ class TestBlocks:
             D.block_count(series, 10.0, 1.0 / 12.0)
 
 
-class TestEstimateBeta:
-    def _walk(self, rng, n=300):
-        return np.concatenate(([100.0], 100.0 * np.cumprod(1 + 0.01 * rng.standard_normal(n))))
-
-    def test_identical_series_has_unit_beta(self, rng):
-        closes = self._walk(rng)
-        s = series_from(closes)
-        assert D.estimate_beta(s, s) == pytest.approx(1.0, rel=1e-12)
-
-    def test_doubled_returns_have_beta_two(self, rng):
-        closes = self._walk(rng)
-        index = series_from(closes)
-        rets = closes[1:] / closes[:-1] - 1.0
-        stock = series_from(np.concatenate(([100.0], 100.0 * np.cumprod(1 + 2 * rets))))
-        assert D.estimate_beta(stock, index) == pytest.approx(2.0, rel=1e-10)
-
-    def test_noisy_slope_within_three_standard_errors(self, rng):
-        n = 2000
-        idx_ret = 0.01 * rng.standard_normal(n)
-        noise = 0.005 * rng.standard_normal(n)
-        stock_ret = 1.05 * idx_ret + noise
-        index = series_from(np.concatenate(([100.0], 100 * np.cumprod(1 + idx_ret))))
-        stock = series_from(np.concatenate(([100.0], 100 * np.cumprod(1 + stock_ret))))
-        beta = D.estimate_beta(stock, index)
-        # OLS sampling-distribution oracle for the slope standard error
-        resid = stock_ret - beta * idx_ret
-        se = np.sqrt(np.var(resid, ddof=2) / (n * np.var(idx_ret, ddof=1)))
-        assert abs(beta - 1.05) < 3.0 * se
-
-    def test_insufficient_overlap_rejected(self, rng):
-        a = series_from(self._walk(rng, 10))
-        b = series_from(self._walk(rng, 10))
-        with pytest.raises(ValueError, match="overlapping"):
-            D.estimate_beta(a, b, min_overlap=30)
-
-
 class TestPriceSeriesCsv:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "prices.csv"

@@ -125,7 +125,7 @@ class TestOutOfSample:
                 with pytest.raises(ValueError, match="t=5"):
                     E.out_of_sample(policy, tiny_market(), 10, tiny_spec(), seed=0, dynamics=dynamics)
             with pytest.raises(ValueError, match="t=5"):
-                M.simulate_episode(tiny_market(), policy, 10, 1.0, 0.1, M.stream(0, 0))
+                E.simulate(policy, tiny_market(), tiny_spec(10), 0)
 
     @pytest.mark.parametrize("column", [0, 1, 2])
     def test_non_finite_policy_coefficient_names_the_period(self, column):
@@ -136,7 +136,7 @@ class TestOutOfSample:
             with pytest.raises(ValueError, match="t=5"):
                 E.out_of_sample(policy, tiny_market(), 10, tiny_spec(), seed=0, dynamics=dynamics)
         with pytest.raises(ValueError, match="t=5"):
-            M.simulate_episode(tiny_market(), policy, 10, 1.0, 0.1, M.stream(0, 0))
+            E.simulate(policy, tiny_market(), tiny_spec(10), 0)
 
     def test_regime_signal_requires_real_dynamics(self):
         with pytest.raises(ValueError, match="regime signal"):

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from emvalm import evaluate as E
 from emvalm import filtering as F
 from emvalm import market as M
-from emvalm.closed_form import GaussianPolicy
-from conftest import REFERENCE_P, regime_path_reference
+from emvalm.closed_form import GaussianPolicy, ProblemSpec
+from conftest import REFERENCE_P, closed_form_scale, regime_path_reference
 
 
 def reference_chain(p0: float = 0.3) -> M.RegimeChain:
@@ -199,72 +201,94 @@ class TestSkewedT:
         assert abs(z.std() - sd) < 4.0 * sd / math.sqrt(2.0 * n)
 
 
+def episode(model, policy, horizon, seed, dynamics="real", x0=1.0, l0=0.1, **kwargs):
+    spec = ProblemSpec(horizon=horizon, target=1.5, multiplier=1.5, explore_weight=2.0, x0=x0, l0=l0)
+    return E.simulate(policy, model, spec, seed, dynamics=dynamics, **kwargs)
+
+
+def constant_policy(*row) -> GaussianPolicy:
+    return GaussianPolicy(lambda ts, s: np.tile(row, (len(ts), 1)), kind="custom")
+
+
+def flat_model(e0: M.ReturnSpec, e1_net: float) -> M.MarketModel:
+    """Both regimes alike at dt = 1, so the filtered rates are the regimes' own means."""
+    e1, q = normal_spec(e1_net, 0.2), normal_spec(0.05, 0.1)
+    return M.MarketModel(chain=reference_chain(), e0=(e0, e0), e1=(e1, e1), q=(q, q), dt=1.0)
+
+
 class TestStepSurplus:
+    """One period of x' = e0 x + (e1 - e0) u and l' = q l, through ``evaluate.simulate``."""
+
     def test_hand_arithmetic(self):
-        assert M.step_surplus(1.0, 0.1, 0.0, 1.2, 1.5, 1.05) == pytest.approx(
-            (1.2, 0.105, 1.095), abs=1e-15
-        )
+        ep = episode(flat_model(constant_spec(1.2), 0.5), constant_policy(0.0, 0.0, 0.5, 0.0), 1, 0,
+                     dynamics="filtered")
+        assert ep.action.tolist() == [0.5]
+        assert (ep.x[1], ep.l[1], ep.x[1] - ep.l[1]) == pytest.approx((1.35, 0.105, 1.245), abs=1e-15)
 
     def test_zero_excess_return_ignores_action(self):
-        x, l = 1.7, 0.4
-        full = M.step_surplus(x, l, x, 1.1, 1.1, 1.02)
-        none = M.step_surplus(x, l, 0.0, 1.1, 1.1, 1.02)
-        assert full == pytest.approx(none, abs=1e-15)
+        e0 = M.ReturnSpec(kind="constant", annual_mean=0.1, mean_is_gross=False)
+        model = flat_model(e0, 0.1)  # a1 = 1.1 - 1.1 = 0
+        full = episode(model, constant_policy(1.0, 0.0, 0.0, 0.0), 3, 0, dynamics="filtered", x0=1.7)
+        none = episode(model, zero_policy(), 3, 0, dynamics="filtered", x0=1.7)
+        assert full.x.tobytes() == none.x.tobytes()
+        assert full.action[0] == 1.7
 
     def test_no_liability_case(self):
-        x_next, l_next, s_next = M.step_surplus(2.0, 0.0, 0.5, 1.01, 1.2, 1.05)
-        assert l_next == 0.0
-        assert s_next == x_next
+        ep = episode(simple_model(), constant_policy(0.1, -0.2, 0.5, 0.04), 5, 3, l0=0.0)
+        assert np.all(ep.l == 0.0)
+        assert np.array_equal(ep.x - ep.l, ep.x)
 
     def test_non_finite_input_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            M.step_surplus(float("nan"), 0.1, 0.0, 1.0, 1.0, 1.0)
+        for x0, l0 in ((float("nan"), 0.1), (1.0, float("inf"))):
+            with pytest.raises(ValueError, match="non-finite state at t=0"):
+                episode(simple_model(), zero_policy(), 3, 0, x0=x0, l0=l0)
 
 
 class TestSimulateEpisode:
     def test_zero_policy_reproduces_surplus_iteration(self):
+        # with x0 = 1 and u = 0 the closed form is exactly cumprod(e0)
         model = simple_model(dt=1.0 / 252.0)
-        ep = M.simulate_episode(model, zero_policy(), 60, 1.0, 0.1, M.stream(5, 0))
-        x, l = 1.0, 0.1
+        ep = episode(model, zero_policy(), 60, 5)
+        rec, x, l = ep.returns, 1.0, 0.1
         for t in range(60):
-            x, l, _ = M.step_surplus(
-                x, l, 0.0, ep.returns.e0[t], ep.returns.e1[t], ep.returns.q[t]
-            )
+            x, l = rec.e0[t] * x + (rec.e1[t] - rec.e0[t]) * 0.0, rec.q[t] * l
             assert ep.x[t + 1] == pytest.approx(x, abs=0.0)
             assert ep.l[t + 1] == pytest.approx(l, abs=0.0)
 
     def test_same_seed_is_byte_identical(self):
         model = simple_model(dt=1.0 / 252.0)
-        a = M.simulate_episode(model, zero_policy(), 80, 1.0, 0.1, M.stream(9, 4))
-        b = M.simulate_episode(model, zero_policy(), 80, 1.0, 0.1, M.stream(9, 4))
+        a = episode(model, zero_policy(), 80, 9)
+        b = episode(model, zero_policy(), 80, 9)
         assert a.to_csv_text() == b.to_csv_text()
 
     def test_full_horizon_record_count(self):
         model = simple_model(dt=1.0 / 252.0)
-        ep = M.simulate_episode(model, zero_policy(), 2520, 1.0, 0.1, M.stream(1, 1))
+        ep = episode(model, zero_policy(), 2520, 1)
         assert len(ep.x) == 2521
         assert ep.n_periods == 2520
 
     def test_wealth_and_liability_recursions_exact(self):
+        # liabilities are the recursion bit for bit; wealth comes from the closed-form
+        # rollout, so its recursion holds within the rollout's rounding scale
         model = simple_model(dt=1.0 / 252.0)
-        policy = GaussianPolicy(lambda ts, s: np.tile([0.1, -0.2, 0.5, 0.04], (len(ts), 1)))
-        ep = M.simulate_episode(model, policy, 100, 1.0, 0.1, M.stream(2, 7))
-        ex = ep.returns.e1 - ep.returns.e0
-        assert np.array_equal(ep.x[1:], ep.returns.e0 * ep.x[:-1] + ex * ep.action)
-        assert np.array_equal(ep.l[1:], ep.returns.q * ep.l[:-1])
+        cx = 0.1
+        ep = episode(model, constant_policy(cx, -0.2, 0.5, 0.04), 100, 2)
+        rec = ep.returns
+        ex = rec.e1 - rec.e0
+        assert np.array_equal(ep.l[1:], rec.q * ep.l[:-1])
+        scale = closed_form_scale(rec.e0 + ex * cx, ex * (ep.action - cx * ep.x[:-1]), 1.0)
+        assert np.all(np.abs(ep.x[1:] - (rec.e0 * ep.x[:-1] + ex * ep.action)) <= 1e-12 * scale[1:])
 
     def test_filter_path_is_independent_of_return_draws(self):
         model = simple_model(dt=1.0 / 252.0)
-        a = M.simulate_episode(model, zero_policy(), 50, 1.0, 0.1, M.stream(1, 0))
-        b = M.simulate_episode(model, zero_policy(), 50, 1.0, 0.1, M.stream(2, 0))
+        a = episode(model, zero_policy(), 50, 1)
+        b = episode(model, zero_policy(), 50, 2)
         assert not np.array_equal(a.returns.e1, b.returns.e1)
         assert np.array_equal(a.p_hat, b.p_hat)
 
     def test_deterministic_dynamics_have_no_market_noise(self):
         model = simple_model(dt=1.0 / 252.0)
-        ep = M.simulate_episode(
-            model, zero_policy(), 40, 1.0, 0.1, M.stream(3, 3), dynamics="filtered"
-        )
+        ep = episode(model, zero_policy(), 40, 3, dynamics="filtered")
         schedule = M.observable_rates(model, 40, "filtered")[2]
         e0_bar, q_bar = schedule.a0, schedule.a2
         assert np.allclose(ep.x[1:] / ep.x[:-1], e0_bar, atol=1e-14)
@@ -277,7 +301,25 @@ class TestSimulateEpisode:
             kind="custom",
         )
         with pytest.raises(ValueError, match="t=7"):
-            M.simulate_episode(model, policy, 20, 1.0, 0.1, M.stream(0, 0))
+            episode(model, policy, 20, 0)
+
+    @pytest.mark.parametrize("cx, l0, t", [(1e300, 0.1, 2), (0.0, sys.float_info.max, 1)])
+    def test_diverging_state_names_its_first_period(self, cx, l0, t):
+        # wealth: x_1 ~ 1e300 a1 is finite and x_2 overflows; liability: l_1 = q l_0 overflows
+        policy = constant_policy(cx, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=f"diverged to non-finite state at t={t}$"):
+            episode(simple_model(dt=1.0 / 252.0), policy, 20, 0, dynamics="filtered", l0=l0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"x0": 0.0}, "initial wealth must be positive"),
+         ({"dynamics": "regime"}, "dynamics must be one of"),
+         ({"signal": "filtered"}, "signal must be one of"),
+         ({"dynamics": "filtered", "signal": "regime"}, "regime signal requires real dynamics")],
+    )
+    def test_bad_arguments_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            episode(simple_model(), zero_policy(), 5, 0, **kwargs)
 
     def test_sampled_moments_match_moment_schedule(self):
         model = simple_model(dt=1.0 / 252.0)
@@ -302,7 +344,7 @@ class TestSimulateEpisode:
 class TestEpisodeCsv:
     def test_schema_and_terminal_row(self):
         model = simple_model(dt=1.0 / 252.0)
-        ep = M.simulate_episode(model, zero_policy(), 5, 1.0, 0.1, M.stream(0, 0))
+        ep = episode(model, zero_policy(), 5, 0)
         lines = ep.to_csv_text().strip().split("\n")
         assert lines[0] == "t,x,l,regime,p_hat,action"
         assert len(lines) == 7

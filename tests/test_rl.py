@@ -964,8 +964,8 @@ class TestTrainingLiabilityPath:
         dynamics = rl.ALGO_FLAVORS[algo]
         trained = rl._build_env(algo, model, hyper, spec).fixed.l
         zero = GaussianPolicy(lambda ts, s: np.zeros((len(ts), 4)))
-        episode = M.simulate_episode(model, zero, spec.horizon, spec.x0, spec.l0, M.stream(1, 0),
-                                     dynamics=dynamics, expectation_signal=hyper.expectation_signal)
+        episode = E.simulate(zero, model, spec, 1, dynamics=dynamics,
+                             expectation_signal=hyper.expectation_signal)
         assert trained.tobytes() == episode.l.tobytes()
         # with no wealth and no action, every terminal is -l_T
         report = E.out_of_sample(zero, model, 2, replace(spec, x0=0.0), seed=1, dynamics=dynamics,

@@ -8,11 +8,11 @@ path, the skewed-t transform and the filter recursion against their
 sequential or first-written forms, the one-path draw against the regime path
 followed by its returns and the block-row draw against the per-path one, the
 liability path against the sequential recursion, the blocked out-of-sample
-rollout against the per-period loop, the one-call policy table of
-``simulate_episode`` against a loop that asks for one row per period, the
-one-call moment mix against the per-period mixing loop, and the scans behind
-the value function's risk sum and entropy product against their backward
-recursions.
+rollout against the per-period loop, the recorded episode of
+``evaluate.simulate`` against path 0 of the blocked evaluation (its terminal
+bit for bit) and of that loop, the one-call moment mix against the
+per-period mixing loop, and the scans behind the value function's risk sum
+and entropy product against their backward recursions.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from emvalm import evaluate as E
 from emvalm import filtering as F
 from emvalm import market as M
 from emvalm import rl
-from conftest import REFERENCE_P, random_schedule, regime_path_reference
+from conftest import REFERENCE_P, closed_form_scale, random_schedule, regime_path_reference
 
 # ---------------------------------------------------------------------------
 # the (paths, T) rollout kernel
@@ -43,13 +43,6 @@ def sequential_rollout(alpha, beta, x0):
         for a, b in zip(alpha, beta):
             x.append(a * x[-1] + b)
     return np.array(x)
-
-
-def closed_form_scale(alpha, beta, x0):
-    """|A_t| (|x0| + sum_{k<t} |beta_k / A_{k+1}|): the rounding scale of the closed form."""
-    cum = np.cumprod(alpha)
-    terms = np.concatenate(([0.0], np.cumsum(np.abs(beta / cum))))
-    return np.concatenate(([1.0], np.abs(cum))) * (abs(x0) + terms)
 
 
 # row kinds: the closed form, products that underflow or overflow (the
@@ -498,31 +491,43 @@ def analytic_policy(kind, model, spec):
     return E.analytic_policy("coemv_opt" if kind == "regime" else "poemv_opt", model, spec)
 
 
-def per_period_terminals(policy, model, n_paths, spec, seed, dynamics):
-    """Path by path and period by period, with the evaluation's stream keys."""
+def per_period_terminals(policy, model, n_paths, spec, seed, dynamics, signal=None,
+                         exp_signal="expected_state"):
+    """Path by path and period by period, with the evaluation's stream keys: the
+    terminals, and path 0's trajectory (x, l, action, regimes, p_hat) with the
+    closed-form rounding scales of its wealth and of its actions."""
     horizon = spec.horizon
+    signal = signal or F.mixing_signal(dynamics, exp_signal)
     noise = M.stream(seed, 0).standard_normal((n_paths, horizon))
     p_hat = F.filter_states(model.chain.p0, model.chain.matrix(), horizon)
+    weights = 2.0 - p_hat if F.mixing_signal(dynamics, exp_signal) == "expected_state" else p_hat
     m1, m2 = model.moment_pair()
-    rates = [m2.a0 + p_hat[:-1] * (m1.a0 - m2.a0), m2.a1 + p_hat[:-1] * (m1.a1 - m2.a1),
-             m2.a2 + p_hat[:-1] * (m1.a2 - m2.a2)]
+    rates = [m2.a0 + weights[:-1] * (m1.a0 - m2.a0), m2.a1 + weights[:-1] * (m1.a1 - m2.a1),
+             m2.a2 + weights[:-1] * (m1.a2 - m2.a2)]
     out = np.empty(n_paths)
     for i in range(n_paths):
+        regimes = M.regime_path(model.chain, horizon, M.stream(seed, 1 + i))
         if dynamics == "real":
-            regimes = M.regime_path(model.chain, horizon, M.stream(seed, 1 + i))
             rec = M.sample_return_paths(regimes[:-1], model, M.stream(seed, M.RETURNS_KEY + i))
-            e0, ex, q, sig = rec.e0, rec.e1 - rec.e0, rec.q, regimes.astype(float)
+            e0, ex, q = rec.e0, rec.e1 - rec.e0, rec.q
         else:
             e0, ex, q = rates
-            sig = p_hat
-        x, l = spec.x0, spec.l0
+        sig = regimes.astype(float) if signal == "regime" else F.signal_path(signal, p_hat)
+        x, l, action, cxs = [spec.x0], [spec.l0], [], []
         for t in range(horizon):
             cx, cl, c0, var = policy.table([t], [sig[t]])[0].tolist()
-            u = cx * x + cl * l + c0 + math.sqrt(var) * noise[i, t]
-            x = e0[t] * x + ex[t] * u
-            l = q[t] * l
-        out[i] = x - l
-    return out
+            action.append(cx * x[t] + cl * l[t] + c0 + math.sqrt(var) * noise[i, t])
+            cxs.append(cx)
+            x.append(e0[t] * x[t] + ex[t] * action[t])
+            l.append(q[t] * l[t])
+        out[i] = x[-1] - l[-1]
+        if i == 0:
+            x, action, cxs = np.array(x), np.array(action), np.array(cxs)
+            shift = action - cxs * x[:-1]  # cl l + c0 + sd noise
+            scale = closed_form_scale(e0 + ex * cxs, ex * shift, spec.x0)
+            path0 = (x, np.array(l), action, regimes, p_hat, scale,
+                     np.abs(cxs) * scale[:-1] + np.abs(shift))
+    return out, path0
 
 
 class TestBlockedEvaluation:
@@ -532,7 +537,7 @@ class TestBlockedEvaluation:
         policy = analytic_policy(kind, model, spec)
         n = E._BLOCK + 37  # one full block and one partial block
         got, _ = E._path_terminals(policy, model, n, spec, 11, dynamics, None, True, "expected_state")
-        want = per_period_terminals(policy, model, n, spec, 11, dynamics)
+        want, _ = per_period_terminals(policy, model, n, spec, 11, dynamics)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("dynamics, kind", [("real", "regime"), ("filtered", "filtered")])
@@ -546,37 +551,8 @@ class TestBlockedEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# single-episode simulation against the row-per-period loop
+# the recorded episode is path 0 of the blocked evaluation
 # ---------------------------------------------------------------------------
-
-
-def row_per_period_episode(model, policy, horizon, x0, l0, rng, dynamics, signal, exp_signal):
-    """``simulate_episode`` asking the policy for one row in each period, with
-    the same draws in the same order and the action as mean + sd * noise."""
-    if signal is None:
-        signal = "regime" if dynamics == "real" else F.mixing_signal(dynamics, exp_signal)
-    chain = model.chain
-    regimes = M.regime_path(chain, horizon, rng)
-    p_hat = F.filter_states(chain.p0, chain.matrix(), horizon)
-    if dynamics == "real":
-        rec = M.sample_return_paths(regimes[:-1], model, rng)
-        e0, ex, q = rec.e0, rec.e1 - rec.e0, rec.q
-    else:
-        weights = F.signal_path(F.mixing_signal(dynamics, exp_signal), p_hat)
-        schedule = F.mixed_schedule(model.moment_pair(), weights[:-1], dynamics)
-        e0, ex, q = schedule.a0, schedule.a1, schedule.a2
-    sig = regimes.astype(float) if signal == "regime" else F.signal_path(signal, p_hat)
-    noise = rng.standard_normal(horizon)
-    x, l, action = [x0], [l0], []
-    for t in range(horizon):
-        row = policy.affine_table(np.array([t]), np.array([sig[t]], dtype=float))[0]
-        cx, cl, c0, var = (float(v) for v in row)
-        mean = cx * x[t] + cl * l[t] + c0
-        assert math.isfinite(mean) and math.isfinite(var) and var >= 0.0
-        action.append(mean + math.sqrt(var) * noise[t])
-        x.append(e0[t] * x[t] + ex[t] * action[t])
-        l.append(q[t] * l[t])
-    return np.array(x), np.array(l), np.array(action), regimes, p_hat
 
 
 def episode_policy(kind, model, spec, gen):
@@ -612,18 +588,22 @@ class TestSimulateEpisode:
             signal = "regime"  # the complete-information policy reads regime labels only
         model, spec = skewed_market(), eval_spec(horizon)
         policy = episode_policy(kind, model, spec, np.random.default_rng(seed))
-        args = (horizon, spec.x0, spec.l0)
-        got = M.simulate_episode(model, policy, *args, M.stream(seed, 2), dynamics=dynamics,
-                                 signal=signal, expectation_signal=exp_signal)
-        want = row_per_period_episode(model, policy, *args, M.stream(seed, 2), dynamics, signal,
-                                      exp_signal)
-        for name, w in zip(("x", "l", "action", "regime", "p_hat"), want):
-            if kind == "learned":
-                # a one-row learned table is a BLAS matrix-vector product and the
-                # full table a matrix-matrix product, which may round differently
-                np.testing.assert_allclose(getattr(got, name), w, rtol=1e-12, atol=1e-14)
-            else:
-                assert getattr(got, name).tobytes() == w.tobytes(), name
+        args = (policy, model, spec, seed, dynamics, signal)
+        if signal == "regime" and dynamics != "real":
+            with pytest.raises(ValueError, match="regime signal requires real dynamics"):
+                E.simulate(*args, expectation_signal=exp_signal)
+            return
+        got = E.simulate(*args, expectation_signal=exp_signal)
+        # one full-table call on both sides, so the terminal is the evaluation's bit for bit
+        terminals, _ = E._path_terminals(policy, model, 69, spec, seed, dynamics, signal, True,
+                                         exp_signal)
+        assert (got.x[-1] - got.l[-1]).tobytes() == terminals[0].tobytes()
+        _, (x, l, action, regimes, p_hat, x_scale, u_scale) = per_period_terminals(
+            policy, model, 1, spec, seed, dynamics, signal, exp_signal)
+        for name, want in (("l", l), ("regime", regimes), ("p_hat", p_hat)):
+            assert getattr(got, name).tobytes() == want.tobytes(), name
+        assert np.all(np.abs(got.x - x) <= 1e-12 * x_scale)
+        assert np.all(np.abs(got.action - action) <= 1e-12 * u_scale)
 
 
 # ---------------------------------------------------------------------------
