@@ -8,21 +8,16 @@ from .closed_form import (
     bellman_residual,
     f_terms,
     optimal_policy,
-    value_function,
 )
 from .filtering import (
     MomentSchedule,
     MomentSet,
-    expected_regime_signal,
     filter_path,
-    filtered_moments,
     regime_schedule,
-    update_filter,
 )
 from .improvement import (
     InitialPolicyFamily,
     IteratedPolicy,
-    gaussian_entropy_min,
     improve_once,
     iterate_to_convergence,
 )
@@ -39,11 +34,8 @@ from .rl import (
     CriticParams,
     Hyperparams,
     TrainState,
-    critic_value,
     martingale_loss,
     ml_gradients,
-    policy_entropy,
-    policy_gradient,
     train,
     update_lagrange,
 )

@@ -273,15 +273,6 @@ def optimal_policy(
     return _ScheduleTables(schedule, spec).mean_variance(t, x, l)
 
 
-def value_function(
-    t: int, x: float, l: float, schedule: MomentSchedule, spec: ProblemSpec
-) -> float:
-    """The minimized objective at (t, x, l); t = horizon gives the terminal condition."""
-    if t == spec.horizon:
-        return terminal_value(spec.multiplier, spec.target)(x, l)
-    return _ScheduleTables(schedule, spec).value_quadratic(t)(x, l)
-
-
 def schedule_policy(schedule: MomentSchedule, spec: ProblemSpec, kind: str) -> GaussianPolicy:
     """Policy object over one schedule; the runtime signal argument is ignored
     because the schedule already encodes the signal path."""
@@ -409,7 +400,7 @@ def bellman_residual(
     spec: ProblemSpec,
     quad_order: int,
 ) -> float:
-    """|RHS - value_function(t, x, l)| for the one-step recursion.
+    """|RHS - V_t(x, l)| for the one-step recursion, V_t = ``value_quadratic(t)``.
 
     The RHS integrates over the optimal Gaussian action with Gauss-Hermite
     quadrature while the return expectation is expanded exactly in moments, so

@@ -214,26 +214,25 @@ def periods_in_horizon(horizon_years: float, dt: float) -> int:
     return int(rounded)
 
 
+def _window_counts(series_set, horizon_years: float, dt: float) -> list[int]:
+    """Overlapping horizon-length return windows in each series."""
+    horizon = periods_in_horizon(horizon_years, dt)
+    counts = [len(s.closes) - horizon for s in series_set]
+    if any(c < 1 for c in counts):
+        raise ValueError("every series must span at least one full horizon")
+    return counts
+
+
 def block_count(series_set, horizon_years: float, dt: float) -> int:
     """Number of overlapping horizon-length return windows across all series."""
-    horizon = periods_in_horizon(horizon_years, dt)
-    total = 0
-    for s in series_set:
-        n_returns = len(s.closes) - 1
-        if n_returns < horizon:
-            raise ValueError("every series must span at least one full horizon")
-        total += n_returns - horizon + 1
-    return total
+    return sum(_window_counts(series_set, horizon_years, dt))
 
 
 def block_sampler(
     series_set, horizon_years: float, dt: float, rng: np.random.Generator
 ) -> tuple[int, int]:
     """Uniformly sample one (series index, start offset) block identifier."""
-    horizon = periods_in_horizon(horizon_years, dt)
-    counts = [len(s.closes) - 1 - horizon + 1 for s in series_set]
-    if any(c < 1 for c in counts):
-        raise ValueError("every series must span at least one full horizon")
+    counts = _window_counts(series_set, horizon_years, dt)
     pick = int(rng.integers(sum(counts)))
     for idx, c in enumerate(counts):
         if pick < c:

@@ -28,6 +28,7 @@ from .market import (
 )
 
 _BLOCK = 32  # evaluation paths generated and rolled out together
+_N_SMOOTH = 6  # window of the empirical pipeline's exponential parameter averaging
 
 # analytic policy -> the flavor it is built for (rl.ALGO_FLAVORS holds the learners')
 ANALYTIC_FLAVORS = {"coemv_opt": "real", "poemv_opt": "filtered", "poemv_sub": "expectation"}
@@ -313,9 +314,6 @@ class BlockSource:
     horizon_years: float
     dt: float
 
-    def count(self) -> int:
-        return data_ingest.block_count(self.series_set, self.horizon_years, self.dt)
-
     def horizon_periods(self) -> int:
         return data_ingest.periods_in_horizon(self.horizon_years, self.dt)
 
@@ -339,7 +337,6 @@ def empirical_train(
     model: MarketModel,
     hyper: rl.Hyperparams,
     spec: ProblemSpec,
-    n_smooth: int = 6,
 ) -> rl.TrainState:
     """Train a learner on resampled historical blocks.
 
@@ -378,7 +375,7 @@ def empirical_train(
         if est is not None:
             new = np.array([est.p12, est.p21])
             running = new if running is None else data_ingest.exp_average_update(
-                running, new, n_smooth
+                running, new, _N_SMOOTH
             )
         if running is None:
             continue

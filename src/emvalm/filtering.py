@@ -94,8 +94,8 @@ class MomentSchedule(_Moments):
 
     ``rows`` is one (6, T) array whose rows a0, b0, a1, b1, a2, b2 are also
     attributes, either given or stacked from per-period ``sets``;
-    ``schedule[t]`` is period t's ``MomentSet`` and ``sets`` all of them.  A
-    mixed schedule keeps its weights in ``signals``.
+    ``schedule[t]`` is period t's ``MomentSet``.  A mixed schedule keeps its
+    weights in ``signals``.
 
     ``flavor`` is one of ``"regime"`` (conditioned on a fixed regime),
     ``"filtered"`` (mixed by the filter probability path) or ``"expectation"``
@@ -116,10 +116,6 @@ class MomentSchedule(_Moments):
     def __getitem__(self, t: int) -> MomentSet:
         return MomentSet(*self.rows[:, t].tolist())
 
-    @property
-    def sets(self) -> tuple[MomentSet, ...]:
-        return tuple(self[t] for t in range(len(self)))
-
     @functools.cached_property
     def violations(self) -> tuple[str, ...]:
         """Second-moment deficits of a mixed schedule as "t=.. signal=..: ..." lines,
@@ -139,17 +135,6 @@ def _as_matrix(p) -> np.ndarray:
     if mat.shape != (2, 2):
         raise ValueError(f"transition matrix must be 2x2, got shape {mat.shape}")
     return mat
-
-
-def update_filter(p_hat: float, p) -> float:
-    """One-step update of the regime-1 probability.
-
-    The posterior update is the affine map ``P21 + p_hat * (P11 - P21)``; the
-    realized returns drop out of the Bayes step, so no observation argument is
-    needed.
-    """
-    mat = _as_matrix(p)
-    return mat[1, 0] + p_hat * (mat[0, 0] - mat[1, 0])
 
 
 def filter_states(p0: float, p, horizon: int) -> np.ndarray:
@@ -195,24 +180,6 @@ def filter_path_closed(p0: float, p, horizon: int) -> np.ndarray:
     return out
 
 
-def stationary_state1_prob(p) -> float:
-    """Fixed point P21 / (1 - P11 + P21) of the filter recursion."""
-    mat = _as_matrix(p)
-    denom = 1.0 - mat[0, 0] + mat[1, 0]
-    if denom == 0.0:
-        raise ValueError("filter recursion has no unique fixed point (P11 - P21 = 1)")
-    return mat[1, 0] / denom
-
-
-def expected_regime_signal(p0: float, p, t: int) -> float:
-    """Expected regime label E[state_t] in [1, 2], via t-step matrix powers."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    mat = _as_matrix(p)
-    pt = np.linalg.matrix_power(mat, t)
-    return (pt[0, 0] + 2.0 * pt[0, 1]) * p0 + (pt[1, 0] + 2.0 * pt[1, 1]) * (1.0 - p0)
-
-
 def mix(v1, v2, signal):
     """Moment ``v1`` of regime 1 and ``v2`` of regime 2 mixed with weight ``signal`` on regime 1."""
     return v2 + signal * (v1 - v2)
@@ -252,12 +219,6 @@ def mixed_schedule(
         bad = sched[t].violations()  # a non-finite period raises here
         raise ValueError(f"moment mixing produced invalid set at signal {float(s[t])}: {bad}")
     return sched
-
-
-def filtered_moments(signal: float, regime_moments: tuple[MomentSet, MomentSet]) -> MomentSet:
-    """Per-regime raw moments mixed with weight ``signal`` on regime 1: one
-    period of ``mixed_schedule``."""
-    return mixed_schedule(regime_moments, [signal], "filtered")[0]
 
 
 def mixing_signal(flavor: str, expectation_signal: str = "expected_state") -> str:

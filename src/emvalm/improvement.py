@@ -33,18 +33,6 @@ from .closed_form import (
 from .filtering import MomentSchedule
 
 
-def gaussian_entropy_min(b: float, mu: float, lam: float) -> tuple[float, float]:
-    """Minimizer of integral (b u^2 + 2 mu u + lam ln pi(u)) pi(u) du.
-
-    Returns the (mean, variance) = (-mu/b, lam/(2b)) of the minimizing Normal.
-    """
-    if b <= 0.0:
-        raise ValueError(f"quadratic coefficient must be positive, got {b}")
-    if lam <= 0.0:
-        raise ValueError(f"exploration weight must be positive, got {lam}")
-    return -mu / b, lam / (2.0 * b)
-
-
 @dataclass(frozen=True)
 class InitialPolicyFamily:
     """Free parameters of the starting affine-Gaussian feedback family.
@@ -94,9 +82,6 @@ class AffineGaussianPolicy:
     @property
     def horizon(self) -> int:
         return self.table.shape[1]
-
-    def max_param_delta(self, other: "AffineGaussianPolicy") -> float:
-        return float(np.max(np.abs(self.table - other.table)))
 
 
 @dataclass(frozen=True)

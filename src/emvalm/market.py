@@ -160,10 +160,11 @@ class ReturnSpec:
     def period_sd(self, dt: float) -> float:
         return math.sqrt(self.period_var(dt))
 
-    def sample(self, dt: float, rng: np.random.Generator, size: int | None = None):
+    def sample(self, dt: float, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws of the per-period return."""
         mean, sd = self.period_mean(dt), self.period_sd(dt)
         if self.kind == "constant":
-            return mean if size is None else np.full(size, mean)
+            return np.full(size, mean)
         if self.kind == "normal":
             return rng.normal(mean, sd, size=size)
         return sample_skewed_t(mean, sd, self.dof, self.skew, rng, size=size)
@@ -189,10 +190,10 @@ def sample_skewed_t(
     dof: float,
     skew: float,
     rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw mean + vol * Z with Z a standardized (zero-mean, unit-variance)
-    skewed Student-t in Hansen's parameterization.
+    size: int,
+) -> np.ndarray:
+    """Draw ``size`` variates mean + vol * Z with Z a standardized (zero-mean,
+    unit-variance) skewed Student-t in Hansen's parameterization.
 
     Sampling uses the two-piece construction: the distribution puts mass
     (1 -/+ skew)/2 on each side of its mode, where it is a rescaled half
@@ -204,11 +205,10 @@ def sample_skewed_t(
         raise ValueError("skew must lie in (-1, 1)")
     if vol < 0.0:
         raise ValueError("vol must be >= 0")
-    u = rng.random(size=size if size is not None else 1)
-    tdraw = rng.standard_t(dof, size=size if size is not None else 1)
+    u = rng.random(size=size)
+    tdraw = rng.standard_t(dof, size=size)
     if vol == 0.0:
-        out = np.full(u.shape, float(mean))
-        return out if size is not None else float(out[0])
+        return np.full(size, float(mean))
     a, b = _hansen_constants(dof, skew)
     scale = math.sqrt((dof - 2.0) / dof)  # standardizes the embedded t variate
     # the signed piece scale times |t| is (piece * scale) * (+-|t|) to the bit:
@@ -219,7 +219,7 @@ def sample_skewed_t(
     z /= b
     z *= vol
     z += mean
-    return z if size is not None else float(z[0])
+    return z
 
 
 @dataclass(frozen=True)

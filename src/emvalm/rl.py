@@ -183,17 +183,6 @@ class _CriticExpansion:
     psi: np.ndarray
     log_theta1: np.ndarray | None = None  # the linear expansion theta1 is the exp of
 
-    def values(self, x, l, w: float) -> np.ndarray:
-        wl = w + self.theta2 * l
-        return (
-            self.theta1 * x * x
-            + self.vartheta1 * wl * x
-            + wl * wl * self.vartheta2
-            + self.theta2 * w * l
-            + self.theta3 * l * l
-            + self.psi
-        )
-
 
 def _expand_critic(
     feats: np.ndarray, critic: CriticParams, out: np.ndarray | None = None
@@ -227,21 +216,20 @@ def _tau_grid(horizon: int, dt: float) -> np.ndarray:
     return (horizon - np.arange(horizon + 1)) * dt
 
 
-def critic_value(
-    t: int,
-    x: float,
-    l: float,
-    signal: float,
-    critic: CriticParams,
-    w: float,
-    horizon: int,
-    dt: float,
-) -> float:
-    """Parameterized objective value at one state."""
-    if not 0 <= t <= horizon:
-        raise ValueError(f"t must lie in [0, {horizon}], got {t}")
-    feats = features([signal], [(horizon - t) * dt], critic.m)
-    return float(_expand_critic(feats, critic).values(np.array([x]), np.array([l]), w)[0])
+def _learned_table(critic: CriticParams, actor: ActorParams, w: float, horizon: int, dt: float):
+    """The learned policy's ``affine_table``: per period the rows (cx, cl, c0,
+    variance) of the action law N(phi1 x - (vartheta1 / theta1) e^phi2 (w +
+    theta2 l), e^phi3 / (2 theta1)) at the grids' expansions."""
+
+    def affine_table(ts: np.ndarray, signals: np.ndarray) -> np.ndarray:
+        feats = features(signals, (horizon - np.asarray(ts)) * dt, actor.m)
+        ce = _expand_critic(feats, critic)
+        ph1, ph2, ph3 = _expand_actor(feats, actor)
+        scale = -(ce.vartheta1 / ce.theta1) * np.exp(ph2)
+        variance = np.exp(ph3) / (2.0 * ce.theta1)
+        return np.stack([ph1, scale * ce.theta2, scale * w, variance], axis=1)
+
+    return affine_table
 
 
 def actor_mean_var(
@@ -255,21 +243,10 @@ def actor_mean_var(
     horizon: int,
     dt: float,
 ) -> tuple[float, float]:
-    feats = features([signal], [(horizon - t) * dt], actor.m)
-    ce = _expand_critic(feats, critic)
-    ph1, ph2, ph3 = _expand_actor(feats, actor)
-    mean = ph1[0] * x - (ce.vartheta1[0] / ce.theta1[0]) * math.exp(ph2[0]) * (
-        w + ce.theta2[0] * l
-    )
-    variance = math.exp(ph3[0]) / (2.0 * ce.theta1[0])
-    return float(mean), float(variance)
-
-
-def policy_entropy(theta1: float, phi3: float) -> float:
-    """Differential entropy of the parameterized Gaussian action law."""
-    if theta1 <= 0.0:
-        raise ValueError("theta1 must be positive")
-    return -0.5 * math.log(theta1 / math.pi) + 0.5 * (phi3 + 1.0)
+    """Mean and variance of the learned action law at one state: row t of its table."""
+    table = _learned_table(critic, actor, w, horizon, dt)(np.array([t]), np.array([signal]))
+    cx, cl, c0, variance = table[0].tolist()
+    return cx * x + cl * l + c0, variance
 
 
 def episode_signal(episode: Episode, kind: str) -> np.ndarray:
@@ -440,23 +417,6 @@ def ml_gradients(
     entropies = ep.entropies if entropies is None else entropies
     grads = ep.critic_gradient(spec.target, lam, dt, entropies, np.empty((6, episode.n_periods)))
     return CriticParams.from_stacked(grads, critic.m)
-
-
-def policy_gradient(
-    episode: Episode,
-    critic: CriticParams,
-    actor: ActorParams,
-    w: float,
-    spec: ProblemSpec,
-    dt: float,
-    signal_kind: str = "filtered_prob",
-    lam: float | None = None,
-) -> ActorParams:
-    """Episode estimate of the objective gradient w.r.t. the actor grids."""
-    lam = spec.explore_weight if lam is None else lam
-    ep = _recorded(episode, critic, actor, w, dt, signal_kind)
-    grads = ep.actor_gradient(ep.ce, lam, dt, np.empty((3, episode.n_periods)))
-    return ActorParams.from_stacked(grads, actor.m)
 
 
 def update_lagrange(w: float, recent_terminals, d: float, alpha: float) -> float:
@@ -690,7 +650,9 @@ def _train_step(
             ep.sample(spec.x0, rng)
             grads.append(ep.critic_gradient(d, lam, dt, ep.entropies, work.critic_weights))
             batch.append(ep)
-        step = critic_rates[:, None] * _clip(sum(grads) / len(grads), hyper.grad_clip)
+        grad = CriticParams.from_stacked(sum(grads) / len(grads), m)
+        _check_finite(grad, k, "critic gradient")
+        step = critic_rates[:, None] * _clip(grad.stacked, hyper.grad_clip)
         state.critic = CriticParams.from_stacked(state.critic.stacked - step, m)
         _check_finite(state.critic, k, "critic")
 
@@ -698,7 +660,9 @@ def _train_step(
         for ep in batch:
             ce = _expand_critic(ep.sc.feats, state.critic, work.updated)
             grads.append(ep.actor_gradient(ce, lam, dt, work.actor_weights))
-        step = hyper.eta_phi * _clip(sum(grads) / len(grads), hyper.grad_clip)
+        grad = ActorParams.from_stacked(sum(grads) / len(grads), m)
+        _check_finite(grad, k, "actor gradient")
+        step = hyper.eta_phi * _clip(grad.stacked, hyper.grad_clip)
         state.actor = ActorParams.from_stacked(state.actor.stacked - step, m)
         _check_finite(state.actor, k, "actor")
     except OverflowError as exc:
@@ -770,15 +734,5 @@ def train(
 
 def policy_from_state(state: TrainState) -> GaussianPolicy:
     """Frozen learned policy; the runtime signal selects the grid features."""
-    critic, actor, w = state.critic, state.actor, state.w
-    horizon, dt, m = state.spec.horizon, state.hyper.dt, state.hyper.m
-
-    def affine_table(ts: np.ndarray, signals: np.ndarray) -> np.ndarray:
-        feats = features(signals, (horizon - np.asarray(ts)) * dt, m)
-        ce = _expand_critic(feats, critic)
-        ph1, ph2, ph3 = _expand_actor(feats, actor)
-        scale = -(ce.vartheta1 / ce.theta1) * np.exp(ph2)
-        variance = np.exp(ph3) / (2.0 * ce.theta1)
-        return np.stack([ph1, scale * ce.theta2, scale * w, variance], axis=1)
-
-    return GaussianPolicy(affine_table, "learned")
+    table = _learned_table(state.critic, state.actor, state.w, state.spec.horizon, state.hyper.dt)
+    return GaussianPolicy(table, "learned")

@@ -6,40 +6,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emvalm import filtering as F
-from conftest import REFERENCE_P, random_moment_set
+from conftest import REFERENCE_P, expected_regime_signal, random_moment_set, stationary_state1_prob
+
+
+def update_filter(p_hat, p):
+    """One step of the filter recursion: p_1 of the path from p_hat."""
+    return F.filter_states(p_hat, p, 1)[1]
+
+
+def expected_state(p0, p, t):
+    """E[state_t] as the package computes it: 2 - p_t along the filter path."""
+    return F.signal_path("expected_state", F.filter_states(p0, p, t))[t]
+
+
+def mixed_moments(signal, pair):
+    """The pair mixed with weight ``signal`` on regime 1: a one-period schedule."""
+    return F.mixed_schedule(pair, [signal], "filtered")[0]
+
+
+def all_sets(schedule):
+    """Period t's ``MomentSet`` for every t."""
+    return tuple(schedule[t] for t in range(len(schedule)))
 
 
 class TestUpdateFilter:
     def test_reference_matrix_value(self):
         # 0.0114 + 0.3 * (0.9986 - 0.0114)
-        assert F.update_filter(0.3, REFERENCE_P) == pytest.approx(0.30756, abs=1e-12)
+        assert update_filter(0.3, REFERENCE_P) == pytest.approx(0.30756, abs=1e-12)
 
     def test_memoryless_chain_returns_constant(self):
         p = ((0.4, 0.6), (0.4, 0.6))
         for p_hat in (0.01, 0.3, 0.99):
-            assert F.update_filter(p_hat, p) == pytest.approx(0.4, abs=1e-15)
+            assert update_filter(p_hat, p) == pytest.approx(0.4, abs=1e-15)
 
     def test_fixed_point_maps_to_itself(self):
-        star = F.stationary_state1_prob(REFERENCE_P)
+        star = stationary_state1_prob(REFERENCE_P)
         assert star == pytest.approx(0.890625, abs=1e-12)
-        assert F.update_filter(star, REFERENCE_P) == pytest.approx(star, abs=1e-15)
+        assert update_filter(star, REFERENCE_P) == pytest.approx(star, abs=1e-15)
 
 
 class TestFilterPath:
     def test_single_step(self):
         path = F.filter_path(0.3, REFERENCE_P, 1)
         assert path.shape == (1,)
-        assert path[0] == F.update_filter(0.3, REFERENCE_P)
+        assert path[0] == update_filter(0.3, REFERENCE_P)
 
     def test_fixed_point_gives_constant_sequence(self):
-        star = F.stationary_state1_prob(REFERENCE_P)
+        star = stationary_state1_prob(REFERENCE_P)
         path = F.filter_path(star, REFERENCE_P, 300)
         assert np.max(np.abs(path - star)) < 1e-12
 
     def test_long_run_convergence_to_fixed_point(self):
         # (0.9872)^2520 is effectively zero
         path = F.filter_path(0.3, REFERENCE_P, 2520)
-        assert abs(path[-1] - F.stationary_state1_prob(REFERENCE_P)) < 1e-10
+        assert abs(path[-1] - stationary_state1_prob(REFERENCE_P)) < 1e-10
 
     def test_iterated_equals_closed_form_reference_matrix(self):
         it = F.filter_path(0.3, REFERENCE_P, 2520)
@@ -82,16 +102,16 @@ class TestFilterPath:
 
 class TestExpectedRegimeSignal:
     def test_zero_steps_is_two_minus_p0(self):
-        assert F.expected_regime_signal(0.3, REFERENCE_P, 0) == pytest.approx(1.7, abs=1e-15)
+        assert expected_state(0.3, REFERENCE_P, 0) == pytest.approx(1.7, abs=1e-15)
 
     def test_identity_chain_is_constant(self):
         eye = ((1.0, 0.0), (0.0, 1.0))
         for t in (0, 1, 7, 100):
-            assert F.expected_regime_signal(0.4, eye, t) == pytest.approx(1.6, abs=1e-12)
+            assert expected_state(0.4, eye, t) == pytest.approx(1.6, abs=1e-12)
 
     def test_long_run_reference_value(self):
         # stationary regime-1 probability 0.890625 gives 2 - 0.890625
-        assert F.expected_regime_signal(0.3, REFERENCE_P, 200_000) == pytest.approx(
+        assert expected_state(0.3, REFERENCE_P, 200_000) == pytest.approx(
             1.109375, abs=1e-9
         )
 
@@ -99,7 +119,7 @@ class TestExpectedRegimeSignal:
         path = F.signal_path("expected_state", F.filter_states(0.37, REFERENCE_P, 40))
         for t in range(41):
             assert path[t] == pytest.approx(
-                F.expected_regime_signal(0.37, REFERENCE_P, t), abs=1e-12
+                expected_regime_signal(0.37, REFERENCE_P, t), abs=1e-12
             )
 
     def test_signal_lies_between_one_and_two(self):
@@ -114,13 +134,13 @@ class TestFilteredMoments:
     def test_degenerate_weights_reproduce_inputs(self, rng):
         pair = self._pair(rng)
         for signal, expect in ((1.0, pair[0]), (0.0, pair[1])):
-            got = F.filtered_moments(signal, pair)
+            got = mixed_moments(signal, pair)
             assert got.as_tuple() == pytest.approx(expect.as_tuple(), abs=1e-14)
 
     def test_identical_regimes_are_signal_invariant(self, rng):
         m = random_moment_set(rng)
         for signal in (-0.5, 0.0, 0.3, 1.0, 1.7):
-            got = F.filtered_moments(signal, (m, m))
+            got = mixed_moments(signal, (m, m))
             assert got.as_tuple() == pytest.approx(m.as_tuple(), abs=1e-12)
 
     def test_mixed_excess_second_moment_matches_mixture_oracle(self, rng):
@@ -135,7 +155,7 @@ class TestFilteredMoments:
             e0_sq = s * m1.b0 + (1 - s) * m2.b0
             e0_mean = s * m1.a0 + (1 - s) * m2.a0
             oracle = e1_sq - 2.0 * e1_mean * e0_mean + e0_sq
-            got = F.filtered_moments(s, (m1, m2))
+            got = mixed_moments(s, (m1, m2))
             assert got.b1 == pytest.approx(oracle, rel=1e-12)
 
     @given(s=st.floats(0.0, 1.0))
@@ -143,7 +163,7 @@ class TestFilteredMoments:
     def test_second_moment_bounds_hold_inside_unit_interval(self, s):
         rng = np.random.default_rng(77)
         pair = (random_moment_set(rng), random_moment_set(rng))
-        got = F.filtered_moments(s, pair)
+        got = mixed_moments(s, pair)
         assert got.violations() == []
 
     def test_out_of_range_signal_violations_are_reported(self):
@@ -177,7 +197,7 @@ class TestFilteredMoments:
         m1 = F.MomentSet(a0=1.5, b0=2.4, a1=0.8, b1=0.01 + 0.64, a2=1.0, b2=1.0)
         m2 = F.MomentSet(a0=0.6, b0=0.37, a1=-0.9, b1=0.82, a2=1.0, b2=1.0)
         with pytest.raises(ValueError, match="non-positive"):
-            F.filtered_moments(3.5, (m1, m2))
+            mixed_moments(3.5, (m1, m2))
 
 
 class TestMomentSchedule:
@@ -185,14 +205,14 @@ class TestMomentSchedule:
         sets = tuple(random_moment_set(rng) for _ in range(5))
         sched = F.MomentSchedule(sets=sets, flavor="regime")
         assert len(sched) == 5 and sched.flavor == "regime" and sched.violations == ()
-        assert sched.sets == sets and sched[3] == sets[3]
+        assert all_sets(sched) == sets and sched[3] == sets[3]
         assert np.array_equal(sched.b1, [m.b1 for m in sets])
         assert np.array_equal(sched.cross(), [m.cross() for m in sets])
 
     def test_regime_schedule_repeats_one_column(self, rng):
         m = random_moment_set(rng)
         sched = F.regime_schedule(m, 4)
-        assert sched.rows.shape == (6, 4) and sched.sets == (m,) * 4
+        assert sched.rows.shape == (6, 4) and all_sets(sched) == (m,) * 4
 
     def test_mixing_signal_names_each_weight_path(self):
         assert F.mixing_signal("real") == "regime"

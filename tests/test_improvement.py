@@ -13,7 +13,7 @@ from emvalm import closed_form as C
 from emvalm import config as cfgmod
 from emvalm import improvement as I
 from emvalm.filtering import MomentSchedule, filter_states, mixed_schedule, regime_schedule
-from conftest import REFERENCE_P, random_moment_set, random_schedule
+from conftest import REFERENCE_P, gaussian_entropy_min, random_moment_set, random_schedule
 
 
 def spec_for(horizon, w=1.8, lam=2.2, d=1.3):
@@ -23,6 +23,10 @@ def spec_for(horizon, w=1.8, lam=2.2, d=1.3):
 def optimal_affine_policy(schedule: MomentSchedule, spec: C.ProblemSpec) -> I.AffineGaussianPolicy:
     tables = C._ScheduleTables(schedule, spec)
     return I.AffineGaussianPolicy(tables.affine_rows(np.arange(spec.horizon)).T)
+
+
+def max_param_delta(a: I.AffineGaussianPolicy, b: I.AffineGaussianPolicy) -> float:
+    return float(np.max(np.abs(a.table - b.table)))
 
 
 def per_period_round(current: I.IteratedPolicy, schedule, spec, t):
@@ -48,18 +52,19 @@ def same_bits(a, b) -> bool:
 
 class TestGaussianEntropyMin:
     def test_direct_substitution(self):
-        assert I.gaussian_entropy_min(2.0, 1.0, 2.0) == pytest.approx((-0.5, 0.5), abs=1e-15)
+        assert gaussian_entropy_min(2.0, 1.0, 2.0) == pytest.approx((-0.5, 0.5), abs=1e-15)
 
     def test_symmetric_quadratic_centers_at_zero(self):
         for b in (0.5, 3.0, 10.0):
-            mean, _ = I.gaussian_entropy_min(b, 0.0, 1.0)
+            mean, _ = gaussian_entropy_min(b, 0.0, 1.0)
             assert mean == 0.0
 
     def test_nonpositive_curvature_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            I.gaussian_entropy_min(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="positive"):
-            I.gaussian_entropy_min(-2.0, 1.0, 1.0)
+        # the minimizer exists only for b > 0: bellman_step, whose b is xx * b1, refuses the rest
+        m = random_moment_set(np.random.default_rng(4))
+        for xx in (0.0, -2.0):
+            with pytest.raises(ValueError, match="non-positive at period 0"):
+                C.bellman_step(C.QuadraticValue(xx, 0.0, 0.0, 0.0, 0.0, 0.0), m, 1.0)
 
     def test_beats_grid_of_candidate_gaussians(self, rng):
         # the functional of N(m, v) is b(m^2+v) + 2 mu m - lam * entropy(v)
@@ -70,7 +75,7 @@ class TestGaussianEntropyMin:
             b = float(rng.uniform(0.1, 5.0))
             mu = float(rng.uniform(-3.0, 3.0))
             lam = float(rng.uniform(0.2, 4.0))
-            mean, var = I.gaussian_entropy_min(b, mu, lam)
+            mean, var = gaussian_entropy_min(b, mu, lam)
             best = functional(b, mu, lam, mean, var)
             means = np.linspace(mean - 3, mean + 3, 100)
             variances = np.geomspace(var / 50, var * 50, 100)
@@ -116,7 +121,7 @@ class TestImproveOnce:
         opt = optimal_affine_policy(sched, spec)
         start = I.IteratedPolicy(0, opt, I.evaluate_policy(opt, sched, spec))
         improved = I.improve_once(start, sched, spec)
-        assert improved.policy.max_param_delta(opt) < 1e-12
+        assert max_param_delta(improved.policy, opt) < 1e-12
 
     def test_objective_nonincreasing_at_probe_points(self, rng):
         T = 5
@@ -238,7 +243,7 @@ class TestIterateToConvergence:
             fam = I.InitialPolicyFamily.random(T, rng)
             final, n_used = I.iterate_to_convergence(fam, sched, spec, t=0)
             assert n_used <= T
-            assert final.policy.max_param_delta(optimal_affine_policy(sched, spec)) < 1e-10
+            assert max_param_delta(final.policy, optimal_affine_policy(sched, spec)) < 1e-10
 
     def test_starting_at_the_optimum_converges_immediately(self):
         from emvalm.filtering import MomentSet
@@ -261,10 +266,10 @@ class TestIterateToConvergence:
             g0=g0, g1=g1, g2=g2, h1=np.ones(T + 1), h2=np.ones(T + 1), f1=f1
         )
         rebuilt = I.family_policy(fam, spec)
-        assert rebuilt.max_param_delta(opt) < 1e-9
+        assert max_param_delta(rebuilt, opt) < 1e-9
         it, n_used = I.iterate_to_convergence(fam, sched, spec)
         assert n_used == 1
-        assert it.policy.max_param_delta(opt) < 1e-12
+        assert max_param_delta(it.policy, opt) < 1e-12
 
     def test_partial_information_schedule_uses_the_same_code_path(self, rng):
         pair = (random_moment_set(rng), random_moment_set(rng))
@@ -274,7 +279,7 @@ class TestIterateToConvergence:
         fam = I.InitialPolicyFamily.random(T, rng)
         final, n_used = I.iterate_to_convergence(fam, sched, spec)
         assert n_used <= T
-        assert final.policy.max_param_delta(optimal_affine_policy(sched, spec)) < 1e-10
+        assert max_param_delta(final.policy, optimal_affine_policy(sched, spec)) < 1e-10
 
     def test_reference_schedule_converges_at_2520_periods(self):
         # each round is one array sweep, so the T rounds cost O(T^2) flops but

@@ -101,8 +101,8 @@ class TestReturnSpecs:
     def test_constant_gross_mean_at_unit_dt(self):
         # gross annual 1.2 over a one-year period is 1.2 exactly
         model = simple_model(dt=1.0)
-        e0 = model.e0[0].sample(model.dt, M.stream(0, 0))
-        assert e0 == pytest.approx(1.2, abs=1e-15)
+        e0 = model.e0[0].sample(model.dt, M.stream(0, 0), size=3)
+        assert e0 == pytest.approx([1.2] * 3, abs=1e-15)
 
     def test_zero_variance_normal_is_deterministic(self):
         spec = M.ReturnSpec(kind="normal", annual_mean=0.05, annual_vol=0.0, mean_is_gross=False)
@@ -146,11 +146,11 @@ class TestSkewedT:
         assert skewness > 0.0
 
     def test_zero_vol_returns_mean_exactly(self):
-        assert M.sample_skewed_t(0.123, 0.0, 10.0, 0.1, M.stream(0, 0)) == 0.123
+        assert np.all(M.sample_skewed_t(0.123, 0.0, 10.0, 0.1, M.stream(0, 0), size=5) == 0.123)
 
     def test_dof_at_most_two_rejected(self):
         with pytest.raises(ValueError, match="dof"):
-            M.sample_skewed_t(0.0, 1.0, 2.0, 0.1, M.stream(0, 0))
+            M.sample_skewed_t(0.0, 1.0, 2.0, 0.1, M.stream(0, 0), size=1)
 
     def test_matches_hansen_cdf(self):
         dof, skew = 6.0, -0.4

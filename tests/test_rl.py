@@ -17,7 +17,7 @@ from emvalm import evaluate as E
 from emvalm import market as M
 from emvalm import rl
 from emvalm.closed_form import GaussianPolicy, ProblemSpec
-from conftest import REFERENCE_P
+from conftest import REFERENCE_P, critic_value, critic_values, policy_gradient
 
 
 def small_spec(horizon=8, lam=1.7, d=1.5, w=2.0, l0=0.2):
@@ -55,7 +55,7 @@ class TestCriticValue:
         critic = rl.CriticParams.zeros()
         x, l, w = 1.1, 0.4, 2.0
         expected = x * x - (w + l) * x - (w + l) ** 2 + w * l + l * l
-        assert rl.critic_value(3, x, l, 0.6, critic, w, 8, 0.25) == pytest.approx(expected, abs=1e-14)
+        assert critic_value(3, x, l, 0.6, critic, w, 8, 0.25) == pytest.approx(expected, abs=1e-14)
 
     def test_origin_reads_only_the_linear_grid(self, rng):
         critic = rl.CriticParams.zeros()
@@ -63,21 +63,21 @@ class TestCriticValue:
         critic = rl.CriticParams(**{**critic.grids(), "psi": psi}, m=2)
         t, sig, horizon, dt = 2, 0.7, 8, 0.25
         feats = rl.features([sig], [(horizon - t) * dt], 2)[0]
-        assert rl.critic_value(t, 0.0, 0.0, sig, critic, 0.0, horizon, dt) == pytest.approx(
+        assert critic_value(t, 0.0, 0.0, sig, critic, 0.0, horizon, dt) == pytest.approx(
             float(np.sum(psi * feats)), rel=1e-12
         )
 
     def test_terminal_features_vanish(self, rng):
         critic = random_critic(rng)
-        a = rl.critic_value(8, 1.3, 0.2, 0.9, critic, 2.0, 8, 0.25)
-        b = rl.critic_value(8, 1.3, 0.2, 0.1, rl.CriticParams.zeros(), 2.0, 8, 0.25)
+        a = critic_value(8, 1.3, 0.2, 0.9, critic, 2.0, 8, 0.25)
+        b = critic_value(8, 1.3, 0.2, 0.1, rl.CriticParams.zeros(), 2.0, 8, 0.25)
         assert a == pytest.approx(b, abs=1e-14)
 
     def test_exp_overflow_names_the_grid(self):
         theta1 = np.full((3, 2), 500.0)
         critic = rl.CriticParams(**{**rl.CriticParams.zeros().grids(), "theta1": theta1}, m=2)
         with pytest.raises(OverflowError, match="theta1"):
-            rl.critic_value(0, 1.0, 0.1, 1.0, critic, 2.0, 8, 1.0)
+            critic_value(0, 1.0, 0.1, 1.0, critic, 2.0, 8, 1.0)
 
 
 class TestActor:
@@ -97,11 +97,17 @@ class TestActor:
             assert var > 0.0
 
 
+def policy_entropy(theta1, phi3):
+    """The learners' entropy path on a one-row critic expansion with weight ``theta1``."""
+    ce = rl._CriticExpansion(*(np.array([v]) for v in (theta1, 1.0, 1.0, -1.0, -1.0, 0.0)))
+    return float(rl._entropy_path(ce, np.array([phi3]))[0])
+
+
 class TestPolicyEntropy:
     def test_reference_points(self):
-        assert rl.policy_entropy(math.pi, -1.0) == pytest.approx(0.0, abs=1e-15)
-        assert rl.policy_entropy(math.pi, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert rl.policy_entropy(1.0, 0.0) == pytest.approx((math.log(math.pi) + 1) / 2, rel=1e-12)
+        assert policy_entropy(math.pi, -1.0) == pytest.approx(0.0, abs=1e-15)
+        assert policy_entropy(math.pi, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert policy_entropy(1.0, 0.0) == pytest.approx((math.log(math.pi) + 1) / 2, rel=1e-12)
 
     def test_matches_quadrature_of_parameterized_gaussian(self, rng):
         nodes, weights = np.polynomial.hermite.hermgauss(60)
@@ -112,11 +118,7 @@ class TestPolicyEntropy:
             u = math.sqrt(2 * var) * nodes
             log_pi = -0.5 * math.log(2 * math.pi * var) - u**2 / (2 * var)
             quad = -float(np.sum(weights * log_pi) / math.sqrt(math.pi))
-            assert rl.policy_entropy(theta1, phi3) == pytest.approx(quad, abs=1e-8)
-
-    def test_nonpositive_theta1_rejected(self):
-        with pytest.raises(ValueError):
-            rl.policy_entropy(0.0, 0.0)
+            assert policy_entropy(theta1, phi3) == pytest.approx(quad, abs=1e-8)
 
 
 class TestMartingaleLoss:
@@ -136,7 +138,7 @@ class TestMartingaleLoss:
         coeff = [1.0, -2.0 * w, w * w - ((x - l - w) ** 2 - base)]
         d = float(np.roots(coeff)[0].real)
         spec = ProblemSpec(horizon=horizon, target=d, multiplier=w, explore_weight=lam, x0=x, l0=l)
-        entropy = rl.policy_entropy(1.0, 0.0)
+        entropy = policy_entropy(1.0, 0.0)
         psi = np.zeros((3, 2))
         # J_t must equal J_T minus the remaining entropy adjustment, so the
         # linear-in-time-to-go grid carries the negative entropy slope
@@ -161,7 +163,7 @@ class TestMartingaleLoss:
         sig = rl.episode_signal(episode, "filtered_prob")
         manual = 0.0
         for t in range(8):
-            jt = rl.critic_value(t, episode.x[t], episode.l[t], sig[t], critic, 2.0, 8, dt)
+            jt = critic_value(t, episode.x[t], episode.l[t], sig[t], critic, 2.0, 8, dt)
             j_term = rl.terminal_objective(episode.x[-1], episode.l[-1], 2.0, spec.target)
             manual += (j_term - jt) ** 2
         assert loss == pytest.approx(0.5 * manual * dt, rel=1e-12)
@@ -253,7 +255,7 @@ class TestGradientFidelity:
         x, l = episode.x[:-1], episode.l[:-1]
         j_term = rl.terminal_objective(episode.x[-1], episode.l[-1], w, spec.target)
         values = np.array(
-            [rl.critic_value(t, x[t], l[t], sig[t], critic, w, 8, dt) for t in range(8)]
+            [critic_value(t, x[t], l[t], sig[t], critic, w, 8, dt) for t in range(8)]
         )
         tail = np.cumsum((ents * dt)[::-1])[::-1]
         delta = j_term - values - spec.explore_weight * tail
@@ -299,7 +301,7 @@ class TestGradientFidelity:
             p_hat=np.full(horizon + 1, 0.5),
             action=np.full(horizon, 0.7),
         )
-        grads = rl.policy_gradient(
+        grads = policy_gradient(
             episode, rl.CriticParams.zeros(), rl.ActorParams.zeros(), 2.0, small_spec(horizon), 0.25, lam=0.0
         )
         for name in ("phi1", "phi2", "phi3"):
@@ -320,13 +322,13 @@ class TestGradientFidelity:
             action=np.full(horizon, mean),
         )
         spec = ProblemSpec(horizon=horizon, target=1.0, multiplier=w, explore_weight=lam)
-        grads = rl.policy_gradient(episode, rl.CriticParams.zeros(), rl.ActorParams.zeros(), w, spec, dt)
+        grads = policy_gradient(episode, rl.CriticParams.zeros(), rl.ActorParams.zeros(), w, spec, dt)
         assert np.allclose(grads.phi1, 0.0, atol=1e-12)
         assert np.allclose(grads.phi2, 0.0, atol=1e-12)
         feats = rl.features(
             rl.episode_signal(episode, "filtered_prob"), rl._tau_grid(horizon, dt), 2
         )[:-1]
-        ent = rl.policy_entropy(1.0, 0.0)
+        ent = policy_entropy(1.0, 0.0)
         # s3 = -1/2 at zero residual; TD = -lam * H * dt on the static episode
         weight = (-0.5) * (-lam * ent * dt) - lam * 0.5 * dt
         expected = np.einsum("t,tij->ij", np.full(horizon, weight), feats)
@@ -507,8 +509,25 @@ class TestTrain:
             rl.train("coemv", tiny_market(), hyper, tiny_spec())
 
     def test_overflowing_terminal_surplus_is_named(self):
-        # large steps blow the terminal surplus past 1e154, where squaring a
-        # float overflows; the error names the surplus and the iteration
+        # a terminal surplus past 1e154 overflows its square as a float; the
+        # error names the surplus, and a training step adds the iteration
+        with pytest.raises(OverflowError, match=r"^terminal surplus x - l = 1e\+160 overflowed"):
+            rl.terminal_objective(1e160, 0.0, 2.0, 1.5)
+        # a baseline return of 1e80 takes the wealth to 1e160 in two periods
+        spec, hyper = tiny_spec(horizon=2), tiny_hyper(1, seed=17)
+        sc = rl._Scenario(
+            e0=np.full(2, 1e80), ex=np.zeros(2), l=np.zeros(3),
+            feats=rl._flat(rl.features(np.full(3, 0.5), rl._tau_grid(2, hyper.dt), hyper.m)),
+        )
+        state = rl.TrainState.start("poemv1", hyper, spec)
+        with np.errstate(over="ignore"), pytest.raises(
+            rl.DivergenceError, match=r"^terminal surplus x - l = 1e\+160 .* at iteration 4$"
+        ):
+            rl._train_step(state, [sc], M.stream(17, 4), 4, rl._Workspace(2, 1))
+
+    def test_non_finite_gradient_fails_before_clipping(self):
+        # large steps take the wealth paths to 1e97, where the critic gradient
+        # turns infinite; clipping it would be a full-size step in silence
         hyper = replace(
             tiny_hyper(50, seed=17, batch_size=2),
             eta_theta=1e-9,
@@ -518,7 +537,8 @@ class TestTrain:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(
-                rl.DivergenceError, match=r"terminal surplus x - l = \S+e\+\d+ .* at iteration 7$"
+                rl.DivergenceError,
+                match=r"^critic gradient grid theta1 became non-finite at iteration 6$",
             ):
                 rl.train("poemv2", tiny_market(e1_vol=0.2), hyper, tiny_spec(horizon=240))
 
@@ -541,10 +561,18 @@ class TestTrain:
     def test_learned_policy_affine_matches_actor_formula(self, rng):
         state = rl.train("poemv1", tiny_market(), tiny_hyper(30, seed=5), tiny_spec())
         policy = rl.policy_from_state(state)
+        horizon, dt, w, x, l = state.spec.horizon, state.hyper.dt, state.w, 1.4, 0.2
         for t in (0, 11, 23):
             sig = float(rng.uniform(0.1, 0.9))
-            mean, var = rl.actor_mean_var(
-                t, 1.4, 0.2, sig, state.critic, state.actor, state.w, state.spec.horizon, state.hyper.dt
+            # the action law N(phi1 x - (vartheta1 / theta1) e^phi2 (w + theta2 l), e^phi3 / (2 theta1))
+            feats = rl.features([sig], [(horizon - t) * dt], state.hyper.m)
+            ce = rl._expand_critic(feats, state.critic)
+            (ph1,), (ph2,), (ph3,) = rl._expand_actor(feats, state.actor)
+            th1 = ce.theta1[0]
+            mean = ph1 * x - (ce.vartheta1[0] / th1) * math.exp(ph2) * (w + ce.theta2[0] * l)
+            var = math.exp(ph3) / (2.0 * th1)
+            assert rl.actor_mean_var(t, x, l, sig, state.critic, state.actor, w, horizon, dt) == (
+                pytest.approx(mean, rel=1e-12), pytest.approx(var, rel=1e-12)
             )
             cx, cl, c0, v = policy.table([t], [sig])[0]
             assert cx * 1.4 + cl * 0.2 + c0 == pytest.approx(mean, rel=1e-12)
@@ -642,7 +670,7 @@ def per_grid_actor_expansion(feats, grids):
 
 
 def per_grid_ml_gradients(x, l, feats, ce, ph3, w, d, lam, dt):
-    values = ce.values(x, l, w)
+    values = critic_values(ce, x, l, w)
     entropies = (-0.5 * np.log(ce.theta1 / math.pi) + 0.5 * (ph3 + 1.0))[:-1]
     tail = np.cumsum((entropies * dt)[::-1])[::-1]
     deltas = rl.terminal_objective(x[-1], l[-1], w, d) - values[:-1] - lam * tail
@@ -671,7 +699,7 @@ def per_grid_ml_gradients(x, l, feats, ce, ph3, w, d, lam, dt):
 def per_grid_policy_gradient(x, l, u, feats, ce, ph, w, lam, dt):
     ph1, ph2, ph3 = ph
     entropies = (-0.5 * np.log(ce.theta1 / math.pi) + 0.5 * (ph3 + 1.0))[:-1]
-    td = np.diff(ce.values(x, l, w)) - lam * entropies * dt
+    td = np.diff(critic_values(ce, x, l, w)) - lam * entropies * dt
     vmag = values_magnitude(ce, x, l, w)
     x, l = x[:-1], l[:-1]
     th1 = ce.theta1[:-1]
@@ -864,7 +892,7 @@ def unfused_train_step(state, scenarios, rng, k):
 
     def ml_gradient(sc, x, ce, ph3):
         entropies = (-0.5 * np.log(ce.theta1 / math.pi) + 0.5 * (ph3 + 1.0))[:-1]
-        values = ce.values(x, sc.l, w)
+        values = critic_values(ce, x, sc.l, w)
         tail = np.cumsum((entropies * dt)[::-1])[::-1]
         deltas = rl.terminal_objective(x[-1], sc.l[-1], w, d) - values[:-1] - lam * tail
         xs, l = x[:-1], sc.l[:-1]
@@ -883,7 +911,7 @@ def unfused_train_step(state, scenarios, rng, k):
     def policy_gradient(sc, x, u, ce, ph):
         ph1, ph2, ph3 = ph
         entropies = (-0.5 * np.log(ce.theta1 / math.pi) + 0.5 * (ph3 + 1.0))[:-1]
-        td = np.diff(ce.values(x, sc.l, w)) - lam * entropies * dt
+        td = np.diff(critic_values(ce, x, sc.l, w)) - lam * entropies * dt
         xs, l, th1 = x[:-1], sc.l[:-1], ce.theta1[:-1]
         gain = 2.0 * th1 * np.exp(-ph3[:-1])
         offset = -(ce.vartheta1[:-1] / th1) * np.exp(ph2[:-1]) * (w + ce.theta2[:-1] * l)

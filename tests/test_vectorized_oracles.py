@@ -138,7 +138,7 @@ class TestRolloutOracle:
 
 def scalar_schedule_row(schedule, spec, t):
     """(cx, cl, c0, variance) of the optimal policy at t, by direct products."""
-    sets = schedule.sets
+    sets = [schedule[k] for k in range(len(schedule))]
     m = sets[t]
     k1 = m.a1 / m.b1
     variance = spec.explore_weight / (2.0 * m.b1)
@@ -306,14 +306,13 @@ class TestRegimeOnlyReturns:
 PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
-def two_piece_skewed_t(mean, vol, dof, skew, rng, size=None):
+def two_piece_skewed_t(mean, vol, dof, skew, rng, size):
     """The Hansen transform as first written: the sign and the piece weight by
     two ``where``s, then mean + vol * (piece * scale * halves - a) / b."""
-    u = rng.random(size=size if size is not None else 1)
-    tdraw = rng.standard_t(dof, size=size if size is not None else 1)
+    u = rng.random(size=size)
+    tdraw = rng.standard_t(dof, size=size)
     if vol == 0.0:
-        out = np.full(u.shape, float(mean))
-        return out if size is not None else float(out[0])
+        return np.full(size, float(mean))
     c = math.gamma((dof + 1.0) / 2.0) / (math.sqrt(math.pi * (dof - 2.0)) * math.gamma(dof / 2.0))
     a = 4.0 * skew * c * (dof - 2.0) / (dof - 1.0)
     b = math.sqrt(1.0 + 3.0 * skew * skew - a * a)
@@ -321,8 +320,7 @@ def two_piece_skewed_t(mean, vol, dof, skew, rng, size=None):
     right = u >= (1.0 - skew) / 2.0
     halves = np.where(right, np.abs(tdraw), -np.abs(tdraw))
     piece = np.where(right, 1.0 + skew, 1.0 - skew)
-    out = mean + vol * ((piece * scale * halves - a) / b)
-    return out if size is not None else float(out[0])
+    return mean + vol * ((piece * scale * halves - a) / b)
 
 
 def loop_filter_states(p0, p, horizon):
@@ -359,7 +357,7 @@ class TestSequentialOracles:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
-        size=st.one_of(st.sampled_from([None, 0, 1]), st.integers(2, 300)),
+        size=st.one_of(st.sampled_from([0, 1]), st.integers(2, 300)),
         mean=st.floats(-2.0, 2.0),
         vol=st.one_of(st.just(0.0), st.floats(1e-6, 5.0)),
         dof=st.one_of(st.floats(2.0 + 1e-9, 2.01), st.floats(2.01, 300.0)),
@@ -371,10 +369,7 @@ class TestSequentialOracles:
         rng, twin = M.stream(seed, 2), M.stream(seed, 2)
         got = M.sample_skewed_t(mean, vol, dof, skew, rng, size=size)
         want = two_piece_skewed_t(mean, vol, dof, skew, twin, size=size)
-        if size is None:
-            assert type(got) is float and repr(got) == repr(want)
-        else:
-            assert got.shape == (size,) and got.tobytes() == want.tobytes()
+        assert got.shape == (size,) and got.tobytes() == want.tobytes()
         # both variates are drawn even when vol = 0
         assert rng.random() == twin.random()
 
@@ -697,7 +692,7 @@ class TestMomentMixing:
             assert got.rows.tobytes() == want[0].T.tobytes()
             assert got.violations == want[1]
         # the one-period mix is the one-column case
-        one, one_err = outcome(lambda: F.filtered_moments(signals[0], pair))
+        one, one_err = outcome(lambda: F.mixed_schedule(pair, signals[:1], "filtered")[0])
         want_one, want_one_err = outcome(lambda: loop_moments(float(signals[0]), pair))
         assert one_err == want_one_err
         if want_one is not None:
