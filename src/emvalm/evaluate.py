@@ -5,9 +5,10 @@ paths of the chosen dynamics flavor, and reports mean/variance of terminal net
 wealth plus the horizon Sharpe ratio (mean minus initial wealth over the
 terminal standard deviation); ``simulate`` records its path 0 period by
 period.  ``empirical_train`` drives the block-resampling pipeline: per
-training iteration a historical window is sampled, regimes are labeled and
-parameters re-estimated with exponential averaging, and the block's actual
-risky returns form the episode the learners update on.
+training iteration a historical window is sampled, its transition estimate
+(labeled and estimated once per window by ``BlockSource``) is folded into an
+exponential average, and the block's actual risky returns form the episode
+the learners update on.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -308,19 +309,56 @@ def _fmt(v) -> str:
 
 @dataclass(frozen=True)
 class BlockSource:
-    """Historical windows drawn uniformly from a set of price series."""
+    """Historical windows drawn uniformly from a set of price series.
+
+    A window's (p12, p21) transition estimate depends on nothing but the
+    window, so each is computed on its first draw and kept for the life of
+    the source: at most one estimate per overlapping window.
+    """
 
     series_set: tuple[data_ingest.PriceSeries, ...]
     horizon_years: float
     dt: float
+    # (series index, start) -> read-only [p12, p21], or None for a single-regime window
+    _estimates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.series_set:
+            raise ValueError("series_set: a block source needs at least one series")
+        try:
+            self.horizon_periods()
+        except ValueError as exc:
+            raise ValueError(f"horizon_years: {exc}") from None
+        try:
+            data_ingest.block_count(self.series_set, self.horizon_years, self.dt)
+        except ValueError as exc:
+            raise ValueError(f"series_set: {exc}") from None
 
     def horizon_periods(self) -> int:
         return data_ingest.periods_in_horizon(self.horizon_years, self.dt)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Closing prices of one sampled block (horizon + 1 values)."""
-        idx, start = data_ingest.block_sampler(self.series_set, self.horizon_years, self.dt, rng)
-        return self.series_set[idx].closes[start : start + self.horizon_periods() + 1]
+    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+        """Closing prices of one sampled block (horizon + 1 values) and its
+        transition estimate; the one draw is ``data_ingest.block_sampler``'s."""
+        window = data_ingest.block_sampler(self.series_set, self.horizon_years, self.dt, rng)
+        idx, start = window
+        closes = self.series_set[idx].closes[start : start + self.horizon_periods() + 1]
+        if window not in self._estimates:
+            self._estimates[window] = self._estimate(closes)
+        return closes, self._estimates[window]
+
+    def _estimate(self, closes: np.ndarray) -> np.ndarray | None:
+        """[p12, p21] of the window's labeled bull/bear phases, or None when
+        the window holds a single regime."""
+        series = data_ingest.PriceSeries.from_closes(closes, frequency=blocks_frequency(self.dt))
+        try:
+            labels = data_ingest.label_regimes(series)
+            est = data_ingest.estimate_params(series, labels, self.dt)
+        except ValueError:
+            return None
+        pair = np.array([est.p12, est.p21])
+        pair.flags.writeable = False
+        return pair
 
 
 def _baseline_rate(model: MarketModel, p12: float, p21: float) -> float:
@@ -340,11 +378,14 @@ def empirical_train(
 ) -> rl.TrainState:
     """Train a learner on resampled historical blocks.
 
-    Each iteration samples a block, labels its bull/bear phases, re-estimates
-    regime parameters with exponential averaging (single-regime blocks keep
-    the previous estimate), and runs one episode whose risky returns are the
-    block's own while the baseline and liability legs follow the filtered
-    expectations implied by the current transition estimates.  ``algo`` is
+    Each iteration samples a block from stream (seed, k), folds the block's
+    (p12, p21) estimate from its labeled bull/bear phases into an exponential
+    average (single-regime blocks keep the previous estimate), and runs one
+    episode whose risky returns are the block's own while the baseline and
+    liability legs follow the filtered expectations implied by the current
+    transition estimates.  The block pick is the stream's first draw and the
+    action noise follows it; ``blocks`` estimates each window once, so a
+    warm source gives the same states as a fresh one.  ``algo`` is
     ``"poemv1"`` (filter signal) or ``"emv"`` (regime-blind baseline: constant
     sojourn-weighted baseline rate, no liability in its world, unit signal).
     """
@@ -362,20 +403,16 @@ def empirical_train(
     running = None  # exponentially averaged (p12, p21) transition estimates
     taus = rl._tau_grid(horizon, hyper.dt)
     work = rl._Workspace(horizon, 1)
+    if algo == "emv":  # the same unit signal and zero liability in every episode
+        blind_feats = rl._flat(rl.features(np.ones(horizon + 1), taus, hyper.m))
+        blind_l = np.zeros(horizon + 1)
 
     for k in range(hyper.n_iter):
         rng = stream(hyper.seed, k)
-        closes = blocks.sample(rng)
-        series = data_ingest.PriceSeries.from_closes(closes, frequency=blocks_frequency(blocks.dt))
-        try:
-            labels = data_ingest.label_regimes(series)
-            est = data_ingest.estimate_params(series, labels, blocks.dt)
-        except ValueError:
-            est = None  # single-regime block: keep the previous estimate
-        if est is not None:
-            new = np.array([est.p12, est.p21])
-            running = new if running is None else data_ingest.exp_average_update(
-                running, new, _N_SMOOTH
+        closes, est = blocks.sample(rng)
+        if est is not None:  # a single-regime block keeps the previous estimate
+            running = est if running is None else data_ingest.exp_average_update(
+                running, est, _N_SMOOTH
             )
         if running is None:
             continue
@@ -386,12 +423,11 @@ def empirical_train(
             mat = np.array([[1.0 - p12, p12], [p21, 1.0 - p21]])
             _, sig, schedule = observable_rates(model, horizon, "filtered", p=mat)
             e0_bar, l_path = schedule.a0, liability_path(spec.l0, schedule.a2)
+            feats = rl._flat(rl.features(sig, taus, hyper.m))
         else:
             rate = _baseline_rate(model, p12, p21)
             e0_bar = np.full(horizon, 1.0 + rate * hyper.dt)
-            sig = np.ones(horizon + 1)
-            l_path = np.zeros(horizon + 1)
-        feats = rl._flat(rl.features(sig, taus, hyper.m))
+            feats, l_path = blind_feats, blind_l
         rl._train_step(state, [rl._Scenario(e0_bar, gross - e0_bar, l_path, feats)], rng, k, work)
 
     state.iteration = hyper.n_iter

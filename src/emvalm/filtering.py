@@ -207,7 +207,8 @@ def mixed_schedule(
     b1 += b0
     sched = MomentSchedule(None, flavor, rows=rows, signals=s)
     inside = (s >= 0.0) & (s <= 1.0)
-    deficit = inside & np.any(sched.deficits(), axis=0)
+    # b0, b1, b2 against a0^2, a1^2, a2^2: the deficits() test over the rows at once
+    deficit = inside & np.any(rows[1::2] < rows[0::2] ** 2 - _MOMENT_SLACK, axis=0)
     failed = (b1 <= 0.0) | ~np.isfinite(rows).all(axis=0) | deficit
     if failed.any():
         t = int(np.argmax(failed))

@@ -206,6 +206,36 @@ def monthly_blocks(model, n_series=4, months=120, horizon_years=2.0):
     return E.BlockSource(series_set=tuple(series), horizon_years=horizon_years, dt=model.dt)
 
 
+class FixedPick:
+    """A stand-in generator whose one ``integers`` draw is ``pick``."""
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def integers(self, n):
+        assert 0 <= self.pick < n
+        return self.pick
+
+
+def every_window(blocks):
+    """(pick, series index, start) of every window, in ``block_sampler``'s order."""
+    pick = 0
+    for idx, s in enumerate(blocks.series_set):
+        for start in range(len(s.closes) - blocks.horizon_periods()):
+            yield pick, idx, start
+            pick += 1
+
+
+def fresh_estimate(closes, dt):
+    """(p12, p21) labeled and estimated from scratch, or None for a single regime."""
+    series = D.PriceSeries.from_closes(closes, frequency=E.blocks_frequency(dt))
+    try:
+        est = D.estimate_params(series, D.label_regimes(series), dt)
+    except ValueError:
+        return None
+    return est.p12, est.p21
+
+
 class TestBlockSource:
     def test_sample_is_the_block_sampler_pick(self):
         blocks = monthly_blocks(monthly_study_market())
@@ -213,7 +243,63 @@ class TestBlockSource:
         for _ in range(50):
             idx, start = D.block_sampler(blocks.series_set, blocks.horizon_years, blocks.dt, twin)
             want = blocks.series_set[idx].closes[start : start + blocks.horizon_periods() + 1]
-            assert np.array_equal(blocks.sample(gen), want)
+            closes, _ = blocks.sample(gen)
+            assert np.array_equal(closes, want)
+
+    def test_every_window_estimate_matches_a_fresh_estimate(self):
+        blocks = monthly_blocks(monthly_study_market())
+        n = blocks.horizon_periods()
+        single = 0
+        for pick, idx, start in every_window(blocks):
+            closes, est = blocks.sample(FixedPick(pick))
+            assert len(closes) == n + 1
+            want = fresh_estimate(blocks.series_set[idx].closes[start : start + n + 1], blocks.dt)
+            if want is None:
+                single += 1
+                assert est is None
+            else:
+                assert est.tolist() == list(want)
+        # the data hold both kinds of window, so both branches are checked
+        assert 0 < single < D.block_count(blocks.series_set, blocks.horizon_years, blocks.dt)
+
+    def test_second_lookup_does_not_relabel(self, monkeypatch):
+        blocks = monthly_blocks(monthly_study_market())
+        calls = []
+        label = D.label_regimes
+        monkeypatch.setattr(D, "label_regimes", lambda series: calls.append(1) or label(series))
+        first = [blocks.sample(FixedPick(p))[1] for p in range(40)]
+        assert len(calls) == 40
+        again = [blocks.sample(FixedPick(p))[1] for p in range(40)]
+        assert len(calls) == 40
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_memo_entries_are_read_only(self):
+        blocks = monthly_blocks(monthly_study_market())
+        estimates = [blocks.sample(FixedPick(p))[1] for p, _, _ in every_window(blocks)]
+        estimates = [e for e in estimates if e is not None]
+        assert estimates
+        for est in estimates:
+            assert not est.flags.writeable
+            with pytest.raises(ValueError):
+                est[0] = 0.5
+
+    def test_fractional_horizon_fails_at_construction(self):
+        blocks = monthly_blocks(monthly_study_market())
+        with pytest.raises(ValueError, match="horizon_years: .*not a whole number of periods"):
+            E.BlockSource(series_set=blocks.series_set, horizon_years=2.01, dt=blocks.dt)
+
+    def test_short_series_fails_at_construction(self):
+        blocks = monthly_blocks(monthly_study_market())
+        short = D.PriceSeries.from_closes(blocks.series_set[0].closes[:24], frequency="monthly")
+        with pytest.raises(ValueError, match="series_set: every series must span at least one full horizon"):
+            E.BlockSource(series_set=(*blocks.series_set, short), horizon_years=2.0, dt=blocks.dt)
+        # a series one period longer than the horizon holds exactly one window
+        one = D.PriceSeries.from_closes(blocks.series_set[0].closes[:25], frequency="monthly")
+        E.BlockSource(series_set=(one,), horizon_years=2.0, dt=blocks.dt)
+
+    def test_empty_series_set_fails_at_construction(self):
+        with pytest.raises(ValueError, match="series_set: "):
+            E.BlockSource(series_set=(), horizon_years=2.0, dt=1.0 / 12.0)
 
 
 class TestEmpiricalTrain:
@@ -235,6 +321,27 @@ class TestEmpiricalTrain:
         hyper = rl.Hyperparams(n_iter=5, dt=model.dt, n_avg=5, batch_size=4)
         with pytest.raises(ValueError, match="batch_size = 4"):
             E.empirical_train("poemv1", monthly_blocks(model), model, hyper, tiny_spec(24))
+
+    def test_states_do_not_depend_on_the_estimate_memo(self):
+        # cold source, warm source, and the learners trained in either order
+        model = monthly_study_market()
+        hyper = rl.Hyperparams(n_iter=80, dt=model.dt, seed=12, n_avg=5)
+
+        def states(blocks, order):
+            return {
+                algo: json.dumps(
+                    E.empirical_train(algo, blocks, model, hyper, tiny_spec(24)).to_dict(),
+                    sort_keys=True,
+                )
+                for algo in order
+            }
+
+        cold = {algo: states(monthly_blocks(model), (algo,))[algo] for algo in ("poemv1", "emv")}
+        warm = monthly_blocks(model)
+        assert states(warm, ("poemv1", "emv")) == cold
+        assert warm._estimates
+        assert states(warm, ("emv", "poemv1")) == cold
+        assert states(monthly_blocks(model), ("emv", "poemv1")) == cold
 
     def test_absurd_learning_rates_raise_divergence_not_overflow(self):
         model = monthly_study_market()
