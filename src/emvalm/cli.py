@@ -85,7 +85,7 @@ def cmd_filter_demo(args) -> int:
     model = cfgmod.build_market(cfg)
     spec = cfgmod.build_problem(cfg)
     rng = market.stream(cfg["training"]["seed"], 0)
-    regimes, _ = market.draw_path(model, spec.horizon, rng)
+    regimes = market.regime_path(model.chain, spec.horizon, rng)
     p_hat = filtering.filter_states(model.chain.p0, model.chain.matrix(), spec.horizon)
     p_tilde = filtering.signal_path("expected_state", p_hat)
     rows = [

@@ -11,10 +11,17 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from dataclasses import fields
 
 from .closed_form import ProblemSpec
+from .data_ingest import periods_in_horizon
 from .market import DYNAMICS, SIGNALS, MarketModel, market_from_dict
 from .rl import Hyperparams
+
+
+# (training key, Hyperparams field) of every field but dt, which the market sets
+_TRAINING = [("N" if f.name == "n_avg" else f.name, f)
+             for f in fields(Hyperparams) if f.name != "dt"]
 
 
 def default_config() -> dict:
@@ -67,22 +74,7 @@ def default_config() -> dict:
             },
         },
         "problem": {"T_years": 10.0, "d": 8.0, "lambda": 2.0, "x0": 1.0, "l0": 0.1, "w": 8.0},
-        "training": {
-            "algo": "poemv1",
-            "n_iter": 10_000,
-            "N": 10,
-            "alpha": 1e-2,
-            "eta_theta": 1e-12,
-            "eta_vartheta": 1e-12,
-            "eta_psi": 1e-9,
-            "eta_phi": 1e-9,
-            "m": 2,
-            "batch_size": 1,
-            "grad_clip": 1e6,
-            "w0": None,
-            "expectation_signal": "expected_state",
-            "seed": 0,
-        },
+        "training": {"algo": "poemv1", **{key: f.default for key, f in _TRAINING}},
         "evaluation": {"n_paths": 1000, "dynamics": "auto", "signal": None, "explore": True},
     }
 
@@ -131,12 +123,12 @@ def build_market(cfg: dict) -> MarketModel:
 
 def build_problem(cfg: dict) -> ProblemSpec:
     p = cfg["problem"]
-    dt = cfg["market"]["dt"]
-    periods = p["T_years"] / dt
-    if abs(periods - round(periods)) > 1e-9:
-        raise ValueError("T_years must be a whole number of periods at the market dt")
+    try:
+        horizon = periods_in_horizon(p["T_years"], cfg["market"]["dt"])
+    except ValueError as exc:
+        raise ValueError(f"T_years: {exc}") from None
     return ProblemSpec(
-        horizon=int(round(periods)),
+        horizon=horizon,
         target=p["d"],
         multiplier=p.get("w", p["d"]),
         explore_weight=p["lambda"],
@@ -146,23 +138,10 @@ def build_problem(cfg: dict) -> ProblemSpec:
 
 
 def build_hyper(cfg: dict, seed: int | None = None) -> Hyperparams:
-    t = cfg["training"]
-    return Hyperparams(
-        eta_theta=t["eta_theta"],
-        eta_vartheta=t["eta_vartheta"],
-        eta_psi=t["eta_psi"],
-        eta_phi=t["eta_phi"],
-        alpha=t["alpha"],
-        n_avg=t["N"],
-        n_iter=t["n_iter"],
-        dt=cfg["market"]["dt"],
-        seed=t["seed"] if seed is None else seed,
-        m=t["m"],
-        batch_size=t["batch_size"],
-        grad_clip=t["grad_clip"],
-        w0=t["w0"],
-        expectation_signal=t["expectation_signal"],
-    )
+    values = {f.name: cfg["training"][key] for key, f in _TRAINING}
+    if seed is not None:
+        values["seed"] = seed
+    return Hyperparams(**values, dt=cfg["market"]["dt"])
 
 
 def canonical_json(obj) -> str:

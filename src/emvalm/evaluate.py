@@ -8,7 +8,7 @@ period.  ``empirical_train`` drives the block-resampling pipeline: per
 training iteration a historical window is sampled, its transition estimate
 (labeled and estimated once per window by ``BlockSource``) is folded into an
 exponential average, and the block's actual risky returns form the episode
-the learners update on.
+the learners update on, in ``rl._run``, the one training loop.
 """
 
 from __future__ import annotations
@@ -383,11 +383,12 @@ def empirical_train(
     average (single-regime blocks keep the previous estimate), and runs one
     episode whose risky returns are the block's own while the baseline and
     liability legs follow the filtered expectations implied by the current
-    transition estimates.  The block pick is the stream's first draw and the
-    action noise follows it; ``blocks`` estimates each window once, so a
-    warm source gives the same states as a fresh one.  ``algo`` is
-    ``"poemv1"`` (filter signal) or ``"emv"`` (regime-blind baseline: constant
-    sojourn-weighted baseline rate, no liability in its world, unit signal).
+    transition estimates, in ``rl._run``.  The block pick is the stream's first
+    draw and the action noise follows it; before the first estimate there is
+    no episode.  ``blocks`` estimates each window once, so a warm source gives
+    the same states as a fresh one.  ``algo`` is ``"poemv1"`` (filter signal)
+    or ``"emv"`` (regime-blind baseline: constant sojourn-weighted baseline
+    rate, no liability in its world, unit signal).
     """
     if algo not in ("poemv1", "emv"):
         raise ValueError(f"empirical training supports poemv1 or emv, got {algo!r}")
@@ -399,39 +400,32 @@ def empirical_train(
     horizon, n_block = spec.horizon, blocks.horizon_periods()
     if horizon != n_block:
         raise ValueError(f"problem horizon {horizon} and block horizon {n_block} disagree")
-    state = rl.TrainState.start(algo, hyper, spec)
     running = None  # exponentially averaged (p12, p21) transition estimates
-    taus = rl._tau_grid(horizon, hyper.dt)
-    work = rl._Workspace(horizon, 1)
     if algo == "emv":  # the same unit signal and zero liability in every episode
-        blind_feats = rl._flat(rl.features(np.ones(horizon + 1), taus, hyper.m))
+        blind_feats = rl._flat(rl.features(np.ones(horizon + 1), rl._tau_grid(horizon, hyper.dt),
+                                           hyper.m))
         blind_l = np.zeros(horizon + 1)
 
-    for k in range(hyper.n_iter):
-        rng = stream(hyper.seed, k)
+    def draw(rng: np.random.Generator, slot: int) -> rl._Scenario | None:
+        nonlocal running
         closes, est = blocks.sample(rng)
         if est is not None:  # a single-regime block keeps the previous estimate
             running = est if running is None else data_ingest.exp_average_update(
                 running, est, _N_SMOOTH
             )
         if running is None:
-            continue
-
+            return None
         gross = closes[1:] / closes[:-1]
         p12, p21 = running.tolist()
         if algo == "poemv1":
             mat = np.array([[1.0 - p12, p12], [p21, 1.0 - p21]])
-            _, sig, schedule = observable_rates(model, horizon, "filtered", p=mat)
-            e0_bar, l_path = schedule.a0, liability_path(spec.l0, schedule.a2)
-            feats = rl._flat(rl.features(sig, taus, hyper.m))
-        else:
-            rate = _baseline_rate(model, p12, p21)
-            e0_bar = np.full(horizon, 1.0 + rate * hyper.dt)
-            feats, l_path = blind_feats, blind_l
-        rl._train_step(state, [rl._Scenario(e0_bar, gross - e0_bar, l_path, feats)], rng, k, work)
+            sc = rl._observable_scenario(model, hyper, spec, "filtered", p=mat)
+            sc.ex = gross - sc.e0
+            return sc
+        e0_bar = np.full(horizon, 1.0 + _baseline_rate(model, p12, p21) * hyper.dt)
+        return rl._Scenario(e0_bar, gross - e0_bar, blind_l, blind_feats)
 
-    state.iteration = hyper.n_iter
-    return state
+    return rl._run(rl.TrainState.start(algo, hyper, spec), draw)
 
 
 def blocks_frequency(dt: float) -> str:

@@ -20,8 +20,8 @@ gathering OS entropy.  The keys in use, and what each stream draws in order:
 
 | caller | key | draws |
 |---|---|---|
-| ``rl.train``, iteration k | k | per episode: regime path and returns (real dynamics), action noise |
-| ``evaluate.empirical_train``, iteration k | k | block pick, action noise |
+| ``rl.train``, iteration k of ``rl._run``, the one training loop | k | per episode: regime path and returns (real dynamics), action noise |
+| ``evaluate.empirical_train``, iteration k of ``rl._run`` | k | block pick, action noise |
 | ``evaluate.out_of_sample`` | 0 | action noise, an (n_paths, T) array row by row |
 | ``evaluate.out_of_sample``, path i | 1 + i | regime path (real dynamics) |
 | ``evaluate.out_of_sample``, path i | ``RETURNS_KEY`` + i | returns (real dynamics) |
@@ -355,17 +355,14 @@ def draw_path(
     model: MarketModel,
     horizon: int,
     regime_rng: np.random.Generator,
-    return_rng: np.random.Generator | None = None,
+    return_rng: np.random.Generator,
     out: np.ndarray | None = None,
-) -> tuple[np.ndarray, ReturnsRecord | None]:
+) -> tuple[np.ndarray, ReturnsRecord]:
     """One path of the real market: its regime path s_0..s_T drawn from
     ``regime_rng``, then the e0, e1 and q draws of the periods t = 0..T-1
-    along it drawn from ``return_rng`` (None without one), written into the
-    rows of ``out`` (3, T) when given, e.g. one path's slice of a (3, P, T)
-    block."""
+    along it drawn from ``return_rng``, written into the rows of ``out``
+    (3, T) when given, e.g. one path's slice of a (3, P, T) block."""
     regimes = regime_path(model.chain, horizon, regime_rng)
-    if return_rng is None:
-        return regimes, None
     return regimes, sample_return_paths(regimes[:-1], model, return_rng, out)
 
 

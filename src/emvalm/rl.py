@@ -26,8 +26,9 @@ phi3); the named grids are reshaped views of those rows.  Features along a
 path are a (T+1, K) matrix F (a reshape of ``features``), so one expansion
 is one product P F^T followed by ``exp`` on the five exponential rows, and
 one gradient is one product D F[:-1] of the (grids, T) per-period weights D.
-A training iteration (``_train_step``, shared by ``train`` and the empirical
-pipeline) expands the critic twice and the actor once: sampling and the
+One loop (``_run``) trains every learner on its scenario source ``draw(rng,
+slot)``, keying iteration k on the stream (seed, k); an iteration
+(``_train_step``) expands the critic twice and the actor once: sampling and the
 martingale-loss gradient share the pre-update expansions, and the policy
 gradient re-expands only the updated critic.  Each sampled episode is one
 fused kernel (``_Episode``) that computes every shared per-period quantity
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -518,50 +519,45 @@ class _Scenario:
             self.head = self.feats[:-1]
 
 
-@dataclass(frozen=True)
-class _TrainEnv:
-    model: MarketModel
-    horizon: int
-    l0: float
-    # filtered/expectation dynamics: every episode sees the same scenario
-    fixed: _Scenario | None = None
-    # real dynamics: (2, K, T+1) transposed features of the regime labels 1 and 2,
-    # and per batch slot the (K, T+1) array a drawn episode's features go into
-    feats_by_regime: np.ndarray | None = None
-    drawn_feats: np.ndarray | None = None
+def _observable_scenario(
+    model: MarketModel, hyper: Hyperparams, spec: ProblemSpec, dynamics: str, p=None
+) -> _Scenario:
+    """The one scenario of a partial-information flavor, from its
+    ``market.observable_rates`` (filtered on ``p`` when given)."""
+    _, signal, sched = observable_rates(model, spec.horizon, dynamics, hyper.expectation_signal, p)
+    # column-major, so that the transpose every expansion multiplies by is contiguous
+    feats = np.asfortranarray(_flat(features(signal, _tau_grid(spec.horizon, hyper.dt), hyper.m)))
+    return _Scenario(sched.a0, sched.a1, liability_path(spec.l0, sched.a2), feats,
+                     np.ascontiguousarray(feats[:-1]))
 
 
-def _build_env(algo: str, model: MarketModel, hyper: Hyperparams, spec: ProblemSpec) -> _TrainEnv:
+def _build_env(
+    algo: str, model: MarketModel, hyper: Hyperparams, spec: ProblemSpec
+) -> Callable[[np.random.Generator, int], _Scenario]:
+    """``algo``'s scenario source: its flavor's one scenario, or in real
+    dynamics a path drawn from ``rng``, its features in slot ``slot``'s buffer."""
     if algo not in ALGO_FLAVORS:
         raise ValueError(f"algo must be one of {sorted(ALGO_FLAVORS)}, got {algo!r}")
     dynamics = ALGO_FLAVORS[algo]
+    if dynamics != "real":
+        fixed = _observable_scenario(model, hyper, spec, dynamics)
+        return lambda rng, slot: fixed
     horizon = spec.horizon
     taus = _tau_grid(horizon, hyper.dt)
-    if dynamics == "real":
-        feats_by_regime = np.stack(
-            [_flat(features(np.full(horizon + 1, s), taus, hyper.m)).T for s in (1.0, 2.0)]
-        )
-        drawn = np.empty((hyper.batch_size, *feats_by_regime.shape[1:]))
-        return _TrainEnv(
-            model, horizon, spec.l0, feats_by_regime=feats_by_regime, drawn_feats=drawn
-        )
-    _, signal, schedule = observable_rates(model, horizon, dynamics, hyper.expectation_signal)
-    l_path = liability_path(spec.l0, schedule.a2)
-    # column-major, so that the transpose every expansion multiplies by is contiguous
-    feats = np.asfortranarray(_flat(features(signal, taus, hyper.m)))
-    fixed = _Scenario(schedule.a0, schedule.a1, l_path, feats, np.ascontiguousarray(feats[:-1]))
-    return _TrainEnv(model, horizon, spec.l0, fixed=fixed)
+    # (2, K, T+1) transposed features of the regime labels 1 and 2
+    by_regime = np.stack(
+        [_flat(features(np.full(horizon + 1, s), taus, hyper.m)).T for s in (1.0, 2.0)]
+    )
+    drawn = np.empty((hyper.batch_size, *by_regime.shape[1:]))
 
+    def draw(rng: np.random.Generator, slot: int) -> _Scenario:
+        regimes, rec = draw_path(model, horizon, rng, rng)
+        feats_t = drawn[slot]
+        np.copyto(feats_t, by_regime[1])
+        np.copyto(feats_t, by_regime[0], where=regimes == 1)
+        return _Scenario(rec.e0, rec.e1 - rec.e0, liability_path(spec.l0, rec.q), feats_t.T)
 
-def _draw_scenario(env: _TrainEnv, rng: np.random.Generator, slot: int) -> _Scenario:
-    """The scenario of batch slot ``slot``, drawn from ``rng`` in real dynamics."""
-    if env.fixed is not None:
-        return env.fixed
-    regimes, rec = draw_path(env.model, env.horizon, rng, rng)
-    feats_t = env.drawn_feats[slot]
-    np.copyto(feats_t, env.feats_by_regime[1])
-    np.copyto(feats_t, env.feats_by_regime[0], where=regimes == 1)
-    return _Scenario(rec.e0, rec.e1 - rec.e0, liability_path(env.l0, rec.q), feats_t.T)
+    return draw
 
 
 def _linear_rollout(alpha: np.ndarray, beta: np.ndarray, x0: float) -> np.ndarray:
@@ -621,7 +617,7 @@ class _Workspace:
 
 def _train_step(
     state: TrainState,
-    scenarios: Iterable[_Scenario],
+    scenarios: Iterable[_Scenario | None],
     rng: np.random.Generator,
     k: int,
     work: _Workspace,
@@ -630,14 +626,14 @@ def _train_step(
 
     ``scenarios`` is consumed lazily, one episode at a time, so an episode's
     market draws precede its action noise and the next episode's draws follow
-    it.  Each episode is one fused ``_Episode`` kernel: one critic and one
-    actor expansion, whose per-period quantities sampling and the
-    martingale-loss gradient share; after the critic step only the updated
-    critic is expanded again for the policy gradient.  Expansions and the
-    gradients' per-period weights are written into ``work``.  With several
-    episodes each step follows the mean of the per-episode gradients.  Every
-    ``n_avg`` iterations the multiplier moves against the windowed
-    terminal-surplus error.
+    it; a None scenario ends the iteration before it touches ``state``.  Each
+    episode is one fused ``_Episode`` kernel: one critic and one actor
+    expansion, whose per-period quantities sampling and the martingale-loss
+    gradient share; after the critic step only the updated critic is expanded
+    again for the policy gradient.  Expansions and the gradients' per-period
+    weights are written into ``work``.  With several episodes each step
+    follows the mean of the per-episode gradients.  Every ``n_avg`` iterations
+    the multiplier moves against the windowed terminal-surplus error.
     """
     hyper, spec, w = state.hyper, state.spec, state.w
     lam, d, dt, m = spec.explore_weight, spec.target, hyper.dt, hyper.m
@@ -645,6 +641,8 @@ def _train_step(
     try:
         batch, grads = [], []
         for slot, sc in enumerate(scenarios):
+            if sc is None:
+                return
             ce = _expand_critic(sc.feats, state.critic, work.critic[slot])
             ep = _Episode(sc, ce, _expand_actor(sc.feats, state.actor, work.actor[slot]), w)
             ep.sample(spec.x0, rng)
@@ -698,7 +696,7 @@ def train(
     one bit for bit.
     """
     hyper.require_market_dt(model)
-    env = _build_env(algo, model, hyper, spec)
+    draw = _build_env(algo, model, hyper, spec)
     if state is None:
         run = TrainState.start(algo, hyper, spec)
     else:
@@ -722,14 +720,22 @@ def train(
             hyper=hyper,
             spec=spec,
         )
+    return _run(run, draw)
 
-    work = _Workspace(spec.horizon, hyper.batch_size)
-    for k in range(run.iteration, hyper.n_iter):
+
+def _run(
+    state: TrainState, draw: Callable[[np.random.Generator, int], _Scenario | None]
+) -> TrainState:
+    """Iterations ``state.iteration`` .. n_iter - 1, in place.  Iteration k draws
+    from the stream (seed, k) each batch slot's scenario ``draw(rng, slot)``, or
+    None while the source has nothing to train on, then its action noise."""
+    hyper = state.hyper
+    work = _Workspace(state.spec.horizon, hyper.batch_size)
+    for k in range(state.iteration, hyper.n_iter):
         rng = stream(hyper.seed, k)
-        scenarios = (_draw_scenario(env, rng, slot) for slot in range(hyper.batch_size))
-        _train_step(run, scenarios, rng, k, work)
-    run.iteration = hyper.n_iter
-    return run
+        _train_step(state, (draw(rng, slot) for slot in range(hyper.batch_size)), rng, k, work)
+    state.iteration = hyper.n_iter
+    return state
 
 
 def policy_from_state(state: TrainState) -> GaussianPolicy:

@@ -343,6 +343,32 @@ class TestEmpiricalTrain:
         assert states(warm, ("emv", "poemv1")) == cold
         assert states(monthly_blocks(model), ("emv", "poemv1")) == cold
 
+    def test_iterations_before_a_first_estimate_train_on_nothing(self, monkeypatch):
+        model = monthly_study_market()
+        n_iter, skipped, n_avg, seed = 40, 7, 5, 12
+        hyper = rl.Hyperparams(n_iter=n_iter, dt=model.dt, seed=seed, n_avg=n_avg)
+        sample, keys, estimates = E.BlockSource.sample, [], []
+
+        def first_draws_without_estimate(self, rng):
+            keys.append(rng.bit_generator.state["state"]["key"].tolist())
+            closes, est = sample(self, rng)
+            estimates.append(est)
+            return closes, None if len(keys) <= skipped else est
+
+        monkeypatch.setattr(E.BlockSource, "sample", first_draws_without_estimate)
+        spec = tiny_spec(24)
+        state = E.empirical_train("poemv1", monthly_blocks(model), model, hyper, spec)
+        assert estimates[skipped] is not None  # the first unmasked block trains
+        assert state.iteration == n_iter
+        assert len(state.terminals) == len(state.ws) == n_iter - skipped
+        # trained iterations keep their k: the multiplier moves only where (k + 1) % N == 0
+        before = [spec.target, *state.ws[:-1]]
+        for k, w, prev in zip(range(skipped, n_iter), state.ws, before):
+            assert (w != prev) == ((k + 1) % n_avg == 0), k
+        # every iteration, skipped or not, draws its block from stream (seed, k)
+        assert keys == [M.stream(seed, k).bit_generator.state["state"]["key"].tolist()
+                        for k in range(n_iter)]
+
     def test_absurd_learning_rates_raise_divergence_not_overflow(self):
         model = monthly_study_market()
         hyper = rl.Hyperparams(

@@ -990,7 +990,7 @@ class TestTrainingLiabilityPath:
     def test_partial_information_scenario_is_scored_on_its_own_liability_path(self, algo):
         model, spec, hyper = self.reference()
         dynamics = rl.ALGO_FLAVORS[algo]
-        trained = rl._build_env(algo, model, hyper, spec).fixed.l
+        trained = rl._build_env(algo, model, hyper, spec)(None, 0).l  # draws nothing
         zero = GaussianPolicy(lambda ts, s: np.zeros((len(ts), 4)))
         episode = E.simulate(zero, model, spec, 1, dynamics=dynamics,
                              expectation_signal=hyper.expectation_signal)
@@ -1002,8 +1002,7 @@ class TestTrainingLiabilityPath:
 
     def test_real_dynamics_scenario_follows_the_liability_recursion(self):
         model, spec, hyper = self.reference()
-        env = rl._build_env("coemv", model, hyper, spec)
-        sc = rl._draw_scenario(env, M.stream(5, 3), 0)
+        sc = rl._build_env("coemv", model, hyper, spec)(M.stream(5, 3), 0)
         twin = M.stream(5, 3)
         regimes = M.regime_path(model.chain, spec.horizon, twin)
         q = M.sample_return_paths(regimes[:-1], model, twin).q
