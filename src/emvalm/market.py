@@ -15,7 +15,10 @@ schedule the analytic policies are built from.
 
 All randomness flows through counter-based Philox streams; `stream(seed, k)`
 gives the k-th independent stream, so episodes are reproducible and safely
-parallel.  A stream is keyed directly by the words (seed, k), without first
+parallel: real-dynamics ``evaluate.out_of_sample`` rolls contiguous shares of
+its paths out in forked processes, each path reading only its own keys, and
+a share that starts at path p draws and drops stream 0's noise rows of the
+paths before it, so its reports are bit-identical at any core count.  A stream is keyed directly by the words (seed, k), without first
 gathering OS entropy.  The keys in use, and what each stream draws in order:
 
 | caller | key | draws |

@@ -4,8 +4,12 @@ import hashlib
 import json
 import math
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emvalm import data_ingest as D
 from emvalm import evaluate as E
@@ -143,6 +147,189 @@ class TestOutOfSample:
             E.out_of_sample(
                 const_policy(), tiny_market(), 10, tiny_spec(), seed=0, dynamics="filtered", signal="regime"
             )
+
+
+FORK_FLOOR = E._FORK_FLOOR
+
+
+def affine_policy(seed):
+    """A random Gaussian policy affine in the signal, so any signal kind applies."""
+    a, b, c, d, v = np.random.default_rng(seed).normal(0.0, 0.5, size=5)
+
+    def table(ts, s):
+        return np.stack([a + b * s, c * s - 0.01 * ts, d + 0.0 * s, v * v * (1.0 + s * s)], axis=1)
+
+    return GaussianPolicy(table, kind="custom")
+
+
+def share_paths(tables, model, spec, seed, paths, explore):
+    """Wealth and liability paths of one share, block after block."""
+    blocks = list(E._rollout_blocks(tables, model, spec, seed, paths, explore))
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+class TwoArgumentError(Exception):
+    """An exception that pickles but does not unpickle: its class needs two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def throw(exc):
+    raise exc
+
+
+def on_path(monkeypatch, path, action):
+    """Run ``action`` when evaluation path ``path`` opens its regime stream."""
+    real = E.stream
+
+    def stream(seed, key):
+        if key == 1 + path:
+            action()
+        return real(seed, key)
+
+    monkeypatch.setattr(E, "stream", stream)
+
+
+@pytest.fixture
+def three_cores(monkeypatch):
+    """No fork floor, three cores, and a count of the forks made."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(E, "_FORK_FLOOR", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedShares:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 12),
+        n_paths=st.integers(1, 5 * E._BLOCK),
+        cuts=st.lists(st.integers(1, 4), max_size=4),
+        signal=st.sampled_from(["regime", "filtered_prob"]),
+        explore=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_concatenated_shares_equal_one_share(self, seed, horizon, n_paths, cuts, signal,
+                                                 explore):
+        model, spec = tiny_market(), tiny_spec(horizon)
+        tables = E._path_tables(affine_policy(seed), model, spec, "real", signal, "expected_state")
+        bounds = sorted({0, n_paths, *(min(n_paths, E._BLOCK * c) for c in cuts)})
+        parts = [share_paths(tables, model, spec, seed, range(a, b), explore)
+                 for a, b in zip(bounds, bounds[1:])]
+        whole = share_paths(tables, model, spec, seed, range(n_paths), explore)
+        for k in range(2):  # wealth, liabilities
+            assert np.concatenate([part[k] for part in parts]).tobytes() == whole[k].tobytes()
+
+    def test_shares_are_contiguous_block_aligned_and_floored(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        for n_paths, horizon in ((1000, 2520), (100, 2520), (33, 10**6), (5000, 10)):
+            shares = E._shares(n_paths, horizon)
+            assert shares[0].start == 0 and shares[-1].stop == n_paths
+            assert all(a.stop == b.start and a.stop % E._BLOCK == 0
+                       for a, b in zip(shares, shares[1:]))
+            assert len(shares) == 1 or len(shares) * E._FORK_FLOOR <= n_paths * horizon
+        assert len(E._shares(1000, 2520)) == 8
+        assert len(E._shares(33, 10**6)) == 2  # no more shares than blocks
+        assert len(E._shares(5000, 10)) == 1  # below the floor
+        horizon = 100  # two shares from exactly twice the floor on
+        assert len(E._shares(2 * E._FORK_FLOOR // horizon, horizon)) == 2
+        assert len(E._shares(2 * E._FORK_FLOOR // horizon - 1, horizon)) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert E._shares(1000, 2520) == [range(1000)]
+
+    @pytest.mark.parametrize("signal", ["regime", "filtered_prob"])
+    def test_forced_split_reports_the_serial_evaluation(self, three_cores, monkeypatch, signal):
+        model, spec, policy = tiny_market(), tiny_spec(24), affine_policy(3)
+        n_paths = 3 * E._BLOCK + 5
+        with monkeypatch.context() as serial:
+            serial.setattr(E, "_FORK_FLOOR", 10**12)
+            want = E.out_of_sample(policy, model, n_paths, spec, seed=8, signal=signal)
+        assert not three_cores
+        got = E.out_of_sample(policy, model, n_paths, spec, seed=8, signal=signal)
+        assert got == want
+        assert len(three_cores) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc, raised, message", [
+        (ZeroDivisionError("path 100 divides by zero"), ZeroDivisionError, "path 100 divides"),
+        (TwoArgumentError("no table", "path 100"), RuntimeError,
+         "TwoArgumentError: no table at path 100"),
+    ])
+    def test_child_exception_reraises_with_its_type_and_message(self, three_cores, monkeypatch,
+                                                                exc, raised, message):
+        n_paths = 3 * E._BLOCK + 5
+        on_path(monkeypatch, n_paths - 1, lambda: throw(exc))  # the last share runs in a child
+        with pytest.raises(raised, match=message):
+            E.out_of_sample(affine_policy(1), tiny_market(), n_paths, tiny_spec(24), seed=8)
+        assert len(three_cores) == 2
+        assert_no_child_left()
+
+    def test_child_that_dies_is_named_and_reaped(self, three_cores, monkeypatch):
+        n_paths = 3 * E._BLOCK + 5
+        on_path(monkeypatch, n_paths - 1, lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match="paths 64..100 ended with exit code 3"):
+            E.out_of_sample(affine_policy(1), tiny_market(), n_paths, tiny_spec(24), seed=8)
+        assert_no_child_left()
+
+    def test_error_in_this_process_kills_every_child(self, three_cores, monkeypatch):
+        on_path(monkeypatch, 0, lambda: throw(ValueError("share 0 fails")))
+        with pytest.raises(ValueError, match="share 0 fails"):
+            E.out_of_sample(affine_policy(1), tiny_market(), 3 * E._BLOCK + 5, tiny_spec(24),
+                            seed=8)
+        assert len(three_cores) == 2
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_fork_kills_the_children_and_closes_every_pipe(self, three_cores,
+                                                                  monkeypatch):
+        forking = os.fork
+
+        def fork():
+            if three_cores:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return forking()
+
+        monkeypatch.setattr(os, "fork", fork)
+        open_before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            E.out_of_sample(affine_policy(1), tiny_market(), 3 * E._BLOCK + 5, tiny_spec(24),
+                            seed=8)
+        assert len(three_cores) == 1
+        assert_no_child_left()
+        assert len(os.listdir("/proc/self/fd")) == open_before
+
+    @pytest.mark.parametrize("dynamics", ["filtered", "expectation"])
+    def test_partial_information_dynamics_never_fork(self, three_cores, dynamics):
+        E.out_of_sample(affine_policy(2), tiny_market(), 3 * E._BLOCK + 5, tiny_spec(24), seed=8,
+                        dynamics=dynamics)
+        assert not three_cores
+
+    def test_below_floor_evaluation_never_forks(self, three_cores, monkeypatch):
+        monkeypatch.setattr(E, "_FORK_FLOOR", FORK_FLOOR)
+        E.out_of_sample(affine_policy(2), tiny_market(), 3 * E._BLOCK + 5, tiny_spec(24), seed=8)
+        assert not three_cores
+
+    def test_exclusions_are_counted_once_and_reported(self):
+        terminal = np.array([1.5, np.nan, 2.0, np.inf, 2.5])
+        report = E._terminal_report(terminal, 1.0, max_excluded=2, policy_kind="custom")
+        assert (report.n_paths, report.n_excluded, report.mean) == (3, 2, 2.0)
+        with pytest.raises(RuntimeError, match="2 of 5 paths produced non-finite terminals"):
+            E._terminal_report(terminal, 1.0, max_excluded=1.5, policy_kind="custom")
 
 
 class TestCompareTable:
