@@ -204,6 +204,8 @@ def cmd_evaluate(args) -> int:
         dynamics, signal = evaluate.auto_scoring(algo, exp_sig)
     else:
         dynamics, signal = ev["dynamics"], ev["signal"]
+    if args.checkpoint:  # after auto_scoring, which names the scorer of an emv checkpoint
+        state.hyper.require_market_dt(model)
     report = evaluate.out_of_sample(
         policy,
         model,

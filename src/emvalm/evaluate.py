@@ -10,23 +10,25 @@ training iteration a historical window is sampled, its transition estimate
 exponential average, and the block's actual risky returns form the episode
 the learners update on, in ``rl._run``, the one training loop.
 
-Real-dynamics ``out_of_sample`` splits its paths over processes.  This
-process builds what every path shares (the policy's coefficient tables and
-the filter path), then cuts the paths into contiguous ``_BLOCK``-aligned
-shares, one per core in ``os.sched_getaffinity(0)``: it rolls out the first
-share itself and each other one in an ``os.fork`` child that pickles its
-terminals back.  Each path reads only its own keyed streams, and a share
-that starts at path p draws and drops stream 0's noise rows of the paths
-before p, so the terminals, and every report, are bit-identical at any core
-count.  A split into n shares needs n x ``_FORK_FLOOR`` path-periods (paths
-x T): on a 2-core host a split of a 55 MB process costs 25-35 ms beyond half
-the serial time (fork, copy-on-write faults, the child's start), against
-about 0.28 us per real-dynamics path-period, so it breaks even near 100,000
-path-periods per share; the floor of 150,000 leaves a margin.  Filtered and
-expectation dynamics stay serial, because their one sequential noise stream
-dominates (two shares of 1000 paths at T = 2520 took 169 ms against 123 ms
-in one), and so does ``evaluate_on_market_paths``, whose 400 paths of
-T = 120 lost by a fork (13654 to 9286 paths/s).
+Every evaluation (``out_of_sample`` in each dynamics flavor and
+``evaluate_on_market_paths``) splits its paths over processes by one rule.
+This process builds what every path shares (the policy's coefficient tables,
+the filter path and any fixed rates), then cuts the paths into contiguous
+``_BLOCK``-aligned shares, one per core in ``os.sched_getaffinity(0)``: it
+rolls out the first share itself and each other one in an ``os.fork`` child
+that pickles its terminals back.  Path i reads only its own stream
+(``market.PATH_KEY`` + i), so the terminals, and every report, are
+bit-identical at any core count.  A split into n shares needs n x
+``_FORK_FLOOR`` path-periods (paths x T): on a 2-core host a split of a
+55 MB process costs 25-35 ms beyond half the serial time (fork, copy-on-write
+faults, the child's start), against about 0.28 us per real-dynamics
+path-period, so it breaks even near 100,000 path-periods per share; the
+floor of 150,000 leaves a margin.  A path on fixed rates (filtered and
+expectation dynamics) draws at most its noise, so its path-periods count a
+quarter: at T = 2520, with 48 MB of ballast, a split at the undivided floor
+lost on 128 such paths (15.3 against 18.3 ms, medians of 25 alternating
+pairs) and on 256 without noise (14.9 against 16.6 ms), while 256 paths with
+noise won (43.7 to 35.1 ms) and 512 without (25.0 to 20.4 ms).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from . import data_ingest, rl
 from .closed_form import GaussianPolicy, ProblemSpec, regime_policy, schedule_policy
 from .filtering import filter_states, mixing_signal, regime_schedule, signal_path
 from .market import (
-    DYNAMICS, RETURNS_KEY, SIGNALS, Episode, MarketModel, ReturnsRecord, draw_path, liability_path,
+    DYNAMICS, PATH_KEY, SIGNALS, Episode, MarketModel, ReturnsRecord, draw_path, liability_path,
     observable_rates, regime_path, stream,
 )
 
@@ -140,7 +142,7 @@ def _blocks(paths: range) -> list[range]:
     return [range(i, min(i + _BLOCK, paths.stop)) for i in paths[::_BLOCK]]
 
 
-def _shares(n_paths: int, horizon: int) -> list[range]:
+def _shares(n_paths: int, horizon: float) -> list[range]:
     """Contiguous ``_BLOCK``-aligned path ranges, one per core this process may run
     on, but no more than n_paths x horizon / ``_FORK_FLOOR``, nor than blocks;
     one share where ``os.sched_getaffinity`` or ``os.fork`` is missing."""
@@ -252,11 +254,9 @@ def out_of_sample(
 
     ``explore=False`` applies the policy mean instead of sampling the Gaussian
     action.  Non-finite terminals are excluded and counted; more than 1%
-    exclusions aborts the evaluation.  Path i draws its action noise as row i
-    of one (n_paths, T) standard-normal array from stream 0, and in real
-    dynamics its regime path from stream 1 + i and its returns from stream
-    ``RETURNS_KEY`` + i, so the first n paths do not depend on ``n_paths``.
-    Paths are generated and rolled out ``_BLOCK`` at a time, in real dynamics
+    exclusions aborts the evaluation.  Path i draws from the stream
+    ``PATH_KEY`` + i (``_rollout_blocks``), so the first n paths do not depend
+    on ``n_paths``.  Paths are generated and rolled out ``_BLOCK`` at a time,
     split over per-core shares (see the module docstring).
     """
     if n_paths < 2:
@@ -294,34 +294,38 @@ def _path_terminals(
     explore: bool,
     expectation_signal: str,
 ) -> tuple[np.ndarray, str]:
-    """Per-path terminal net wealth of ``out_of_sample`` and the signal kind used.
-
-    The tables every path shares are built here; real dynamics then roll out
-    ``_shares`` of the paths, the first in this process and each other in a
-    forked child, and every other flavor rolls out all paths here.
-    """
+    """Per-path terminal net wealth of ``out_of_sample`` and the signal kind used."""
     sig_kind = signal or mixing_signal(dynamics, expectation_signal)
     tables = _path_tables(policy, model, spec, dynamics, sig_kind, expectation_signal)
+    return _terminals(tables, model, spec, seed, n_paths, explore), sig_kind
+
+
+def _terminals(
+    tables: tuple, model: MarketModel, spec: ProblemSpec, seed: int, n_paths: int, explore: bool,
+) -> np.ndarray:
+    """Terminal net wealth x_T - l_T of the paths 0..n_paths-1 on ``tables``:
+    ``_shares`` of them, the first rolled out in this process and each other
+    in a forked child."""
 
     def terminals(paths: range) -> np.ndarray:
         blocks = _rollout_blocks(tables, model, spec, seed, paths, explore)
         # map lets go of each block before the next one is drawn, which bounds the peak memory
         return np.concatenate(list(map(lambda block: block[0][:, -1] - block[1][..., -1], blocks)))
 
-    shares = _shares(n_paths, spec.horizon) if dynamics == "real" else [range(n_paths)]
-    return np.concatenate(_forked(terminals, shares)), sig_kind
+    periods = spec.horizon if tables[0][1] is None else spec.horizon / 4  # see the module docstring
+    return np.concatenate(_forked(terminals, _shares(n_paths, periods)))
 
 
 def _path_tables(
     policy: GaussianPolicy, model: MarketModel, spec: ProblemSpec, dynamics: str, sig_kind: str,
     expectation_signal: str,
-) -> tuple[tuple | None, np.ndarray]:
+) -> tuple[tuple, np.ndarray]:
     """What every path of one evaluation shares: the (e0, ex, q, l) rows of a
-    partial-information flavor (None in real dynamics, where each path draws its
-    own) and the policy's coefficients, (4, T) rows (cx, cl, c0, sd) or, under
-    the regime signal, the (2, T, 4) tables of the two regimes."""
+    partial-information flavor (all None in real dynamics, where each path
+    draws its own) and the policy's coefficients, (4, T) rows (cx, cl, c0, sd)
+    or, under the regime signal, the (2, T, 4) tables of the two regimes."""
     horizon = spec.horizon
-    rates = None
+    rates = (None,) * 4
     if dynamics == "real":
         if sig_kind != "regime":
             probs = filter_states(model.chain.p0, model.chain.matrix(), horizon)
@@ -339,48 +343,51 @@ def _rollout_blocks(
     tables: tuple, model: MarketModel, spec: ProblemSpec, seed: int, paths: range, explore: bool,
 ):
     """The paths ``paths`` of one evaluation, generated and rolled out ``_BLOCK``
-    at a time on its ``_path_tables``; ``paths.start`` is a multiple of ``_BLOCK``.
+    at a time on its tables: rates (e0, ex, q, l), each shared by every path or
+    None where each path draws its own (ex None: the risky leg), and
+    coefficients as ``_path_tables`` gives them.
 
-    Yields per block the wealth x (paths, T + 1), the liabilities l
-    ((paths, T + 1) in real dynamics, otherwise the one (T + 1,) path every
-    path shares), the (e0, e1, q) rates, the (cx, cl, c0, sd) coefficients
-    and the action noise.  The next block overwrites the real-dynamics rates.
+    Path i draws from its own stream ``PATH_KEY`` + i, opened only when it
+    draws something: first its market path where a leg is drawn
+    (``market.draw_path``), then, with ``explore``, its action noise.  Yields
+    per block the wealth x (paths, T + 1), the liabilities l ((paths, T + 1)
+    when drawn, otherwise the one (T + 1,) path every path shares), the
+    (e0, e1, q) rates, the (cx, cl, c0, sd) coefficients and the action noise.
+    The next block overwrites the drawn rates and the noise.
     """
     rates, coef = tables
     horizon = spec.horizon
-    if rates is None:
-        block = np.empty((3, _BLOCK, horizon))  # e0, e1, q rows of the paths in a block
-        in1 = np.empty((_BLOCK, horizon), dtype=bool)
-    else:
-        e0, ex, q, l = rates
-        e1 = e0 + ex
-
-    noise_rng = stream(seed, 0)
-    if explore:
-        # path i's noise is row i of one draw from stream 0; the ziggurat draws a
-        # variable count of words per variate, so the rows before ``paths`` are
-        # drawn and dropped rather than jumped over
-        dropped = np.empty((_BLOCK, horizon))
-        for _ in range(paths.start // _BLOCK):
-            noise_rng.standard_normal(out=dropped)
+    drawn = rates[1] is None
+    block = np.empty((3, _BLOCK, horizon))  # drawn e0, e1, q rows of the paths in a block
+    in1 = np.empty((_BLOCK, horizon), dtype=bool)  # their periods in regime 1
+    noise = np.zeros((_BLOCK, horizon))
     for rows in _blocks(paths):
-        shape = (len(rows), horizon)
-        noise = noise_rng.standard_normal(shape) if explore else np.zeros(shape)
-        if rates is None:
-            for j, i in enumerate(rows):
-                regimes, _ = draw_path(model, horizon, stream(seed, 1 + i),
-                                       stream(seed, RETURNS_KEY + i), out=block[:, j])
-                np.equal(regimes[:-1], 1, out=in1[j])
-            e0, e1, q = block[:, : len(rows)]
+        n = len(rows)
+        for j, i in enumerate(rows if drawn or explore else ()):
+            rng = stream(seed, PATH_KEY + i)
+            if drawn:
+                regimes, _ = draw_path(model, horizon, rng, out=block[:, j])
+                if coef.ndim == 3:
+                    np.equal(regimes[:-1], 1, out=in1[j])
+            if explore:
+                rng.standard_normal(out=noise[j])
+        e0, ex, q, l = rates
+        if drawn:  # the drawn legs stand in for the rates the tables leave open
+            e0 = block[0, :n] if e0 is None else e0
+            e1 = block[1, :n]
             ex = e1 - e0
-            l = liability_path(spec.l0, q)
+            if q is None:
+                q = block[2, :n]
+                l = liability_path(spec.l0, q)
+        else:
+            e1 = e0 + ex
         if coef.ndim == 3:  # the regime signal: each period's row of its regime's table
-            at1 = in1[: len(rows)]
+            at1 = in1[:n]
             cx, cl, c0, sd = (np.where(at1, coef[0, :, k], coef[1, :, k]) for k in range(4))
         else:
             cx, cl, c0, sd = coef
-        x = rl._linear_rollout(e0 + ex * cx, ex * (cl * l[..., :-1] + c0 + sd * noise), spec.x0)
-        yield x, l, (e0, e1, q), (cx, cl, c0, sd), noise
+        x = rl._linear_rollout(e0 + ex * cx, ex * (cl * l[..., :-1] + c0 + sd * noise[:n]), spec.x0)
+        yield x, l, (e0, e1, q), (cx, cl, c0, sd), noise[:n]
 
 
 def simulate(
@@ -390,8 +397,10 @@ def simulate(
     """One recorded episode: path 0 of ``out_of_sample`` with the same arguments.
 
     Its terminal x_T - l_T is that evaluation's first terminal, and the action
-    at t is (cx*x_t + cl*l_t + c0) + sd*noise_t.  The hidden regime path
-    (stream 1) is recorded under every flavor, with the filter path p_0..p_T.
+    at t is (cx*x_t + cl*l_t + c0) + sd*noise_t.  The hidden regime path is
+    recorded under every flavor, with the filter path p_0..p_T: in real
+    dynamics the one path 0 runs on, the first draw of its stream
+    ``PATH_KEY``, and otherwise the draw that follows the path's noise there.
     A state that is not finite raises, naming its first period.
     """
     if spec.x0 <= 0.0:
@@ -411,7 +420,10 @@ def simulate(
         raise ValueError(f"episode diverged to non-finite state at t={int(np.argmax(bad))}")
     action = (cx * x[:-1] + (cl * l[:-1] + c0)) + sd * noise
     chain, horizon = model.chain, spec.horizon
-    return Episode(x, l, regime_path(chain, horizon, stream(seed, 1)),
+    rng = stream(seed, PATH_KEY)
+    if dynamics != "real":  # path 0 drew only its noise
+        rng.standard_normal(horizon)
+    return Episode(x, l, regime_path(chain, horizon, rng),
                    filter_states(chain.p0, chain.matrix(), horizon), action[0],
                    ReturnsRecord(*(np.ravel(r) for r in rates)))
 
@@ -584,34 +596,24 @@ def evaluate_on_market_paths(
     Test paths use the real risky-return draws while the baseline and
     liability legs follow the filtered expectations of the true model, the
     same construction as the training episodes.  The regime-blind baseline
-    sees a unit signal and no liability inside its own decision rule, but is
-    scored on the common terminal net wealth.
+    sees a unit signal and no liability inside its own decision rule (its
+    ``cl`` is zeroed), but is scored on the common terminal net wealth.
+    Path i draws from the stream ``PATH_KEY`` + i, and the paths split over
+    per-core shares, as in ``out_of_sample``.
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    state.hyper.require_market_dt(model)
     horizon = spec.horizon
     if state.spec.horizon != horizon:
         raise ValueError(
             f"problem horizon {horizon} differs from the trained horizon {state.spec.horizon}"
         )
     probs, _, schedule = observable_rates(model, horizon, "filtered")
-    e0_bar, l_path = schedule.a0, liability_path(spec.l0, schedule.a2)
-
-    if state.algo == "poemv1":
-        sig, l_seen = probs, l_path
-    else:
-        sig, l_seen = np.ones(horizon + 1), np.zeros(horizon + 1)
-    cx, cl, c0, sd = _affine_tables(rl.policy_from_state(state), np.arange(horizon), sig[:-1]).T
-    shift = cl * l_seen[:-1] + c0
-
-    terminals = np.empty(n_paths)
-    block = np.empty((3, _BLOCK, horizon))  # e0, e1, q rows of the paths in a block
-    for rows in _blocks(range(n_paths)):
-        rngs = [stream(seed, i) for i in rows]
-        for j, rng in enumerate(rngs):
-            draw_path(model, horizon, rng, rng, out=block[:, j])
-        e1 = block[1, : len(rows)]
-        shape = (len(rows), horizon)
-        noise = np.stack([rng.standard_normal(horizon) for rng in rngs]) if explore else np.zeros(shape)
-        ex = e1 - e0_bar
-        x = rl._linear_rollout(e0_bar + ex * cx, ex * (shift + sd * noise), spec.x0)
-        terminals[rows.start : rows.stop] = x[:, -1] - l_path[-1]
+    sig = probs if state.algo == "poemv1" else np.ones(horizon + 1)
+    coef = _affine_tables(rl.policy_from_state(state), np.arange(horizon), sig[:-1]).T
+    if state.algo != "poemv1":
+        coef[1] = 0.0
+    rates = schedule.a0, None, schedule.a2, liability_path(spec.l0, schedule.a2)
+    terminals = _terminals((rates, coef), model, spec, seed, n_paths, explore)
     return _terminal_report(terminals, spec.x0, policy_kind="learned", algo=state.algo, seed=seed)

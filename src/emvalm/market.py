@@ -15,25 +15,23 @@ schedule the analytic policies are built from.
 
 All randomness flows through counter-based Philox streams; `stream(seed, k)`
 gives the k-th independent stream, so episodes are reproducible and safely
-parallel: real-dynamics ``evaluate.out_of_sample`` rolls contiguous shares of
-its paths out in forked processes, each path reading only its own keys, and
-a share that starts at path p draws and drops stream 0's noise rows of the
-paths before it, so its reports are bit-identical at any core count.  A stream is keyed directly by the words (seed, k), without first
-gathering OS entropy.  The keys in use, and what each stream draws in order:
+parallel: each evaluation path reads only its own stream, so
+``evaluate.out_of_sample`` and ``evaluate.evaluate_on_market_paths`` roll
+contiguous shares of their paths out in forked processes and their reports
+are bit-identical at any core count.  A stream is keyed directly by the words
+(seed, k), without first gathering OS entropy.  The keys in use, and what
+each stream draws in order:
 
 | caller | key | draws |
 |---|---|---|
 | ``rl.train``, iteration k of ``rl._run``, the one training loop | k | per episode: regime path and returns (real dynamics), action noise |
 | ``evaluate.empirical_train``, iteration k of ``rl._run`` | k | block pick, action noise |
-| ``evaluate.out_of_sample`` | 0 | action noise, an (n_paths, T) array row by row |
-| ``evaluate.out_of_sample``, path i | 1 + i | regime path (real dynamics) |
-| ``evaluate.out_of_sample``, path i | ``RETURNS_KEY`` + i | returns (real dynamics) |
-| ``evaluate.evaluate_on_market_paths``, path i | i | regime path, returns, action noise |
-| ``cli`` simulate (``evaluate.simulate``) | 0, 1, ``RETURNS_KEY`` | path 0 of ``out_of_sample``'s keys (0, 1, ``RETURNS_KEY``), its regime path drawn under every flavor |
+| every evaluation, path i: ``evaluate.out_of_sample``, ``evaluate.evaluate_on_market_paths``, ``evaluate.simulate`` (path 0) | ``PATH_KEY`` + i | regime path and returns where the dynamics draws them, then action noise (then, in ``simulate`` outside real dynamics, the recorded regime path) |
 | ``cli`` filter-demo / improve | 0 | regime path / initial policy family |
 
 No key depends on a path count, so the first n paths of an evaluation are
-the same whatever the total.  Returns along a regime path are drawn leg by
+the same whatever the total, and an evaluation key, at or above 2^32, never
+meets a training iteration's.  Returns along a regime path are drawn leg by
 leg (e0, then e1, then q), each leg drawing its regime-1 periods and then its
 regime-2 periods (``sample_return_paths``).
 
@@ -43,11 +41,10 @@ alike: ``observable_rates`` turns a partial-information flavor into its
 filter path, signal path and mixed schedule, and is the only builder of
 filtered and expectation schedules, the analytic policies' too;
 ``draw_path`` draws one real-market path, its regime path and then its
-returns, from a pair of generators (training passes one generator twice),
-and the evaluations have it write each path's legs straight into that
-path's rows of their (3, paths, T) block; and ``liability_path`` multiplies
-l_0 by the liability returns in time order, so a learner is scored on the
-same liability path it was trained on.
+returns, from one generator, and the evaluations have it write each path's
+legs straight into that path's rows of their (3, paths, T) block; and
+``liability_path`` multiplies l_0 by the liability returns in time order, so
+a learner is scored on the same liability path it was trained on.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ from .filtering import (
 _ROW_SUM_TOL = 1e-12
 
 DYNAMICS = ("real", "filtered", "expectation")
-RETURNS_KEY = 1 << 32  # first stream key of the per-path evaluation returns
+PATH_KEY = 1 << 32  # stream key of evaluation path 0; path i draws from PATH_KEY + i
 SIGNALS = ("regime", "filtered_prob", "expected_state")
 
 
@@ -355,18 +352,14 @@ def sample_return_paths(
 
 
 def draw_path(
-    model: MarketModel,
-    horizon: int,
-    regime_rng: np.random.Generator,
-    return_rng: np.random.Generator,
-    out: np.ndarray | None = None,
+    model: MarketModel, horizon: int, rng: np.random.Generator, out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ReturnsRecord]:
-    """One path of the real market: its regime path s_0..s_T drawn from
-    ``regime_rng``, then the e0, e1 and q draws of the periods t = 0..T-1
-    along it drawn from ``return_rng``, written into the rows of ``out``
-    (3, T) when given, e.g. one path's slice of a (3, P, T) block."""
-    regimes = regime_path(model.chain, horizon, regime_rng)
-    return regimes, sample_return_paths(regimes[:-1], model, return_rng, out)
+    """One path of the real market drawn from ``rng``: its regime path s_0..s_T,
+    then the e0, e1 and q draws of the periods t = 0..T-1 along it, written
+    into the rows of ``out`` (3, T) when given, e.g. one path's slice of a
+    (3, P, T) block."""
+    regimes = regime_path(model.chain, horizon, rng)
+    return regimes, sample_return_paths(regimes[:-1], model, rng, out)
 
 
 def observable_rates(

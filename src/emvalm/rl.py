@@ -551,7 +551,7 @@ def _build_env(
     drawn = np.empty((hyper.batch_size, *by_regime.shape[1:]))
 
     def draw(rng: np.random.Generator, slot: int) -> _Scenario:
-        regimes, rec = draw_path(model, horizon, rng, rng)
+        regimes, rec = draw_path(model, horizon, rng)
         feats_t = drawn[slot]
         np.copyto(feats_t, by_regime[1])
         np.copyto(feats_t, by_regime[0], where=regimes == 1)

@@ -172,6 +172,22 @@ class TestArtifacts:
         assert report[0] == "algo,mean,variance,sharpe,n_paths,seed"
         assert report[1].startswith("poemv2,")
 
+    def test_checkpoint_on_a_market_of_another_dt_is_a_user_error(self, tmp_path, capsys):
+        # a daily checkpoint on a monthly market of as many periods
+        tr, ev = tmp_path / "tr", tmp_path / "ev"
+        assert run(["train", "--config", write_config(tmp_path), "--algo", "poemv1",
+                    "--out", str(tr)]) == 0
+        (tmp_path / "m").mkdir()
+        market = {**cfgmod.default_config()["market"], "dt": 1.0 / 12.0}
+        monthly = write_config(tmp_path / "m", market=market,
+                               problem={"T_years": 5.25}, evaluation={"n_paths": 40})
+        capsys.readouterr()
+        assert run(["evaluate", "--config", monthly, "--checkpoint", str(tr / "checkpoint.json"),
+                    "--out", str(ev)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dt" in err
+        assert not (ev / "report.csv").exists()
+
     def test_poemv2_checkpoint_is_scored_on_the_signal_it_was_trained_on(self, tmp_path):
         # with expectation_signal = "state1_prob" poemv2 learns on the filter
         # probability; the checkpoint's setting decides the evaluation signal,

@@ -3,8 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +142,26 @@ class TestOutOfSample:
         with pytest.raises(ValueError, match="t=5"):
             E.simulate(policy, tiny_market(), tiny_spec(10), 0)
 
+    def test_no_evaluation_path_replays_a_training_iteration(self, monkeypatch):
+        # the CLI trains and evaluates at the same seed: path k - 1 must not draw
+        # iteration k's regime path, as it did when both keyed streams from 0 up
+        model = replace(tiny_market(), chain=M.RegimeChain(p=((0.6, 0.4), (0.5, 0.5)), p0=0.5))
+        spec, seed, n = tiny_spec(40), 6, 8
+        drawn = []
+        regime_path = M.regime_path
+
+        def recorded(*args):
+            drawn.append(regime_path(*args).tobytes())
+            return np.frombuffer(drawn[-1], dtype=np.int64)
+
+        monkeypatch.setattr(M, "regime_path", recorded)
+        rl.train("coemv", model, rl.Hyperparams(n_iter=n, dt=model.dt, seed=seed), spec)
+        trained = set(drawn)
+        drawn.clear()
+        E.out_of_sample(const_policy(), model, n, spec, seed=seed)
+        assert len(trained) == len(drawn) == n
+        assert not trained & set(drawn)
+
     def test_regime_signal_requires_real_dynamics(self):
         with pytest.raises(ValueError, match="regime signal"):
             E.out_of_sample(
@@ -180,11 +200,11 @@ def throw(exc):
 
 
 def on_path(monkeypatch, path, action):
-    """Run ``action`` when evaluation path ``path`` opens its regime stream."""
+    """Run ``action`` when evaluation path ``path`` opens its stream."""
     real = E.stream
 
     def stream(seed, key):
-        if key == 1 + path:
+        if key == M.PATH_KEY + path:
             action()
         return real(seed, key)
 
@@ -220,14 +240,18 @@ class TestForkedShares:
         horizon=st.integers(1, 12),
         n_paths=st.integers(1, 5 * E._BLOCK),
         cuts=st.lists(st.integers(1, 4), max_size=4),
+        dynamics=st.sampled_from(M.DYNAMICS),
         signal=st.sampled_from(["regime", "filtered_prob"]),
         explore=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_concatenated_shares_equal_one_share(self, seed, horizon, n_paths, cuts, signal,
-                                                 explore):
+    def test_concatenated_shares_equal_one_share(self, seed, horizon, n_paths, cuts, dynamics,
+                                                 signal, explore):
         model, spec = tiny_market(), tiny_spec(horizon)
-        tables = E._path_tables(affine_policy(seed), model, spec, "real", signal, "expected_state")
+        if dynamics != "real":
+            signal = "filtered_prob"
+        tables = E._path_tables(affine_policy(seed), model, spec, dynamics, signal,
+                                "expected_state")
         bounds = sorted({0, n_paths, *(min(n_paths, E._BLOCK * c) for c in cuts)})
         parts = [share_paths(tables, model, spec, seed, range(a, b), explore)
                  for a, b in zip(bounds, bounds[1:])]
@@ -313,16 +337,49 @@ class TestForkedShares:
         assert_no_child_left()
         assert len(os.listdir("/proc/self/fd")) == open_before
 
-    @pytest.mark.parametrize("dynamics", ["filtered", "expectation"])
-    def test_partial_information_dynamics_never_fork(self, three_cores, dynamics):
-        E.out_of_sample(affine_policy(2), tiny_market(), 3 * E._BLOCK + 5, tiny_spec(24), seed=8,
-                        dynamics=dynamics)
+    @pytest.mark.parametrize("evaluation", ["filtered", "expectation", "market-poemv1",
+                                            "market-emv"])
+    def test_forced_split_of_every_flavor_reports_the_serial_evaluation(self, three_cores,
+                                                                         monkeypatch, evaluation):
+        n_paths = 3 * E._BLOCK + 5
+        if evaluation.startswith("market-"):
+            model = monthly_study_market()
+            hyper = rl.Hyperparams(n_iter=20, dt=model.dt, n_avg=5)
+            state = E.empirical_train(evaluation[7:], monthly_blocks(model), model, hyper,
+                                      tiny_spec(24))
+
+            def run():
+                return E.evaluate_on_market_paths(state, model, n_paths, tiny_spec(24), seed=8,
+                                                  explore=True)
+        else:
+            def run():
+                return E.out_of_sample(affine_policy(2), tiny_market(), n_paths, tiny_spec(24),
+                                       seed=8, dynamics=evaluation)
+        with monkeypatch.context() as serial:
+            serial.setattr(E, "_FORK_FLOOR", 10**12)
+            want = run()
         assert not three_cores
+        assert run() == want
+        assert len(three_cores) == 2
+        assert_no_child_left()
 
     def test_below_floor_evaluation_never_forks(self, three_cores, monkeypatch):
         monkeypatch.setattr(E, "_FORK_FLOOR", FORK_FLOOR)
         E.out_of_sample(affine_policy(2), tiny_market(), 3 * E._BLOCK + 5, tiny_spec(24), seed=8)
         assert not three_cores
+
+    @pytest.mark.parametrize("dynamics", ["filtered", "expectation"])
+    def test_partial_information_dynamics_never_fork(self, three_cores, monkeypatch, dynamics):
+        """... below four times the floor, where real dynamics already fork: their
+        paths run on fixed rates, a quarter of the work per path-period."""
+        n_paths, spec = 3 * E._BLOCK + 5, tiny_spec(24)
+        monkeypatch.setattr(E, "_FORK_FLOOR", n_paths * spec.horizon // 4)
+        E.out_of_sample(affine_policy(2), tiny_market(), n_paths, spec, seed=8,
+                        dynamics=dynamics)
+        assert not three_cores
+        E.out_of_sample(affine_policy(2), tiny_market(), n_paths, spec, seed=8)
+        assert len(three_cores) == 2  # real dynamics: as many shares as cores allow
+        assert_no_child_left()
 
     def test_exclusions_are_counted_once_and_reported(self):
         terminal = np.array([1.5, np.nan, 2.0, np.inf, 2.5])
@@ -487,6 +544,24 @@ class TestBlockSource:
     def test_empty_series_set_fails_at_construction(self):
         with pytest.raises(ValueError, match="series_set: "):
             E.BlockSource(series_set=(), horizon_years=2.0, dt=1.0 / 12.0)
+
+
+class TestMarketPaths:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        model = monthly_study_market()
+        hyper = rl.Hyperparams(n_iter=20, dt=model.dt, n_avg=5)
+        return E.empirical_train("poemv1", monthly_blocks(model), model, hyper, tiny_spec(24))
+
+    @pytest.mark.parametrize("n_paths", [1, 0])
+    def test_fewer_than_two_paths_rejected(self, trained, n_paths):
+        with pytest.raises(ValueError, match=f"n_paths must be >= 2, got {n_paths}"):
+            E.evaluate_on_market_paths(trained, monthly_study_market(), n_paths, tiny_spec(24), 1)
+
+    def test_market_dt_other_than_the_checkpoints_rejected(self, trained):
+        daily = replace(monthly_study_market(), dt=1.0 / 252.0)
+        with pytest.raises(ValueError, match="dt"):
+            E.evaluate_on_market_paths(trained, daily, 100, tiny_spec(24), 1)
 
 
 class TestEmpiricalTrain:

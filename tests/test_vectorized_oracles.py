@@ -8,7 +8,7 @@ path, the skewed-t transform and the filter recursion against their
 sequential or first-written forms, the one-path draw against the regime path
 followed by its returns and the block-row draw against the per-path one, the
 liability path against the sequential recursion, the blocked out-of-sample
-rollout against the per-period loop, the recorded episode of
+and market-path rollouts against the per-period loop, the recorded episode of
 ``evaluate.simulate`` against path 0 of the blocked evaluation (its terminal
 bit for bit) and of that loop, the one-call moment mix against the
 per-period mixing loop, and the scans behind the value function's risk sum
@@ -404,25 +404,20 @@ class TestPathLayer:
         horizon=st.integers(0, 60),
         p11=st.floats(0.0, 1.0),
         p21=st.floats(0.0, 1.0),
-        one_generator=st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_draw_path_is_regime_path_then_returns(self, seed, horizon, p11, p21, one_generator):
+    def test_draw_path_is_regime_path_then_returns(self, seed, horizon, p11, p21):
         model = skewed_market()
         model = M.MarketModel(M.RegimeChain.from_probs(p11, 1.0 - p11, p21, 1.0 - p21, 0.3),
                               model.e0, model.e1, model.q, model.dt)
-        keys = (0, 0) if one_generator else (0, 1)
-        pair, twin = [M.stream(seed, k) for k in keys], [M.stream(seed, k) for k in keys]
-        if one_generator:
-            pair[1], twin[1] = pair[0], twin[0]
-        regimes, rec = M.draw_path(model, horizon, *pair)
-        want_regimes = M.regime_path(model.chain, horizon, twin[0])
-        want = M.sample_return_paths(want_regimes[:-1], model, twin[1])
+        rng, twin = M.stream(seed, 0), M.stream(seed, 0)
+        regimes, rec = M.draw_path(model, horizon, rng)
+        want_regimes = M.regime_path(model.chain, horizon, twin)
+        want = M.sample_return_paths(want_regimes[:-1], model, twin)
         assert regimes.tobytes() == want_regimes.tobytes()
         for name in ("e0", "e1", "q"):
             assert getattr(rec, name).tobytes() == getattr(want, name).tobytes(), name
-        # both generators end where the oracle's do
-        assert pair[0].random() == twin[0].random() and pair[1].random() == twin[1].random()
+        assert rng.random() == twin.random()  # the generator ends where the oracle's does
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -445,8 +440,8 @@ class TestPathLayer:
         block = np.full((3, n_paths + 1, horizon), np.nan)
         for j in range(n_paths):
             rng, twin = M.stream(seed, j), M.stream(seed, j)
-            regimes, rec = M.draw_path(model, horizon, rng, rng, out=block[:, j])
-            want_regimes, want = M.draw_path(model, horizon, twin, twin)
+            regimes, rec = M.draw_path(model, horizon, rng, out=block[:, j])
+            want_regimes, want = M.draw_path(model, horizon, twin)
             assert regimes.tobytes() == want_regimes.tobytes()
             for k, name in enumerate(("e0", "e1", "q")):
                 assert block[k, j].tobytes() == getattr(want, name).tobytes(), name
@@ -488,12 +483,13 @@ def analytic_policy(kind, model, spec):
 
 def per_period_terminals(policy, model, n_paths, spec, seed, dynamics, signal=None,
                          exp_signal="expected_state"):
-    """Path by path and period by period, with the evaluation's stream keys: the
+    """Path by path and period by period, each path drawing from its stream
+    ``PATH_KEY`` + i (regime path and returns in real dynamics, then noise): the
     terminals, and path 0's trajectory (x, l, action, regimes, p_hat) with the
-    closed-form rounding scales of its wealth and of its actions."""
+    closed-form rounding scales of its wealth and of its actions; outside real
+    dynamics path 0's recorded regime path is drawn after its noise."""
     horizon = spec.horizon
     signal = signal or F.mixing_signal(dynamics, exp_signal)
-    noise = M.stream(seed, 0).standard_normal((n_paths, horizon))
     p_hat = F.filter_states(model.chain.p0, model.chain.matrix(), horizon)
     weights = 2.0 - p_hat if F.mixing_signal(dynamics, exp_signal) == "expected_state" else p_hat
     m1, m2 = model.moment_pair()
@@ -501,17 +497,21 @@ def per_period_terminals(policy, model, n_paths, spec, seed, dynamics, signal=No
              m2.a2 + weights[:-1] * (m1.a2 - m2.a2)]
     out = np.empty(n_paths)
     for i in range(n_paths):
-        regimes = M.regime_path(model.chain, horizon, M.stream(seed, 1 + i))
+        rng = M.stream(seed, M.PATH_KEY + i)
         if dynamics == "real":
-            rec = M.sample_return_paths(regimes[:-1], model, M.stream(seed, M.RETURNS_KEY + i))
+            regimes = M.regime_path(model.chain, horizon, rng)
+            rec = M.sample_return_paths(regimes[:-1], model, rng)
             e0, ex, q = rec.e0, rec.e1 - rec.e0, rec.q
+            noise = rng.standard_normal(horizon)
         else:
             e0, ex, q = rates
+            noise = rng.standard_normal(horizon)
+            regimes = M.regime_path(model.chain, horizon, rng)
         sig = regimes.astype(float) if signal == "regime" else F.signal_path(signal, p_hat)
         x, l, action, cxs = [spec.x0], [spec.l0], [], []
         for t in range(horizon):
             cx, cl, c0, var = policy.table([t], [sig[t]])[0].tolist()
-            action.append(cx * x[t] + cl * l[t] + c0 + math.sqrt(var) * noise[i, t])
+            action.append(cx * x[t] + cl * l[t] + c0 + math.sqrt(var) * noise[t])
             cxs.append(cx)
             x.append(e0[t] * x[t] + ex[t] * action[t])
             l.append(q[t] * l[t])
@@ -544,22 +544,63 @@ class TestBlockedEvaluation:
         long, _ = E._path_terminals(policy, model, 2000, *args)
         np.testing.assert_array_equal(long[:1000], short)
 
+    @pytest.mark.parametrize("explore", [False, True])
+    @pytest.mark.parametrize("algo", ["poemv1", "emv"])
+    def test_market_paths_match_per_period_loop(self, algo, explore):
+        model, spec = skewed_market(), eval_spec(30)
+        state = learned_state(algo, model, spec, np.random.default_rng(4))
+        n = E._BLOCK + 5
+        got = E.evaluate_on_market_paths(state, model, n, spec, seed=9, explore=explore)
+        want = market_path_terminals(state, model, n, spec, 9, explore)
+        np.testing.assert_allclose(got.mean, np.mean(want), rtol=1e-12)
+        np.testing.assert_allclose(got.variance, np.var(want, ddof=1), rtol=1e-9)
+
+
+def market_path_terminals(state, model, n_paths, spec, seed, explore):
+    """``evaluate_on_market_paths`` path by path and period by period: the risky
+    leg drawn from the path's stream, the baseline and liability legs on their
+    filtered expectations; the regime-blind baseline reads a unit signal and
+    no liability."""
+    horizon, policy = spec.horizon, rl.policy_from_state(state)
+    p_hat = F.filter_states(model.chain.p0, model.chain.matrix(), horizon)
+    m1, m2 = model.moment_pair()
+    e0 = m2.a0 + p_hat[:-1] * (m1.a0 - m2.a0)
+    q = m2.a2 + p_hat[:-1] * (m1.a2 - m2.a2)
+    blind = state.algo == "emv"
+    out = np.empty(n_paths)
+    for i in range(n_paths):
+        rng = M.stream(seed, M.PATH_KEY + i)
+        regimes = M.regime_path(model.chain, horizon, rng)
+        e1 = M.sample_return_paths(regimes[:-1], model, rng).e1
+        noise = rng.standard_normal(horizon) if explore else np.zeros(horizon)
+        x, l = spec.x0, spec.l0
+        for t in range(horizon):
+            cx, cl, c0, var = policy.table([t], [1.0 if blind else p_hat[t]])[0].tolist()
+            action = cx * x + cl * (0.0 if blind else l) + c0 + math.sqrt(var) * noise[t]
+            x = e0[t] * x + (e1[t] - e0[t]) * action
+            l = q[t] * l
+        out[i] = x - l
+    return out
+
 
 # ---------------------------------------------------------------------------
 # the recorded episode is path 0 of the blocked evaluation
 # ---------------------------------------------------------------------------
 
 
+def learned_state(algo, model, spec, gen):
+    m = int(gen.integers(1, 4))
+    grids = [gen.normal(0, 0.1, size=(m + 1, m)) for _ in range(9)]
+    return rl.TrainState(algo, rl.CriticParams(*grids[:6], m=m), rl.ActorParams(*grids[6:], m=m),
+                         float(gen.uniform(0.5, 3.0)), 0, [], [], [],
+                         rl.Hyperparams(dt=model.dt, m=m), spec)
+
+
 def episode_policy(kind, model, spec, gen):
     if kind in ("regime", "filtered"):
         return analytic_policy(kind, model, spec)
     if kind == "learned":
-        m = int(gen.integers(1, 4))
-        grids = [gen.normal(0, 0.1, size=(m + 1, m)) for _ in range(9)]
-        state = rl.TrainState("poemv1", rl.CriticParams(*grids[:6], m=m),
-                              rl.ActorParams(*grids[6:], m=m), float(gen.uniform(0.5, 3.0)),
-                              0, [], [], [], rl.Hyperparams(dt=model.dt, m=m), spec)
-        return rl.policy_from_state(state)
+        return rl.policy_from_state(learned_state("poemv1", model, spec, gen))
     a, b, c, d, v = gen.normal(0, 0.5, size=5)
 
     def table(ts, s):
