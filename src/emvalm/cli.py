@@ -194,12 +194,9 @@ def cmd_evaluate(args) -> int:
         algo = state.algo
         spec = state.spec
         exp_sig = state.hyper.expectation_signal
-    elif args.analytic:
+    else:  # the parser requires exactly one of --checkpoint and --analytic
         policy = evaluate.analytic_policy(args.analytic, model, spec, exp_sig)
         algo = args.analytic
-    else:
-        print("evaluate needs --checkpoint or --analytic", file=sys.stderr)
-        return 1
     if ev["dynamics"] == "auto":
         dynamics, signal = evaluate.auto_scoring(algo, exp_sig)
     else:
@@ -327,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="out-of-sample evaluation of a policy")
     common(p)
-    p.add_argument("--checkpoint", help="trained checkpoint JSON")
-    p.add_argument(
+    policy = p.add_mutually_exclusive_group(required=True)
+    policy.add_argument("--checkpoint", help="trained checkpoint JSON")
+    policy.add_argument(
         "--analytic",
         choices=sorted(evaluate.ANALYTIC_FLAVORS),
         help="evaluate an analytic policy instead of a checkpoint",

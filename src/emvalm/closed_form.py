@@ -8,8 +8,8 @@ This module evaluates those formulas on any moment schedule (regime-
 conditioned, filtered, or expectation-based), exposes the value function as an
 explicit quadratic in (wealth, liability), and provides an independent
 Gauss-Hermite check of the one-step recursion.  Every policy in the package,
-analytic or learned, is a ``GaussianPolicy``: its per-period table of
-(cx, cl, c0, variance) rows.
+analytic or learned, is a ``GaussianPolicy``: a (4, n) table of cx, cl, c0
+and variance rows over periods, as ``improvement.AffineGaussianPolicy`` holds.
 
 Products over future periods are accumulated in log space with sign tracking;
 on multi-thousand-period horizons the raw products under/overflow double
@@ -56,8 +56,8 @@ class ProblemSpec:
 class GaussianPolicy:
     """A Gaussian feedback policy, given by its per-period affine table.
 
-    ``affine_table(ts, signals) -> (n, 4)`` gives, for arrays of periods and
-    the signals seen at them, the rows (cx, cl, c0, variance) of a Normal
+    ``affine_table(ts, signals) -> (4, n)`` gives, for arrays of periods and
+    the signals seen at them, the rows cx, cl, c0 and variance of a Normal
     action law whose mean is cx*x + cl*l + c0.  Analytic, expectation-based
     and learned policies all take this form; ``table`` is how callers read it.
     """
@@ -66,21 +66,21 @@ class GaussianPolicy:
     kind: str = "custom"
 
     def table(self, ts, signals) -> np.ndarray:
-        """A fresh (n, 4) array of ``affine_table`` rows at ``ts`` and ``signals``.
+        """A fresh (4, n) array of ``affine_table`` rows at ``ts`` and ``signals``.
 
         Raises ``ValueError`` naming the first period whose coefficients are
         not finite or whose variance is not a finite number >= 0.
         """
         ts = np.asarray(ts)
         table = np.array(self.affine_table(ts, np.asarray(signals, dtype=float)), dtype=float)
-        if table.shape != (len(ts), 4):
-            raise ValueError(f"policy table has shape {table.shape}, expected ({len(ts)}, 4)")
-        ok = np.isfinite(table).all(axis=1) & (table[:, 3] >= 0.0)
+        if table.shape != (4, len(ts)):
+            raise ValueError(f"policy table has shape {table.shape}, expected (4, {len(ts)})")
+        ok = np.isfinite(table).all(axis=0) & (table[3] >= 0.0)
         if not ok.all():
             i = int(np.argmin(ok))
             raise ValueError(
-                f"policy row (cx, cl, c0, variance) = {tuple(table[i].tolist())} at t={ts[i]} "
-                "needs finite coefficients and a finite variance >= 0"
+                f"policy column (cx, cl, c0, variance) = {tuple(table[:, i].tolist())} at "
+                f"t={ts[i]} needs finite coefficients and a finite variance >= 0"
             )
         return table
 
@@ -121,6 +121,15 @@ def f_terms(m: MomentSet | MomentSchedule):
     f1 = m.b0 * m.b1 - cross * cross
     f2 = m.a0 * (m.b1 - m.a1 * m.a1) + m.a1 * (m.b0 - m.a0 * m.a0)
     return f1, f2
+
+
+def check_periods(ts, horizon: int) -> np.ndarray:
+    """``ts`` as int64, or a ``ValueError`` naming the first outside [0, horizon - 1]."""
+    ts = np.asarray(ts, dtype=np.int64)
+    outside = ts[(ts < 0) | (ts > horizon - 1)]
+    if outside.size:
+        raise ValueError(f"t must lie in [0, {horizon - 1}], got {int(outside[0])}")
+    return ts
 
 
 def _first(bad) -> int | None:
@@ -199,10 +208,7 @@ class _ScheduleTables:
     def policy_arrays(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cx, k1, variance) at the periods ``ts``: mean = cx*x + k1*(w + l*prod_a2(t))."""
         spec = self.spec
-        ts = np.asarray(ts, dtype=np.int64)
-        outside = ts[(ts < 0) | (ts > spec.horizon - 1)]
-        if outside.size:
-            raise ValueError(f"t must lie in [0, {spec.horizon - 1}], got {int(outside[0])}")
+        ts = check_periods(ts, spec.horizon)
         b1 = self.b1[ts]
         cx = -self.cross[ts] / b1
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -218,10 +224,10 @@ class _ScheduleTables:
         return cx, k1, variance
 
     def affine_rows(self, ts: np.ndarray) -> np.ndarray:
-        """(n, 4) rows (cx, cl, c0, variance) of the policy mean cx*x + cl*l + c0."""
+        """(4, n) rows cx, cl, c0 and variance of the policy mean cx*x + cl*l + c0."""
         cx, k1, variance = self.policy_arrays(ts)
         pa2 = self.p_a2.values(np.asarray(ts, dtype=np.int64))
-        return np.stack([cx, k1 * pa2, k1 * self.spec.multiplier, variance], axis=1)
+        return np.stack([cx, k1 * pa2, k1 * self.spec.multiplier, variance])
 
     def policy_at(self, t: int) -> tuple[float, float, float]:
         """One period of ``policy_arrays``, as floats."""
@@ -291,16 +297,13 @@ def regime_policy(
     tables = (_ScheduleTables(schedules[0], spec), _ScheduleTables(schedules[1], spec))
 
     def affine_table(ts: np.ndarray, signals: np.ndarray) -> np.ndarray:
-        ts, signals = np.asarray(ts), np.asarray(signals, dtype=float)
         regimes = np.rint(signals)
         bad = np.flatnonzero((regimes != 1.0) & (regimes != 2.0))
         if bad.size:
             raise ValueError(f"regime signal must be 1 or 2, got {signals[bad[0]]}")
-        rows = np.empty((len(ts), 4))
+        rows = np.empty((4, len(ts)))
         for regime, tab in enumerate(tables, start=1):
-            sel = regimes == regime
-            if sel.any():
-                rows[sel] = tab.affine_rows(ts[sel])
+            rows[:, regimes == regime] = tab.affine_rows(ts[regimes == regime])
         return rows
 
     return GaussianPolicy(affine_table, "coemv_opt")
@@ -436,4 +439,4 @@ def policy_table_rows(schedule: MomentSchedule, spec: ProblemSpec) -> list[dict]
     """Per-period affine coefficients and variance, for CSV dumps."""
     table = _ScheduleTables(schedule, spec).affine_rows(np.arange(spec.horizon))
     keys = ("mean_x_coeff", "mean_l_coeff", "mean_const", "variance")
-    return [{"t": t, **dict(zip(keys, map(float, row)))} for t, row in enumerate(table)]
+    return [{"t": t, **dict(zip(keys, map(float, row)))} for t, row in enumerate(table.T)]

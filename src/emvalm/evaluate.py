@@ -126,16 +126,10 @@ def auto_scoring(algo: str, expectation_signal: str) -> tuple[str, str]:
 
 
 def _affine_tables(policy: GaussianPolicy, ts: np.ndarray, signals: np.ndarray) -> np.ndarray:
-    """(n, 4) rows (cx, cl, c0, sd) at the periods ``ts`` and their signals, in one call."""
+    """(4, n) rows cx, cl, c0 and sd at the periods ``ts`` and their signals, in one call."""
     table = policy.table(ts, signals)
-    table[:, 3] = np.sqrt(table[:, 3])
+    table[3] = np.sqrt(table[3])
     return table
-
-
-def _regime_affine_tables(policy: GaussianPolicy, horizon: int) -> np.ndarray:
-    """(2, horizon, 4) tables for the two possible regime signals."""
-    ts = np.tile(np.arange(horizon), 2)
-    return _affine_tables(policy, ts, np.repeat([1.0, 2.0], horizon)).reshape(2, horizon, 4)
 
 
 def _blocks(paths: range) -> list[range]:
@@ -322,8 +316,8 @@ def _path_tables(
 ) -> tuple[tuple, np.ndarray]:
     """What every path of one evaluation shares: the (e0, ex, q, l) rows of a
     partial-information flavor (all None in real dynamics, where each path
-    draws its own) and the policy's coefficients, (4, T) rows (cx, cl, c0, sd)
-    or, under the regime signal, the (2, T, 4) tables of the two regimes."""
+    draws its own) and the policy's coefficients, (4, T) rows cx, cl, c0 and sd
+    or, under the regime signal, (4, 2, T): the rows of regime 1, then of 2."""
     horizon = spec.horizon
     rates = (None,) * 4
     if dynamics == "real":
@@ -335,8 +329,9 @@ def _path_tables(
     if sig_kind == "regime":
         if dynamics != "real":
             raise ValueError("regime signal requires real dynamics")
-        return rates, _regime_affine_tables(policy, horizon)
-    return rates, _affine_tables(policy, np.arange(horizon), signal_path(sig_kind, probs)[:-1]).T
+        ts, signals = np.tile(np.arange(horizon), 2), np.repeat([1.0, 2.0], horizon)
+        return rates, _affine_tables(policy, ts, signals).reshape(4, 2, horizon)
+    return rates, _affine_tables(policy, np.arange(horizon), signal_path(sig_kind, probs)[:-1])
 
 
 def _rollout_blocks(
@@ -381,9 +376,8 @@ def _rollout_blocks(
                 l = liability_path(spec.l0, q)
         else:
             e1 = e0 + ex
-        if coef.ndim == 3:  # the regime signal: each period's row of its regime's table
-            at1 = in1[:n]
-            cx, cl, c0, sd = (np.where(at1, coef[0, :, k], coef[1, :, k]) for k in range(4))
+        if coef.ndim == 3:  # the regime signal: each period reads its regime's coefficients
+            cx, cl, c0, sd = np.where(in1[:n], coef[:, 0, None], coef[:, 1, None])
         else:
             cx, cl, c0, sd = coef
         x = rl._linear_rollout(e0 + ex * cx, ex * (cl * l[..., :-1] + c0 + sd * noise[:n]), spec.x0)
@@ -611,7 +605,7 @@ def evaluate_on_market_paths(
         )
     probs, _, schedule = observable_rates(model, horizon, "filtered")
     sig = probs if state.algo == "poemv1" else np.ones(horizon + 1)
-    coef = _affine_tables(rl.policy_from_state(state), np.arange(horizon), sig[:-1]).T
+    coef = _affine_tables(rl.policy_from_state(state), np.arange(horizon), sig[:-1])
     if state.algo != "poemv1":
         coef[1] = 0.0
     rates = schedule.a0, None, schedule.a2, liability_path(spec.l0, schedule.a2)

@@ -46,7 +46,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .closed_form import GaussianPolicy, ProblemSpec
+from .closed_form import GaussianPolicy, ProblemSpec, check_periods
 from .filtering import mixing_signal, signal_path
 from .market import Episode, MarketModel, draw_path, liability_path, observable_rates, stream
 
@@ -218,17 +218,21 @@ def _tau_grid(horizon: int, dt: float) -> np.ndarray:
 
 
 def _learned_table(critic: CriticParams, actor: ActorParams, w: float, horizon: int, dt: float):
-    """The learned policy's ``affine_table``: per period the rows (cx, cl, c0,
-    variance) of the action law N(phi1 x - (vartheta1 / theta1) e^phi2 (w +
-    theta2 l), e^phi3 / (2 theta1)) at the grids' expansions."""
+    """The learned policy's ``affine_table``: the (4, n) rows cx, cl, c0 and
+    variance of the action law N(phi1 x - (vartheta1 / theta1) e^phi2 (w +
+    theta2 l), e^phi3 / (2 theta1)) at the grids' expansions.  BLAS rounds a
+    one-column product unlike a wider one, so one period is expanded twice."""
 
     def affine_table(ts: np.ndarray, signals: np.ndarray) -> np.ndarray:
-        feats = features(signals, (horizon - np.asarray(ts)) * dt, actor.m)
+        ts, n = check_periods(ts, horizon), len(ts)
+        if n == 1:
+            ts, signals = np.repeat(ts, 2), np.repeat(signals, 2)
+        feats = features(signals, (horizon - ts) * dt, actor.m)
         ce = _expand_critic(feats, critic)
         ph1, ph2, ph3 = _expand_actor(feats, actor)
         scale = -(ce.vartheta1 / ce.theta1) * np.exp(ph2)
         variance = np.exp(ph3) / (2.0 * ce.theta1)
-        return np.stack([ph1, scale * ce.theta2, scale * w, variance], axis=1)
+        return np.stack([ph1, scale * ce.theta2, scale * w, variance])[:, :n]
 
     return affine_table
 
@@ -244,9 +248,9 @@ def actor_mean_var(
     horizon: int,
     dt: float,
 ) -> tuple[float, float]:
-    """Mean and variance of the learned action law at one state: row t of its table."""
+    """Mean and variance of the learned action law at one state: column t of its table."""
     table = _learned_table(critic, actor, w, horizon, dt)(np.array([t]), np.array([signal]))
-    cx, cl, c0, variance = table[0].tolist()
+    cx, cl, c0, variance = table[:, 0].tolist()
     return cx * x + cl * l + c0, variance
 
 

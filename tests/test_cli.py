@@ -71,6 +71,17 @@ class TestArgumentHandling:
     def test_evaluate_requires_a_policy_source(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "one of the arguments --checkpoint --analytic is required" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_evaluate_takes_one_policy_source(self, tmp_path, capsys):
+        # a checkpoint and an analytic policy used to run the checkpoint and drop --analytic;
+        # the parser refuses the pair before any file is read
+        assert run(["evaluate", "--config", write_config(tmp_path), "--checkpoint",
+                    str(tmp_path / "checkpoint.json"), "--analytic", "poemv_opt",
+                    "--out", str(tmp_path / "o")]) == 1
+        assert "not allowed with argument --checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigResolution:

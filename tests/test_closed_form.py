@@ -368,7 +368,7 @@ class TestPolicyObjects:
         policy = C.schedule_policy(sched, spec, kind="poemv_opt")
         for t in range(5):
             mean, var = C.optimal_policy(t, 1.3, 0.2, sched, spec)
-            cx, cl, c0, v = policy.table([t], [0.5])[0]
+            cx, cl, c0, v = policy.table([t], [0.5])[:, 0]
             assert cx * 1.3 + cl * 0.2 + c0 == pytest.approx(mean, rel=1e-12)
             assert v == pytest.approx(var, rel=1e-12)
 
@@ -381,6 +381,6 @@ class TestPolicyObjects:
             sched = F.regime_schedule(pair[regime - 1], T)
             for t in range(T):
                 mean, var = C.optimal_policy(t, 0.8, 0.3, sched, spec)
-                cx, cl, c0, v = policy.table([t], [float(regime)])[0]
+                cx, cl, c0, v = policy.table([t], [float(regime)])[:, 0]
                 assert cx * 0.8 + cl * 0.3 + c0 == pytest.approx(mean, rel=1e-12)
                 assert v == pytest.approx(var, rel=1e-12)

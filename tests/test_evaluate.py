@@ -40,7 +40,8 @@ def tiny_market():
 
 
 def constant_rows(*row):
-    return lambda ts, s: np.tile(row, (len(ts), 1))
+    """A policy table with the column ``row`` at every period."""
+    return lambda ts, s: np.tile(np.array(row, dtype=float)[:, None], len(ts))
 
 
 def const_policy(amount=0.1, var=0.0):
@@ -51,8 +52,8 @@ def bad_row_policy(column, bad):
     """Rows (0, 0, 0.1, 0.01), except ``bad`` in ``column`` at t = 5."""
 
     def table(ts, s):
-        rows = np.tile([0.0, 0.0, 0.1, 0.01], (len(ts), 1))
-        rows[ts == 5, column] = bad
+        rows = constant_rows(0.0, 0.0, 0.1, 0.01)(ts, s)
+        rows[column, ts == 5] = bad
         return rows
 
     return GaussianPolicy(table, kind="custom")
@@ -177,7 +178,7 @@ def affine_policy(seed):
     a, b, c, d, v = np.random.default_rng(seed).normal(0.0, 0.5, size=5)
 
     def table(ts, s):
-        return np.stack([a + b * s, c * s - 0.01 * ts, d + 0.0 * s, v * v * (1.0 + s * s)], axis=1)
+        return np.stack([a + b * s, c * s - 0.01 * ts, d + 0.0 * s, v * v * (1.0 + s * s)])
 
     return GaussianPolicy(table, kind="custom")
 

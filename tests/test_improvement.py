@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from emvalm import closed_form as C
 from emvalm import config as cfgmod
+from emvalm import evaluate as E
 from emvalm import improvement as I
+from emvalm import market as M
 from emvalm.filtering import MomentSchedule, filter_states, mixed_schedule, regime_schedule
 from conftest import REFERENCE_P, gaussian_entropy_min, random_moment_set, random_schedule
 
@@ -22,7 +24,7 @@ def spec_for(horizon, w=1.8, lam=2.2, d=1.3):
 
 def optimal_affine_policy(schedule: MomentSchedule, spec: C.ProblemSpec) -> I.AffineGaussianPolicy:
     tables = C._ScheduleTables(schedule, spec)
-    return I.AffineGaussianPolicy(tables.affine_rows(np.arange(spec.horizon)).T)
+    return I.AffineGaussianPolicy(tables.affine_rows(np.arange(spec.horizon)))
 
 
 def max_param_delta(a: I.AffineGaussianPolicy, b: I.AffineGaussianPolicy) -> float:
@@ -291,5 +293,44 @@ class TestIterateToConvergence:
         fam = I.InitialPolicyFamily.random(T, np.random.default_rng(3))
         final, n_used = I.iterate_to_convergence(fam, sched, spec)
         assert n_used <= T
-        expected = C._ScheduleTables(sched, spec).affine_rows(np.arange(T)).T
+        expected = C._ScheduleTables(sched, spec).affine_rows(np.arange(T))
         np.testing.assert_allclose(final.policy.table, expected, rtol=1e-11, atol=0.0)
+
+
+class TestPolicyTableBridge:
+    """A ``GaussianPolicy`` table over every period is an ``AffineGaussianPolicy``
+    table as it stands, so ``evaluate_policy`` scores any policy exactly."""
+
+    T = 60
+
+    def world(self, kind):
+        cfg = cfgmod.resolve_config(None)
+        model = cfgmod.build_market(cfg)
+        spec = replace(cfgmod.build_problem(cfg), horizon=self.T)
+        probs, _, sched = M.observable_rates(model, self.T, E.ANALYTIC_FLAVORS[kind])
+        table = E.analytic_policy(kind, model, spec).table(np.arange(self.T), probs[:-1])
+        return I.AffineGaussianPolicy(table), sched, spec
+
+    @pytest.mark.parametrize("kind", ["poemv_opt", "poemv_sub"])
+    def test_analytic_table_scores_its_closed_form_value(self, kind):
+        policy, sched, spec = self.world(kind)
+        got = np.array(I.evaluate_policy(policy, sched, spec).as_tuple())
+        tables = C._ScheduleTables(sched, spec)
+        want = np.array([tables.value_quadratic(t).as_tuple() for t in range(self.T + 1)]).T
+        # every coefficient but ll, which value_quadratic leaves inexact under a noisy liability
+        for k, name in enumerate(("xx", "xl", "ll", "x", "l", "c")):
+            if name != "ll":
+                scale = np.max(np.abs(want[k]))
+                assert np.max(np.abs(got[k] - want[k])) <= 1e-12 * scale, name
+
+    def test_one_round_on_a_perturbed_table_does_not_raise_the_objective(self):
+        optimum, sched, spec = self.world("poemv_opt")
+        j_star = I.evaluate_policy(optimum, sched, spec)[0](spec.x0, spec.l0)
+        noise = np.random.default_rng(1).standard_normal(optimum.table.shape)
+        perturbed = I.AffineGaussianPolicy(optimum.table * (1.0 + 0.05 * noise))
+        start = I.IteratedPolicy(0, perturbed, I.evaluate_policy(perturbed, sched, spec))
+        improved = I.improve_once(start, sched, spec)
+        j_before = start.objective[0](spec.x0, spec.l0)
+        j_after = I.evaluate_policy(improved.policy, sched, spec)[0](spec.x0, spec.l0)
+        assert j_star - 1e-12 * abs(j_star) <= j_after <= j_before
+        assert j_after < j_before - 0.05  # -559.97 before, against J* = -560.07

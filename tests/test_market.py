@@ -37,7 +37,7 @@ def simple_model(dt: float = 1.0, e1_vol: float = 0.2) -> M.MarketModel:
 
 
 def zero_policy() -> GaussianPolicy:
-    return GaussianPolicy(lambda ts, s: np.zeros((len(ts), 4)), kind="custom")
+    return GaussianPolicy(lambda ts, s: np.zeros((4, len(ts))), kind="custom")
 
 
 class TestRegimeChain:
@@ -207,7 +207,8 @@ def episode(model, policy, horizon, seed, dynamics="real", x0=1.0, l0=0.1, **kwa
 
 
 def constant_policy(*row) -> GaussianPolicy:
-    return GaussianPolicy(lambda ts, s: np.tile(row, (len(ts), 1)), kind="custom")
+    return GaussianPolicy(lambda ts, s: np.tile(np.array(row, dtype=float)[:, None], len(ts)),
+                          kind="custom")
 
 
 def flat_model(e0: M.ReturnSpec, e1_net: float) -> M.MarketModel:
@@ -297,7 +298,7 @@ class TestSimulateEpisode:
     def test_invalid_policy_mean_names_offending_period(self):
         model = simple_model(dt=1.0 / 252.0)
         policy = GaussianPolicy(
-            lambda ts, s: np.where((ts == 7)[:, None], [0.0, 0.0, float("nan"), 0.0], 0.0),
+            lambda ts, s: np.where(ts == 7, np.array([0.0, 0.0, float("nan"), 0.0])[:, None], 0.0),
             kind="custom",
         )
         with pytest.raises(ValueError, match="t=7"):

@@ -574,7 +574,7 @@ class TestTrain:
             assert rl.actor_mean_var(t, x, l, sig, state.critic, state.actor, w, horizon, dt) == (
                 pytest.approx(mean, rel=1e-12), pytest.approx(var, rel=1e-12)
             )
-            cx, cl, c0, v = policy.table([t], [sig])[0]
+            cx, cl, c0, v = policy.table([t], [sig])[:, 0]
             assert cx * 1.4 + cl * 0.2 + c0 == pytest.approx(mean, rel=1e-12)
             assert v == pytest.approx(var, rel=1e-12)
 
@@ -980,6 +980,32 @@ class TestFusedTrainOracle:
 # ---------------------------------------------------------------------------
 
 
+class TestPolicyTables:
+    def test_learned_rows_do_not_depend_on_how_many_are_requested(self):
+        # a 300-iteration poemv1 state at the reference config: before one-period
+        # requests were expanded as two, about half of them differed in the last bit
+        cfg = config.resolve_config(None)
+        model, spec = config.build_market(cfg), config.build_problem(cfg)
+        state = rl.train("poemv1", model, replace(config.build_hyper(cfg), n_iter=300, seed=5), spec)
+        policy, T = rl.policy_from_state(state), spec.horizon
+        ts, sig = np.arange(T), M.observable_rates(model, T, "filtered")[0][:-1]
+        full = policy.table(ts, sig)
+        for width in (1, 2):
+            parts = [policy.table(ts[i : i + width], sig[i : i + width]) for i in range(0, T, width)]
+            assert np.concatenate(parts, axis=1).tobytes() == full.tobytes(), width
+
+    @pytest.mark.parametrize("kind", ["learned", "poemv_opt", "coemv_opt"])
+    @pytest.mark.parametrize("t", [-1, 24, 124])
+    def test_a_period_outside_the_horizon_is_named(self, kind, t):
+        model, spec = tiny_market(), tiny_spec()
+        if kind == "learned":
+            policy = rl.policy_from_state(rl.TrainState.start("poemv1", tiny_hyper(0), spec))
+        else:
+            policy = E.analytic_policy(kind, model, spec)
+        with pytest.raises(ValueError, match=rf"t must lie in \[0, 23\], got {t}$"):
+            policy.table([3, t], [1.0, 1.0])
+
+
 class TestTrainingLiabilityPath:
     @staticmethod
     def reference():
@@ -991,7 +1017,7 @@ class TestTrainingLiabilityPath:
         model, spec, hyper = self.reference()
         dynamics = rl.ALGO_FLAVORS[algo]
         trained = rl._build_env(algo, model, hyper, spec)(None, 0).l  # draws nothing
-        zero = GaussianPolicy(lambda ts, s: np.zeros((len(ts), 4)))
+        zero = GaussianPolicy(lambda ts, s: np.zeros((4, len(ts))))
         episode = E.simulate(zero, model, spec, 1, dynamics=dynamics,
                              expectation_signal=hyper.expectation_signal)
         assert trained.tobytes() == episode.l.tobytes()

@@ -170,10 +170,10 @@ class TestPolicyTables:
         policy = C.schedule_policy(schedule, spec, kind="poemv_opt")
         ts = gen.permutation(horizon)
         table = policy.affine_table(ts, gen.uniform(0, 1, size=horizon))
-        for row, t in zip(table, ts):
+        for row, t in zip(table.T, ts):
             want = scalar_schedule_row(schedule, spec, int(t))
             assert_rows_close(row, want)
-            assert tuple(policy.table([t], [0.5])[0]) == tuple(float(v) for v in row)
+            assert tuple(policy.table([t], [0.5])[:, 0]) == tuple(float(v) for v in row)
         tables = C._ScheduleTables(schedule, spec)
         for t in range(horizon):
             cx, k1, var = tables.policy_at(t)
@@ -190,7 +190,7 @@ class TestPolicyTables:
         ts = gen.integers(0, horizon, size=2 * horizon)
         signals = gen.integers(1, 3, size=2 * horizon).astype(float)
         table = policy.affine_table(ts, signals)
-        for row, t, s in zip(table, ts, signals):
+        for row, t, s in zip(table.T, ts, signals):
             assert_rows_close(row, scalar_schedule_row(schedules[int(s) - 1], spec, int(t)))
 
     def test_regime_table_rejects_other_signals(self):
@@ -222,7 +222,7 @@ class TestPolicyTables:
         ts = gen.integers(0, horizon, size=horizon + 2)
         signals = gen.uniform(0.0, 2.0, size=horizon + 2)
         table = policy.affine_table(ts, signals)
-        for row, t, s in zip(table, ts, signals):
+        for row, t, s in zip(table.T, ts, signals):
             tau = (horizon - int(t)) * dt
 
             def lin(grid):
@@ -238,10 +238,10 @@ class TestPolicyTables:
             terms = math.fsum(
                 abs(actor.phi1[i, j] * s**i * tau ** (j + 1)) for i in range(m + 1) for j in range(m)
             )
-            # the scalar rule is a one-row table: same formulas, its own product
-            for got in (row, policy.table([t], [s])[0]):
-                assert abs(got[0] - want[0]) <= 1e-12 * max(terms, 1e-300)
-                assert_rows_close(got[1:], want[1:], rel=1e-12)
+            assert abs(row[0] - want[0]) <= 1e-12 * max(terms, 1e-300)
+            assert_rows_close(row[1:], want[1:], rel=1e-12)
+            # a one-period request is the wide table's column, bit for bit
+            assert policy.table([t], [s])[:, 0].tolist() == row.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +510,7 @@ def per_period_terminals(policy, model, n_paths, spec, seed, dynamics, signal=No
         sig = regimes.astype(float) if signal == "regime" else F.signal_path(signal, p_hat)
         x, l, action, cxs = [spec.x0], [spec.l0], [], []
         for t in range(horizon):
-            cx, cl, c0, var = policy.table([t], [sig[t]])[0].tolist()
+            cx, cl, c0, var = policy.table([t], [sig[t]])[:, 0].tolist()
             action.append(cx * x[t] + cl * l[t] + c0 + math.sqrt(var) * noise[t])
             cxs.append(cx)
             x.append(e0[t] * x[t] + ex[t] * action[t])
@@ -575,7 +575,7 @@ def market_path_terminals(state, model, n_paths, spec, seed, explore):
         noise = rng.standard_normal(horizon) if explore else np.zeros(horizon)
         x, l = spec.x0, spec.l0
         for t in range(horizon):
-            cx, cl, c0, var = policy.table([t], [1.0 if blind else p_hat[t]])[0].tolist()
+            cx, cl, c0, var = policy.table([t], [1.0 if blind else p_hat[t]])[:, 0].tolist()
             action = cx * x + cl * (0.0 if blind else l) + c0 + math.sqrt(var) * noise[t]
             x = e0[t] * x + (e1[t] - e0[t]) * action
             l = q[t] * l
@@ -604,7 +604,7 @@ def episode_policy(kind, model, spec, gen):
     a, b, c, d, v = gen.normal(0, 0.5, size=5)
 
     def table(ts, s):
-        return np.stack([a + b * s, c * s - 0.01 * ts, d + 0.0 * s, v * v * (1.0 + s * s)], axis=1)
+        return np.stack([a + b * s, c * s - 0.01 * ts, d + 0.0 * s, v * v * (1.0 + s * s)])
 
     return C.GaussianPolicy(table, kind="custom")
 
