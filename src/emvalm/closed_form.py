@@ -124,8 +124,15 @@ def f_terms(m: MomentSet | MomentSchedule):
 
 
 def check_periods(ts, horizon: int) -> np.ndarray:
-    """``ts`` as int64, or a ``ValueError`` naming the first outside [0, horizon - 1]."""
-    ts = np.asarray(ts, dtype=np.int64)
+    """``ts`` as int64, or a ``ValueError`` naming the first that is not a
+    whole number (2.0 is one) or lies outside [0, horizon - 1]."""
+    ts = np.asarray(ts)
+    if ts.dtype.kind not in "iu":
+        real = ts.astype(float)
+        fractional = real[~(np.isfinite(real) & (np.floor(real) == real))]
+        if fractional.size:
+            raise ValueError(f"t must be a whole period, got {float(fractional[0])!r}")
+    ts = ts.astype(np.int64)
     outside = ts[(ts < 0) | (ts > horizon - 1)]
     if outside.size:
         raise ValueError(f"t must lie in [0, {horizon - 1}], got {int(outside[0])}")

@@ -16,8 +16,8 @@ This process builds what every path shares (the policy's coefficient tables,
 the filter path and any fixed rates), then cuts the paths into contiguous
 ``_BLOCK``-aligned shares, one per core in ``os.sched_getaffinity(0)``: it
 rolls out the first share itself and each other one in an ``os.fork`` child
-that pickles its terminals back.  Path i reads only its own stream
-(``market.PATH_KEY`` + i), so the terminals, and every report, are
+that pickles its terminals back (``forking.forked``).  Path i reads only its
+own stream (``market.PATH_KEY`` + i), so the terminals, and every report, are
 bit-identical at any core count.  A split into n shares needs n x
 ``_FORK_FLOOR`` path-periods (paths x T): on a 2-core host a split of a
 55 MB process costs 25-35 ms beyond half the serial time (fork, copy-on-write
@@ -36,15 +36,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import pickle
-from dataclasses import dataclass, field
-from signal import SIGKILL
-from typing import NoReturn
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import data_ingest, rl
+from . import data_ingest, forking, rl
 from .closed_form import GaussianPolicy, ProblemSpec, regime_policy, schedule_policy
 from .filtering import filter_states, mixing_signal, regime_schedule, signal_path
 from .market import (
@@ -140,76 +136,12 @@ def _shares(n_paths: int, horizon: float) -> list[range]:
     """Contiguous ``_BLOCK``-aligned path ranges, one per core this process may run
     on, but no more than n_paths x horizon / ``_FORK_FLOOR``, nor than blocks;
     one share where ``os.sched_getaffinity`` or ``os.fork`` is missing."""
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
-        return [range(n_paths)]
     n_blocks = -(-n_paths // _BLOCK)
-    n = min(len(os.sched_getaffinity(0)), n_blocks)
+    n = min(forking.cores(), n_blocks)
     while n > 1 and n * _FORK_FLOOR > n_paths * horizon:
         n -= 1
     cuts = [min(n_paths, _BLOCK * (n_blocks * k // n)) for k in range(n + 1)]
     return [range(a, b) for a, b in zip(cuts, cuts[1:])]
-
-
-def _forked(fn, shares: list[range]) -> list:
-    """``fn`` of every share: of the first in this process, of each other in a
-    forked child that pickles its result, or its exception, back through a pipe.
-
-    A child's exception re-raises here with its type and message, and every
-    child is killed and reaped however this returns.
-    """
-    children = {}  # pid -> (share, read end of its pipe)
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the children so far are killed below
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                os.close(read)
-                _run_child(fn, share, write)
-            os.close(write)
-            children[pid] = share, os.fdopen(read, "rb")
-        out = [fn(shares[0])]
-        for pid, (share, pipe) in list(children.items()):
-            with pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            if not payload:
-                raise RuntimeError(f"the evaluation share of paths {share.start}..{share.stop - 1} "
-                                   f"ended with exit code {os.waitstatus_to_exitcode(status)}")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            out.append(value)
-        return out
-    finally:
-        for pid, (_, pipe) in children.items():
-            pipe.close()
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _run_child(fn, share: range, write: int) -> NoReturn:
-    """A forked child's whole life: ``fn(share)`` or its exception, pickled to ``write``."""
-    code = 1
-    try:
-        try:
-            payload = pickle.dumps((True, fn(share)))
-        except BaseException as exc:  # every failure, interrupts included, goes to the parent
-            try:
-                payload = pickle.dumps((False, exc))
-                pickle.loads(payload)
-            except Exception:  # an exception that does not round-trip goes as its name and message
-                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _terminal_report(terminal: np.ndarray, x0: float, max_excluded: float = math.inf,
@@ -307,7 +239,8 @@ def _terminals(
         return np.concatenate(list(map(lambda block: block[0][:, -1] - block[1][..., -1], blocks)))
 
     periods = spec.horizon if tables[0][1] is None else spec.horizon / 4  # see the module docstring
-    return np.concatenate(_forked(terminals, _shares(n_paths, periods)))
+    shares = _shares(n_paths, periods)
+    return np.concatenate(forking.forked(terminals, shares, "the evaluation share of paths"))
 
 
 def _path_tables(
@@ -568,9 +501,9 @@ def empirical_train(
         if world is None:
             return None
         gross = closes[1:] / closes[:-1]
-        return rl._Scenario(world.e0, gross - world.e0, world.l, world.feats, world.head)
+        return replace(world, ex=gross - world.e0, noise=rng.standard_normal(horizon))
 
-    return rl._run(rl.TrainState.start(algo, hyper, spec), draw)
+    return rl._run(rl.TrainState.start(algo, hyper, spec), rl._serial(draw, hyper))
 
 
 def blocks_frequency(dt: float) -> str:

@@ -24,7 +24,7 @@ each stream draws in order:
 
 | caller | key | draws |
 |---|---|---|
-| ``rl.train``, iteration k of ``rl._run``, the one training loop | k | per episode: regime path and returns (real dynamics), action noise |
+| ``rl.train``, iteration k of ``rl._run``, the one training loop | k | per episode: regime path and returns (real dynamics), action noise; in real dynamics drawn ahead, with the same keys and order, in a forked child when a core is free (``rl._drawn_ahead``) |
 | ``evaluate.empirical_train``, iteration k of ``rl._run`` | k | block pick, action noise |
 | every evaluation, path i: ``evaluate.out_of_sample``, ``evaluate.evaluate_on_market_paths``, ``evaluate.simulate`` (path 0) | ``PATH_KEY`` + i | regime path and returns where the dynamics draws them, then action noise (then, in ``simulate`` outside real dynamics, the recorded regime path) |
 | ``cli`` filter-demo / improve | 0 | regime path / initial policy family |

@@ -27,7 +27,9 @@ path are a (T+1, K) matrix F (a reshape of ``features``), so one expansion
 is one product P F^T followed by ``exp`` on the five exponential rows, and
 one gradient is one product D F[:-1] of the (grids, T) per-period weights D.
 One loop (``_run``) trains every learner on its scenario source ``draw(rng,
-slot)``, keying iteration k on the stream (seed, k); an iteration
+slot)``, keying iteration k on the stream (seed, k): a scenario carries its
+market path and then its action noise, both drawn there, so sampling reads
+no generator and no draw depends on the parameters.  An iteration
 (``_train_step``) expands the critic twice and the actor once: sampling and the
 martingale-loss gradient share the pre-update expansions, and the policy
 gradient re-expands only the updated critic.  Each sampled episode is one
@@ -36,16 +38,32 @@ once -- exp(phi2), exp(phi3), the action offset and variance, the entropy
 path, wl = w + theta2 l -- for sampling and both gradients.  The expansions
 and the gradients' per-period weights are written into arrays a run reuses
 (``_Workspace``), so an iteration allocates nothing of their size.
+
+Drawing a real-market scenario (the regime path, the skewed-t and normal
+legs, the noise) is about 40 % of a coemv iteration at T = 2520.  With a
+second core, ``train`` has a forked child draw the scenarios ahead into a
+ring of rows in shared memory (``_drawn_ahead``, after the actor/learner
+split of IMPALA, Espeholt et al. 2018); the trainer reads views of the rows,
+so every state is the serial run's, bit for bit.  The fork pays from about
+50,000 scenario-periods (iterations x batch x T) on: on a 2-core host, with
+48 MB of ballast, 20 iterations at T = 2520 took 22.7 against 24.3 ms
+serially (medians of 15 alternating pairs, 11 won), 10 took 14.7 against
+12.0 ms (none won), and from 30 on every pair was won (80: 72.5 against
+123.7 ms).  ``_AHEAD_FLOOR`` = 100,000 leaves a margin.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable
 
 import numpy as np
 
+from . import forking
 from .closed_form import GaussianPolicy, ProblemSpec, check_periods
 from .filtering import mixing_signal, signal_path
 from .market import Episode, MarketModel, draw_path, liability_path, observable_rates, stream
@@ -56,6 +74,11 @@ _CRITIC_GRIDS = ("theta1", "theta2", "theta3", "vartheta1", "vartheta2", "psi")
 _ACTOR_GRIDS = ("phi1", "phi2", "phi3")
 _N_EXP = 5  # the critic's first five grids enter through exp (the last two negated)
 _CRITIC_ROWS = len(_CRITIC_GRIDS) + _N_EXP  # an expansion: linear rows, then exp rows
+# scenario-periods (iterations x batch x T) a run needs before a child draws its real-market
+# scenarios ahead: a margin above the break-even measured in the module docstring
+_AHEAD_FLOOR = 100_000
+_RING_ROWS = 4  # rows of the ring a child draws scenarios into, at least batch_size + 1
+_READY = b"r"  # the producer's token: the next row of the ring holds a scenario
 
 
 class DivergenceError(RuntimeError):
@@ -299,10 +322,10 @@ class _Episode:
         self.half_ph3 = 0.5 * (ph[2, :-1] + (1.0 + math.log(math.pi)))
         self.entropies = self.half_ph3 - 0.5 * ce.log_theta1[:-1]
 
-    def sample(self, x0: float, rng: np.random.Generator) -> None:
-        """Roll the policy through the scenario, drawing its action noise from ``rng``."""
+    def sample(self, x0: float) -> None:
+        """Roll the policy through the scenario on the scenario's action noise."""
         sc, th1 = self.sc, self.ce.theta1[:-1]
-        shock = np.sqrt(self.e3 / (th1 + th1)) * rng.standard_normal(len(sc.e0)) - self.moff
+        shock = np.sqrt(self.e3 / (th1 + th1)) * sc.noise - self.moff
         x = _linear_rollout(sc.e0 + sc.ex * self.ph1, sc.ex * shock, x0)
         if not np.isfinite(x).all():
             raise OverflowError("episode wealth path became non-finite")
@@ -369,7 +392,7 @@ def _recorded(
     """The kernel's view of a recorded episode under the given parameters."""
     taus = _tau_grid(episode.n_periods, dt)
     feats = _flat(features(episode_signal(episode, kind), taus, critic.m))
-    sc = _Scenario(None, None, episode.l, feats)  # a recorded episode needs no returns
+    sc = _Scenario(None, None, episode.l, feats)  # a recorded episode draws nothing
     ep = _Episode(sc, _expand_critic(feats, critic), _expand_actor(feats, actor), w)
     x = episode.x
     ep.x, ep.xx, ep.ph1x, ep.action = x, x * x, ep.ph1 * x[:-1], episode.action
@@ -508,17 +531,20 @@ class TrainState:
 @dataclass
 class _Scenario:
     """What one training episode is rolled through: per-period baseline and
-    excess gross returns (t = 0..T-1), the liability path, its square and the
-    (T+1, K) features (t = 0..T)."""
+    excess gross returns and the action noise (t = 0..T-1), the liability
+    path, its square and the (T+1, K) features (t = 0..T)."""
 
     e0: np.ndarray
     ex: np.ndarray
     l: np.ndarray
     feats: np.ndarray
+    noise: np.ndarray | None = None
     head: np.ndarray | None = None  # F[:-1], which the gradients read; a view if not given
+    ll: np.ndarray | None = None  # l * l if not given
 
     def __post_init__(self) -> None:
-        self.ll = self.l * self.l
+        if self.ll is None:
+            self.ll = self.l * self.l
         if self.head is None:
             self.head = self.feats[:-1]
 
@@ -532,36 +558,68 @@ def _observable_scenario(
     # column-major, so that the transpose every expansion multiplies by is contiguous
     feats = np.asfortranarray(_flat(features(signal, _tau_grid(spec.horizon, hyper.dt), hyper.m)))
     return _Scenario(sched.a0, sched.a1, liability_path(spec.l0, sched.a2), feats,
-                     np.ascontiguousarray(feats[:-1]))
+                     head=np.ascontiguousarray(feats[:-1]))
+
+
+class _RealPaths:
+    """Real-market training scenarios, each written into one flat float row:
+    the e0, e1 - e0 and q legs and the action noise (T each), the liability
+    path (T + 1) and the transposed (K, T + 1) features, padded to whole
+    64-byte lines.  As a scenario source ``draw(rng, slot)`` it fills row
+    ``slot`` of its own (batch, width) array; ``_drawn_ahead`` has a forked
+    child fill the rows of a shared ring instead."""
+
+    def __init__(self, model: MarketModel, hyper: Hyperparams, spec: ProblemSpec):
+        self.model, self.horizon, self.l0 = model, spec.horizon, spec.l0
+        taus = _tau_grid(spec.horizon, hyper.dt)
+        # (2, K, T+1) transposed features of the regime labels 1 and 2
+        self.by_regime = np.stack(
+            [_flat(features(np.full(spec.horizon + 1, s), taus, hyper.m)).T for s in (1.0, 2.0)]
+        )
+        self.width = -(-(5 * spec.horizon + 1 + self.by_regime[0].size) // 8) * 8
+        self.rows = np.empty((hyper.batch_size, self.width))
+
+    def __call__(self, rng: np.random.Generator, slot: int) -> _Scenario:
+        self.fill(rng, self.rows[slot])
+        return self.view(self.rows[slot])
+
+    def fill(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        """Draw one path from ``rng`` into ``row``, then its action noise."""
+        horizon = self.horizon
+        legs = row[: 3 * horizon].reshape(3, horizon)
+        regimes, _ = draw_path(self.model, horizon, rng, out=legs)
+        np.subtract(legs[1], legs[0], out=legs[1])
+        rng.standard_normal(out=row[3 * horizon : 4 * horizon])
+        row[4 * horizon : 5 * horizon + 1] = liability_path(self.l0, legs[2])
+        feats_t = self._feats_t(row)
+        np.copyto(feats_t, self.by_regime[1])
+        np.copyto(feats_t, self.by_regime[0], where=regimes == 1)
+
+    def view(self, row: np.ndarray) -> _Scenario:
+        """The scenario ``fill`` wrote into ``row``, as views of it."""
+        horizon = self.horizon
+        return _Scenario(row[:horizon], row[horizon : 2 * horizon],
+                         row[4 * horizon : 5 * horizon + 1], self._feats_t(row).T,
+                         row[3 * horizon : 4 * horizon])
+
+    def _feats_t(self, row: np.ndarray) -> np.ndarray:
+        start = 5 * self.horizon + 1
+        return row[start : start + self.by_regime[0].size].reshape(self.by_regime[0].shape)
 
 
 def _build_env(
     algo: str, model: MarketModel, hyper: Hyperparams, spec: ProblemSpec
 ) -> Callable[[np.random.Generator, int], _Scenario]:
-    """``algo``'s scenario source: its flavor's one scenario, or in real
-    dynamics a path drawn from ``rng``, its features in slot ``slot``'s buffer."""
+    """``algo``'s scenario source ``draw(rng, slot)``: its flavor's one
+    scenario with action noise drawn from ``rng``, or in real dynamics a path
+    and then its noise drawn from ``rng`` (``_RealPaths``)."""
     if algo not in ALGO_FLAVORS:
         raise ValueError(f"algo must be one of {sorted(ALGO_FLAVORS)}, got {algo!r}")
     dynamics = ALGO_FLAVORS[algo]
-    if dynamics != "real":
-        fixed = _observable_scenario(model, hyper, spec, dynamics)
-        return lambda rng, slot: fixed
-    horizon = spec.horizon
-    taus = _tau_grid(horizon, hyper.dt)
-    # (2, K, T+1) transposed features of the regime labels 1 and 2
-    by_regime = np.stack(
-        [_flat(features(np.full(horizon + 1, s), taus, hyper.m)).T for s in (1.0, 2.0)]
-    )
-    drawn = np.empty((hyper.batch_size, *by_regime.shape[1:]))
-
-    def draw(rng: np.random.Generator, slot: int) -> _Scenario:
-        regimes, rec = draw_path(model, horizon, rng)
-        feats_t = drawn[slot]
-        np.copyto(feats_t, by_regime[1])
-        np.copyto(feats_t, by_regime[0], where=regimes == 1)
-        return _Scenario(rec.e0, rec.e1 - rec.e0, liability_path(spec.l0, rec.q), feats_t.T)
-
-    return draw
+    if dynamics == "real":
+        return _RealPaths(model, hyper, spec)
+    fixed = _observable_scenario(model, hyper, spec, dynamics)
+    return lambda rng, slot: replace(fixed, noise=rng.standard_normal(spec.horizon))
 
 
 def _linear_rollout(alpha: np.ndarray, beta: np.ndarray, x0: float) -> np.ndarray:
@@ -620,24 +678,20 @@ class _Workspace:
 
 
 def _train_step(
-    state: TrainState,
-    scenarios: Iterable[_Scenario | None],
-    rng: np.random.Generator,
-    k: int,
-    work: _Workspace,
+    state: TrainState, scenarios: Iterable[_Scenario | None], k: int, work: _Workspace
 ) -> None:
     """Iteration ``k`` of the actor-critic loop, applied to ``state`` in place.
 
-    ``scenarios`` is consumed lazily, one episode at a time, so an episode's
-    market draws precede its action noise and the next episode's draws follow
-    it; a None scenario ends the iteration before it touches ``state``.  Each
-    episode is one fused ``_Episode`` kernel: one critic and one actor
-    expansion, whose per-period quantities sampling and the martingale-loss
-    gradient share; after the critic step only the updated critic is expanded
-    again for the policy gradient.  Expansions and the gradients' per-period
-    weights are written into ``work``.  With several episodes each step
-    follows the mean of the per-episode gradients.  Every ``n_avg`` iterations
-    the multiplier moves against the windowed terminal-surplus error.
+    ``scenarios`` is consumed lazily, one episode at a time, and each carries
+    its own action noise; a None scenario ends the iteration before it
+    touches ``state``.  Each episode is one fused ``_Episode`` kernel: one
+    critic and one actor expansion, whose per-period quantities sampling and
+    the martingale-loss gradient share; after the critic step only the
+    updated critic is expanded again for the policy gradient.  Expansions and
+    the gradients' per-period weights are written into ``work``.  With
+    several episodes each step follows the mean of the per-episode gradients.
+    Every ``n_avg`` iterations the multiplier moves against the windowed
+    terminal-surplus error.
     """
     hyper, spec, w = state.hyper, state.spec, state.w
     lam, d, dt, m = spec.explore_weight, spec.target, hyper.dt, hyper.m
@@ -649,7 +703,7 @@ def _train_step(
                 return
             ce = _expand_critic(sc.feats, state.critic, work.critic[slot])
             ep = _Episode(sc, ce, _expand_actor(sc.feats, state.actor, work.actor[slot]), w)
-            ep.sample(spec.x0, rng)
+            ep.sample(spec.x0)
             grads.append(ep.critic_gradient(d, lam, dt, ep.entropies, work.critic_weights))
             batch.append(ep)
         grad = CriticParams.from_stacked(sum(grads) / len(grads), m)
@@ -697,7 +751,9 @@ def train(
     updated critic, and every ``n_avg`` iterations move the multiplier against
     the windowed terminal-surplus error.  Iteration k draws from the
     independent stream (seed, k), so a resumed run reproduces an uninterrupted
-    one bit for bit.
+    one bit for bit.  In real dynamics, with a second core and at least
+    ``_AHEAD_FLOOR`` scenario-periods to go, a forked child draws the
+    scenarios ahead (``_drawn_ahead``), and the result is the same.
     """
     hyper.require_market_dt(model)
     draw = _build_env(algo, model, hyper, spec)
@@ -724,22 +780,93 @@ def train(
             hyper=hyper,
             spec=spec,
         )
-    return _run(run, draw)
+    draws = (hyper.n_iter - run.iteration) * hyper.batch_size * spec.horizon
+    if not isinstance(draw, _RealPaths) or forking.cores() < 2 or draws < _AHEAD_FLOOR:
+        return _run(run, _serial(draw, hyper))
+    with _drawn_ahead(draw, hyper, run.iteration) as batches:
+        return _run(run, batches)
 
 
 def _run(
-    state: TrainState, draw: Callable[[np.random.Generator, int], _Scenario | None]
+    state: TrainState, batches: Callable[[int], Iterable[_Scenario | None]]
 ) -> TrainState:
-    """Iterations ``state.iteration`` .. n_iter - 1, in place.  Iteration k draws
-    from the stream (seed, k) each batch slot's scenario ``draw(rng, slot)``, or
-    None while the source has nothing to train on, then its action noise."""
-    hyper = state.hyper
-    work = _Workspace(state.spec.horizon, hyper.batch_size)
-    for k in range(state.iteration, hyper.n_iter):
-        rng = stream(hyper.seed, k)
-        _train_step(state, (draw(rng, slot) for slot in range(hyper.batch_size)), rng, k, work)
-    state.iteration = hyper.n_iter
+    """Iterations ``state.iteration`` .. n_iter - 1, in place, iteration k on
+    ``batches(k)``: its batch slots' scenarios, or None while the source has
+    nothing to train on.  ``batches(k)`` is asked for only after iteration
+    k - 1 has returned."""
+    work = _Workspace(state.spec.horizon, state.hyper.batch_size)
+    for k in range(state.iteration, state.hyper.n_iter):
+        _train_step(state, batches(k), k, work)
+    state.iteration = state.hyper.n_iter
     return state
+
+
+def _serial(
+    draw: Callable[[np.random.Generator, int], _Scenario | None], hyper: Hyperparams
+) -> Callable[[int], Iterable[_Scenario | None]]:
+    """The batches of the scenario source ``draw``: iteration k draws each
+    batch slot in turn, ``draw(rng, slot)``, from the stream (seed, k)."""
+
+    def batches(k: int) -> Iterable[_Scenario | None]:
+        rng = stream(hyper.seed, k)
+        return (draw(rng, slot) for slot in range(hyper.batch_size))
+
+    return batches
+
+
+@contextmanager
+def _drawn_ahead(paths: _RealPaths, hyper: Hyperparams, start: int):
+    """``_serial(paths, hyper)``'s batches for iterations ``start`` .. n_iter - 1,
+    drawn ahead by a forked child (see the module docstring).
+
+    The child draws scenario n into row n mod R of a ring of R rows in shared
+    memory, then sends a token on its pipe; the trainer reads the token and
+    views the row.  Asked for iteration k's batch, the trainer sends the rows
+    of iteration k - 1 back on a second pipe, and the child draws into a row
+    only once it is back.  The child's exception re-raises at the scenario it
+    failed to draw.  Leaving the block kills and reaps the child and closes
+    both pipes."""
+    size = hyper.batch_size
+    n_rows = max(_RING_ROWS, size + 1)
+    ring = np.frombuffer(mmap.mmap(-1, n_rows * paths.width * 8), dtype=float)
+    ring = ring.reshape(n_rows, paths.width)
+    free_read, free_write = os.pipe()  # rows the trainer is done with
+
+    def produce(ready: int) -> None:
+        credit, n = n_rows, 0
+        for k in range(start, hyper.n_iter):
+            rng = stream(hyper.seed, k)
+            for _ in range(size):
+                while not credit:
+                    tokens = os.read(free_read, n_rows)
+                    if not tokens:  # the trainer is gone
+                        return
+                    credit += len(tokens)
+                paths.fill(rng, ring[n % n_rows])
+                os.write(ready, _READY)
+                credit, n = credit - 1, n + 1
+
+    try:
+        with forking.Children() as children:
+            pid, ready = children.fork(produce, close=(free_write,))
+
+            def scenarios(k: int) -> Iterable[_Scenario]:
+                for n in range((k - start) * size, (k - start + 1) * size):
+                    token = ready.read(1)
+                    if token != _READY:
+                        children.collect(pid, "the training scenario producer", token)
+                        raise RuntimeError("the training scenario producer stopped early")
+                    yield paths.view(ring[n % n_rows])
+
+            def batches(k: int) -> Iterable[_Scenario]:
+                if k > start:  # iteration k - 1 has returned, having read all its rows
+                    os.write(free_write, bytes(size))
+                return scenarios(k)
+
+            yield batches
+    finally:
+        os.close(free_read)
+        os.close(free_write)
 
 
 def policy_from_state(state: TrainState) -> GaussianPolicy:

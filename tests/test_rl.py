@@ -3,6 +3,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
+import signal
 from dataclasses import replace
 from unittest import mock
 
@@ -518,12 +520,13 @@ class TestTrain:
         sc = rl._Scenario(
             e0=np.full(2, 1e80), ex=np.zeros(2), l=np.zeros(3),
             feats=rl._flat(rl.features(np.full(3, 0.5), rl._tau_grid(2, hyper.dt), hyper.m)),
+            noise=M.stream(17, 4).standard_normal(2),
         )
         state = rl.TrainState.start("poemv1", hyper, spec)
         with np.errstate(over="ignore"), pytest.raises(
             rl.DivergenceError, match=r"^terminal surplus x - l = 1e\+160 .* at iteration 4$"
         ):
-            rl._train_step(state, [sc], M.stream(17, 4), 4, rl._Workspace(2, 1))
+            rl._train_step(state, [sc], 4, rl._Workspace(2, 1))
 
     def test_non_finite_gradient_fails_before_clipping(self):
         # large steps take the wealth paths to 1e97, where the critic gradient
@@ -752,7 +755,7 @@ def assert_grids_close(stacked, named, scales, m, rel=1e-12):
         assert np.all(np.abs(got - named[name]) <= rel * scales[name]), name
 
 
-def recording_step(state, scenarios, rng):
+def recording_step(state, scenarios):
     """Run one training step; return the sampled episodes and the per-episode
     critic and actor gradients it computed."""
     records = {"critic_gradient": [], "actor_gradient": []}
@@ -772,7 +775,7 @@ def recording_step(state, scenarios, rng):
         for name, sink in records.items():
             fn = getattr(rl._Episode, name)
             stack.enter_context(mock.patch.object(rl._Episode, name, recording(fn, sink)))
-        rl._train_step(state, scenarios, rng, 0, rl._Workspace(state.spec.horizon, len(scenarios)))
+        rl._train_step(state, scenarios, 0, rl._Workspace(state.spec.horizon, len(scenarios)))
     return episodes, *records.values()
 
 
@@ -805,6 +808,7 @@ class TestStackedStepOracle:
             n_avg=10, dt=dt, m=m, grad_clip=clip,
         )
         taus = rl._tau_grid(horizon, dt)
+        noise = M.stream(seed, 1)
         scenarios = []
         for _ in range(batch):
             sig = SIGNAL_FLAVORS[flavor](gen, horizon + 1)
@@ -814,10 +818,10 @@ class TestStackedStepOracle:
                     ex=gen.uniform(-0.05, 0.1, size=horizon),
                     l=0.2 * np.concatenate(([1.0], np.cumprod(gen.uniform(0.95, 1.05, size=horizon)))),
                     feats=rl._flat(rl.features(sig, taus, m)),
+                    noise=noise.standard_normal(horizon),
                 )
             )
         lam, d = spec.explore_weight, spec.target
-        noise = M.stream(seed, 1)
         ref_eps, ref_cgrads, cscales, ref_agrads, ascales = [], [], [], [], []
         for sc in scenarios:
             feats = sc.feats.reshape(horizon + 1, m + 1, m)
@@ -825,7 +829,7 @@ class TestStackedStepOracle:
             ph = per_grid_actor_expansion(feats, actor.grids())
             offset = -(ce.vartheta1 / ce.theta1) * np.exp(ph[1]) * (w + ce.theta2 * sc.l)
             sd = np.sqrt(np.exp(ph[2]) / (2.0 * ce.theta1))
-            shock = offset[:-1] + sd[:-1] * noise.standard_normal(horizon)
+            shock = offset[:-1] + sd[:-1] * sc.noise
             x = [1.0]
             for t in range(horizon):
                 x.append((sc.e0[t] + sc.ex[t] * ph[0][t]) * x[t] + sc.ex[t] * shock[t])
@@ -850,7 +854,7 @@ class TestStackedStepOracle:
         )
 
         state = rl.TrainState("poemv1", critic, actor, w, 0, [], [], [], hyper, spec)
-        episodes, cgrads, agrads = recording_step(state, iter(scenarios), M.stream(seed, 1))
+        episodes, cgrads, agrads = recording_step(state, iter(scenarios))
 
         # the episodes were sampled from the pre-update expansions
         assert len(episodes) == len(cgrads) == len(agrads) == batch
@@ -875,7 +879,7 @@ class TestStackedStepOracle:
 # ---------------------------------------------------------------------------
 
 
-def unfused_train_step(state, scenarios, rng, k):
+def unfused_train_step(state, scenarios, k):
     hyper, spec, w = state.hyper, state.spec, state.w
     lam, d, dt, m = spec.explore_weight, spec.target, hyper.dt, hyper.m
     critic_rates = np.repeat([hyper.eta_theta, hyper.eta_vartheta, hyper.eta_psi], (3, 2, 1))
@@ -884,7 +888,7 @@ def unfused_train_step(state, scenarios, rng, k):
         ph1, ph2, ph3 = ph
         offset = -(ce.vartheta1 / ce.theta1) * np.exp(ph2) * (w + ce.theta2 * sc.l)
         var = np.exp(ph3) / (2.0 * ce.theta1)
-        shock = offset[:-1] + np.sqrt(var[:-1]) * rng.standard_normal(len(sc.e0))
+        shock = offset[:-1] + np.sqrt(var[:-1]) * sc.noise
         x = rl._linear_rollout(sc.e0 + sc.ex * ph1[:-1], sc.ex * shock, spec.x0)
         if not np.all(np.isfinite(x)):
             raise OverflowError("episode wealth path became non-finite")
@@ -962,7 +966,7 @@ class TestFusedTrainOracle:
         model, spec = config.build_market(cfg), replace(config.build_problem(cfg), horizon=504)
         hyper = replace(config.build_hyper(cfg), n_iter=400, seed=17, batch_size=batch_size)
         fused = rl.train(algo, model, hyper, spec)
-        step = lambda state, scenarios, rng, k, work: unfused_train_step(state, scenarios, rng, k)
+        step = lambda state, scenarios, k, work: unfused_train_step(state, scenarios, k)
         with mock.patch.object(rl, "_train_step", step):
             ref = rl.train(algo, model, hyper, spec)
         terms, ref_terms = np.array(fused.terminals), np.array(ref.terminals)
@@ -1005,6 +1009,21 @@ class TestPolicyTables:
         with pytest.raises(ValueError, match=rf"t must lie in \[0, 23\], got {t}$"):
             policy.table([3, t], [1.0, 1.0])
 
+    @pytest.mark.parametrize("kind", ["learned", "poemv_opt"])
+    def test_a_fractional_period_is_named_and_a_whole_float_accepted(self, kind):
+        # t = 2.5 used to read period 2's column, and t = -0.5 period 0's
+        model, spec = tiny_market(), tiny_spec()
+        if kind == "learned":
+            hyper = tiny_hyper(20, seed=2)
+            policy = rl.policy_from_state(rl.train("poemv1", model, hyper, spec))
+        else:
+            policy = E.analytic_policy(kind, model, spec)
+        for t in (2.5, -0.5):
+            with pytest.raises(ValueError, match=rf"^t must be a whole period, got {t}$"):
+                policy.table([1.0, t], [0.5, 0.5])
+        whole = policy.table([1.0, 2.0], [0.5, 0.5])
+        assert whole.tobytes() == policy.table([1, 2], [0.5, 0.5]).tobytes()
+
 
 class TestTrainingLiabilityPath:
     @staticmethod
@@ -1016,7 +1035,7 @@ class TestTrainingLiabilityPath:
     def test_partial_information_scenario_is_scored_on_its_own_liability_path(self, algo):
         model, spec, hyper = self.reference()
         dynamics = rl.ALGO_FLAVORS[algo]
-        trained = rl._build_env(algo, model, hyper, spec)(None, 0).l  # draws nothing
+        trained = rl._build_env(algo, model, hyper, spec)(M.stream(5, 3), 0).l  # draws noise only
         zero = GaussianPolicy(lambda ts, s: np.zeros((4, len(ts))))
         episode = E.simulate(zero, model, spec, 1, dynamics=dynamics,
                              expectation_signal=hyper.expectation_signal)
@@ -1034,3 +1053,186 @@ class TestTrainingLiabilityPath:
         q = M.sample_return_paths(regimes[:-1], model, twin).q
         assert sc.l[0] == spec.l0
         assert np.array_equal(sc.l[1:], q * sc.l[:-1])
+
+
+# ---------------------------------------------------------------------------
+# real-market scenarios drawn ahead by a forked child; the serial run is the oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_run(n_iter, horizon=504, **kw):
+    cfg = config.resolve_config(None)
+    model, spec = config.build_market(cfg), replace(config.build_problem(cfg), horizon=horizon)
+    return model, spec, replace(config.build_hyper(cfg), n_iter=n_iter, seed=17, **kw)
+
+
+def state_json(state):
+    return json.dumps(state.to_dict(), sort_keys=True)
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked; the floor is off and two cores are free."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(rl, "_AHEAD_FLOOR", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return made
+
+
+def one_core(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def failing_draw(monkeypatch, call, action):
+    """``rl.draw_path`` runs ``action`` at its ``call``-th call, counted from 0."""
+    real, calls = rl.draw_path, []
+
+    def draw_path(*args, **kw):
+        calls.append(None)
+        if len(calls) == call + 1:
+            action()
+        return real(*args, **kw)
+
+    monkeypatch.setattr(rl, "draw_path", draw_path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestDrawnAhead:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A hand-over that hangs fails its test after a minute."""
+
+        def expire(signum, frame):
+            raise TimeoutError("the training run did not end within 60 s")
+
+        before = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+
+    @pytest.mark.parametrize("batch_size, ring_rows", [(1, rl._RING_ROWS), (2, rl._RING_ROWS),
+                                                       (2, 1)])
+    def test_state_is_byte_identical_to_the_serial_run(self, forks, monkeypatch, batch_size,
+                                                       ring_rows):
+        # one ring row: the child waits for every row the trainer sends back
+        monkeypatch.setattr(rl, "_RING_ROWS", ring_rows)
+        model, spec, hyper = reference_run(300, batch_size=batch_size)
+        before = open_descriptors()
+        ahead = rl.train("coemv", model, hyper, spec)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert open_descriptors() == before
+        with monkeypatch.context() as serial:
+            one_core(serial)
+            want = rl.train("coemv", model, hyper, spec)
+        assert len(forks) == 1
+        assert state_json(ahead) == state_json(want)
+
+    def test_resume_split_at_150_of_300_is_byte_identical(self, forks, monkeypatch):
+        model, spec, hyper = reference_run(300)
+        half = rl.train("coemv", model, replace(hyper, n_iter=150), spec)
+        half = rl.TrainState.from_dict(json.loads(state_json(half)))
+        resumed = rl.train("coemv", model, hyper, spec, state=half)
+        assert len(forks) == 2
+        with monkeypatch.context() as serial:
+            one_core(serial)
+            want = rl.train("coemv", model, hyper, spec)
+        assert state_json(resumed) == state_json(want)
+
+    @pytest.mark.parametrize("error, raised, message", [
+        (ValueError("no path"), ValueError, "^no path$"),
+        # an overflowing draw diverges at the iteration that drew it
+        (OverflowError("returns overflowed"), rl.DivergenceError,
+         "^returns overflowed at iteration 7$"),
+    ])
+    def test_a_failed_draw_raises_as_in_the_serial_run(self, forks, monkeypatch, error, raised,
+                                                       message):
+        def fail():
+            raise error
+
+        model, spec, hyper = reference_run(20)
+        failing_draw(monkeypatch, 7, fail)
+        before = open_descriptors()
+        with pytest.raises(raised, match=message):
+            rl.train("coemv", model, hyper, spec)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert open_descriptors() == before
+        with monkeypatch.context() as serial:
+            one_core(serial)
+            failing_draw(serial, 7, fail)
+            with pytest.raises(raised, match=message):
+                rl.train("coemv", model, hyper, spec)
+
+    def test_a_producer_that_dies_is_named_and_reaped(self, forks, monkeypatch):
+        model, spec, hyper = reference_run(20)
+        failing_draw(monkeypatch, 3, lambda: os._exit(3))
+        before = open_descriptors()
+        with pytest.raises(RuntimeError, match="scenario producer ended with exit code 3"):
+            rl.train("coemv", model, hyper, spec)
+        assert_no_child_left()
+        assert open_descriptors() == before
+
+    def test_divergence_in_the_trainer_kills_and_reaps_the_child(self, forks):
+        hyper = replace(tiny_hyper(50), eta_theta=1e6, eta_vartheta=1e6, eta_psi=1e6,
+                        eta_phi=1e6, grad_clip=None)
+        before = open_descriptors()
+        with pytest.raises(rl.DivergenceError, match="iteration"):
+            rl.train("coemv", tiny_market(), hyper, tiny_spec())
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert open_descriptors() == before
+
+    def test_an_interrupt_in_the_trainer_kills_and_reaps_the_child(self, forks, monkeypatch):
+        step = rl._train_step
+
+        def interrupted(state, scenarios, k, work):
+            if k == 3:
+                raise KeyboardInterrupt
+            step(state, scenarios, k, work)
+
+        monkeypatch.setattr(rl, "_train_step", interrupted)
+        model, spec, hyper = reference_run(20)
+        before = open_descriptors()
+        with pytest.raises(KeyboardInterrupt):
+            rl.train("coemv", model, hyper, spec)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert open_descriptors() == before
+
+    @pytest.mark.parametrize("algo", ["poemv1", "poemv2"])
+    def test_only_real_dynamics_draw_ahead(self, forks, algo):
+        rl.train(algo, tiny_market(), tiny_hyper(20), tiny_spec())
+        assert not forks
+
+    def test_one_core_or_a_short_run_draws_in_this_process(self, forks, monkeypatch):
+        model, spec, hyper = reference_run(20)
+        with monkeypatch.context() as serial:
+            one_core(serial)
+            rl.train("coemv", model, hyper, spec)
+        assert not forks
+        monkeypatch.setattr(rl, "_AHEAD_FLOOR", 20 * spec.horizon + 1)
+        rl.train("coemv", model, hyper, spec)
+        assert not forks
+        monkeypatch.setattr(rl, "_AHEAD_FLOOR", 20 * spec.horizon)
+        rl.train("coemv", model, hyper, spec)
+        assert len(forks) == 1
