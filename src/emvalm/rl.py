@@ -751,8 +751,9 @@ def train(
     updated critic, and every ``n_avg`` iterations move the multiplier against
     the windowed terminal-surplus error.  Iteration k draws from the
     independent stream (seed, k), so a resumed run reproduces an uninterrupted
-    one bit for bit.  In real dynamics, with a second core and at least
-    ``_AHEAD_FLOOR`` scenario-periods to go, a forked child draws the
+    one bit for bit; resuming takes the checkpoint's algo, problem and every
+    hyperparameter but ``n_iter``.  In real dynamics, with a second core and
+    at least ``_AHEAD_FLOOR`` scenario-periods to go, a forked child draws the
     scenarios ahead (``_drawn_ahead``), and the result is the same.
     """
     hyper.require_market_dt(model)
@@ -766,12 +767,11 @@ def train(
             raise ValueError(
                 f"n_iter = {hyper.n_iter} is below the checkpoint's iteration {state.iteration}"
             )
-        if hyper.m != state.critic.m:
-            raise ValueError(f"hyper m = {hyper.m}, but the checkpoint has {state.critic.m}")
-        for name in (f.name for f in fields(spec)):
-            mine, theirs = getattr(spec, name), getattr(state.spec, name)
-            if mine != theirs:
-                raise ValueError(f"spec {name} = {mine!r}, but the checkpoint has {theirs!r}")
+        for kind, ours, saved in (("hyper", hyper, state.hyper), ("spec", spec, state.spec)):
+            for name in (f.name for f in fields(ours) if f.name != "n_iter"):
+                mine, theirs = getattr(ours, name), getattr(saved, name)
+                if mine != theirs:
+                    raise ValueError(f"{kind} {name} = {mine!r}, but the checkpoint has {theirs!r}")
         run = replace(
             state,
             terminals=list(state.terminals),

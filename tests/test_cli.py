@@ -25,6 +25,14 @@ def write_config(tmp_path: Path, **overrides) -> str:
     return str(path)
 
 
+def rising_prices(tmp_path: Path) -> Path:
+    """A daily close series that rises every day: one regime, nothing to estimate."""
+    path = tmp_path / "rising.csv"
+    rows = (f"2000-{1 + i // 28:02d}-{1 + i % 28:02d},{100.0 * 1.01**i!r}\n" for i in range(200))
+    path.write_text("date,close\n" + "".join(rows))
+    return path
+
+
 def run(args) -> int:
     return cli.main(args)
 
@@ -82,6 +90,24 @@ class TestArgumentHandling:
                     "--out", str(tmp_path / "o")]) == 1
         assert "not allowed with argument --checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--iters", "-3"), ("--iters", "abc")])
+    def test_improve_counts_are_checked_naming_the_flag(self, tmp_path, capsys, flag, value):
+        # --iters -3 used to run no round and write a header-only improvement.csv,
+        # and --iters abc failed with a bare "invalid literal for int()"
+        out = tmp_path / "o"
+        assert run(["improve", "--T", "4", flag, value, "--out", str(out)]) == 1
+        assert f"argument {flag}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--config", "/nonexistent.json"), ("--seed", "5")])
+    def test_ingest_takes_no_config_or_seed(self, tmp_path, capsys, flag, value):
+        # ingest reads neither, and used to accept both silently
+        prices = rising_prices(tmp_path)
+        out = tmp_path / "o"
+        assert run(["ingest", flag, value, "--prices", str(prices), "--out", str(out)]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigResolution:
@@ -283,6 +309,31 @@ class TestArtifacts:
         assert "n_iter = 10" in err and "iteration 30" in err
         assert not (resumed / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--iters", "-1"], ["improve", "--T", "0"],
+         ["ingest", "--prices", "rising", "--label", "--estimate"]],
+        ids=["train-negative-iters", "improve-zero-horizon", "ingest-one-regime"],
+    )
+    def test_a_failed_run_writes_nothing(self, tmp_path, argv):
+        # each used to leave its --out directory behind, ingest with labels.csv in it
+        argv = [str(rising_prices(tmp_path)) if a == "rising" else a for a in argv]
+        out = tmp_path / "o"
+        assert run([*argv, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_resume_under_another_seed_is_user_error(self, tmp_path, capsys):
+        # resuming used to run on the checkpoint's seed 7 and write the config's into the manifest
+        ckpt = tmp_path / "ckpt"
+        cfg = write_config(tmp_path)
+        assert run(["train", "--config", cfg, "--algo", "poemv1", "--iters", "15", "--seed", "7",
+                    "--out", str(ckpt)]) == 0
+        resumed = tmp_path / "resumed"
+        assert run(["train", "--config", cfg, "--algo", "poemv1", "--seed", "9",
+                    "--resume", str(ckpt / "checkpoint.json"), "--out", str(resumed)]) == 1
+        assert "error: hyper seed = 9, but the checkpoint has 7" in capsys.readouterr().err
+        assert not resumed.exists()
+
     def test_ingest_labels_and_estimates(self, tmp_path):
         gen = np.random.default_rng(7)
         closes = [100.0]
@@ -381,5 +432,5 @@ class TestFlavorTable:
             literal = (flavor, exp_sig) == ("expectation", "expected_state")
             schedule = F.mixed_schedule(pair, 2.0 - probs if literal else probs, flavor)
         header = ["t", "mean_x_coeff", "mean_l_coeff", "mean_const", "variance"]
-        cli._write_csv(tmp_path / "want.csv", policy_table_rows(schedule, spec), header)
-        assert (out / "policy.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        want = cli._csv(policy_table_rows(schedule, spec), header)
+        assert (out / "policy.csv").read_bytes() == want.encode("utf-8")

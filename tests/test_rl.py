@@ -470,6 +470,14 @@ class TestTrain:
         with pytest.raises(ValueError, match=rf"^spec {field} = {value!r}, but the checkpoint"):
             rl.train("poemv1", tiny_market(), tiny_hyper(10), other, state=state)
 
+    @pytest.mark.parametrize("field, value", [("seed", 9), ("eta_phi", 1e-7), ("n_avg", 4)])
+    def test_resume_with_other_hyper_rejected_naming_the_field(self, field, value):
+        # the CLI used to resume on the checkpoint's hyperparameters and echo the config's
+        state = rl.train("poemv1", tiny_market(), tiny_hyper(5), tiny_spec())
+        other = replace(tiny_hyper(10), **{field: value})
+        with pytest.raises(ValueError, match=rf"^hyper {field} = {value!r}, but the checkpoint"):
+            rl.train("poemv1", tiny_market(), other, tiny_spec(), state=state)
+
     def test_resume_below_checkpoint_iteration_rejected(self):
         # running nothing would stamp iteration 10 on a state holding 30 terminals
         state = rl.train("poemv1", tiny_market(), tiny_hyper(30), tiny_spec())
