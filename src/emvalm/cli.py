@@ -156,7 +156,7 @@ def cmd_evaluate(args) -> int:
     exp_sig = cfg["training"]["expectation_signal"]
     if args.checkpoint:
         state = _checkpoint(args.checkpoint)
-        policy, algo, spec = rl.policy_from_state(state), state.algo, state.spec
+        policy, algo = rl.policy_from_state(state), state.algo
         exp_sig = state.hyper.expectation_signal
     else:  # the parser requires exactly one of --checkpoint and --analytic
         policy = evaluate.analytic_policy(args.analytic, model, spec, exp_sig)
@@ -167,6 +167,7 @@ def cmd_evaluate(args) -> int:
         dynamics, signal = ev["dynamics"], ev["signal"]
     if args.checkpoint:  # after auto_scoring, which names the scorer of an emv checkpoint
         state.hyper.require_market_dt(model)
+        state.require_same(spec)  # the problem the manifest echoes
     report = evaluate.out_of_sample(
         policy, model, ev["n_paths"], spec, seed=cfg["training"]["seed"], dynamics=dynamics,
         signal=signal, explore=ev["explore"], expectation_signal=exp_sig,

@@ -11,13 +11,17 @@ exponential average, and the block's actual risky returns form the episode
 the learners update on, in ``rl._run``, the one training loop.
 
 Every evaluation (``out_of_sample`` in each dynamics flavor and
-``evaluate_on_market_paths``) splits its paths over processes by one rule.
-This process builds what every path shares (the policy's coefficient tables,
-the filter path and any fixed rates), then cuts the paths into contiguous
-``_BLOCK``-aligned shares, one per core in ``os.sched_getaffinity(0)``: it
-rolls out the first share itself and each other one in an ``os.fork`` child
-that pickles its terminals back (``forking.forked``).  Path i reads only its
-own stream (``market.PATH_KEY`` + i), so the terminals, and every report, are
+``evaluate_on_market_paths``) runs on one front: ``_path_tables`` builds what
+every path shares (the policy's coefficient tables, the filter path and any
+fixed rates), ``_terminals`` rolls the paths out, and ``_terminal_report``
+reports them, aborting above 1 % non-finite terminals.  A learner, the
+regime-blind emv baseline included, is scored on the policy
+``rl.policy_from_state`` deploys.  ``_terminals`` splits the paths over
+processes by one rule: it cuts them into contiguous ``_BLOCK``-aligned
+shares, one per core in ``os.sched_getaffinity(0)``, rolls out the first
+share itself and each other one in an ``os.fork`` child that pickles its
+terminals back (``forking.forked``).  Path i reads only its own stream
+(``market.PATH_KEY`` + i), so the terminals, and every report, are
 bit-identical at any core count.  A split into n shares needs n x
 ``_FORK_FLOOR`` path-periods (paths x T): on a 2-core host a split of a
 55 MB process costs 25-35 ms beyond half the serial time (fork, copy-on-write
@@ -128,10 +132,6 @@ def _affine_tables(policy: GaussianPolicy, ts: np.ndarray, signals: np.ndarray) 
     return table
 
 
-def _blocks(paths: range) -> list[range]:
-    return [range(i, min(i + _BLOCK, paths.stop)) for i in paths[::_BLOCK]]
-
-
 def _shares(n_paths: int, horizon: float) -> list[range]:
     """Contiguous ``_BLOCK``-aligned path ranges, one per core this process may run
     on, but no more than n_paths x horizon / ``_FORK_FLOOR``, nor than blocks;
@@ -144,14 +144,13 @@ def _shares(n_paths: int, horizon: float) -> list[range]:
     return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _terminal_report(terminal: np.ndarray, x0: float, max_excluded: float = math.inf,
-                     **fields) -> EvalReport:
+def _terminal_report(terminal: np.ndarray, x0: float, **fields) -> EvalReport:
     """Statistics of the finite terminals; the non-finite ones are counted, and
-    more than ``max_excluded`` of them raise."""
+    more than 1 % of them raise."""
     finite = np.isfinite(terminal)
     vals = terminal[finite]
     n_excluded = int(terminal.size - vals.size)
-    if n_excluded > max_excluded:
+    if n_excluded > 0.01 * terminal.size:
         raise RuntimeError(f"{n_excluded} of {terminal.size} paths produced non-finite terminals")
     mean = float(np.mean(vals))
     variance = float(np.var(vals, ddof=1))
@@ -187,43 +186,13 @@ def out_of_sample(
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    terminal, sig_kind = _path_terminals(
-        policy, model, n_paths, spec, seed, dynamics, signal, explore, expectation_signal
-    )
-    return _terminal_report(
-        terminal,
-        spec.x0,
-        max_excluded=0.01 * n_paths,
-        policy_kind=policy.kind,
-        seed=seed,
-        config_digest=_digest(
-            {
-                "dynamics": dynamics,
-                "signal": sig_kind,
-                "n_paths": n_paths,
-                "seed": seed,
-                "explore": explore,
-                "horizon": spec.horizon,
-            }
-        ),
-    )
-
-
-def _path_terminals(
-    policy: GaussianPolicy,
-    model: MarketModel,
-    n_paths: int,
-    spec: ProblemSpec,
-    seed: int,
-    dynamics: str,
-    signal: str | None,
-    explore: bool,
-    expectation_signal: str,
-) -> tuple[np.ndarray, str]:
-    """Per-path terminal net wealth of ``out_of_sample`` and the signal kind used."""
-    sig_kind = signal or mixing_signal(dynamics, expectation_signal)
-    tables = _path_tables(policy, model, spec, dynamics, sig_kind, expectation_signal)
-    return _terminals(tables, model, spec, seed, n_paths, explore), sig_kind
+    tables = _path_tables(policy, model, spec, dynamics, signal, expectation_signal)
+    terminal = _terminals(tables, model, spec, seed, n_paths, explore)
+    signal = signal or mixing_signal(dynamics, expectation_signal)  # as _path_tables reads it
+    scoring = {"dynamics": dynamics, "signal": signal, "n_paths": n_paths, "seed": seed,
+               "explore": explore, "horizon": spec.horizon}
+    return _terminal_report(terminal, spec.x0, policy_kind=policy.kind, seed=seed,
+                            config_digest=_digest(scoring))
 
 
 def _terminals(
@@ -244,27 +213,33 @@ def _terminals(
 
 
 def _path_tables(
-    policy: GaussianPolicy, model: MarketModel, spec: ProblemSpec, dynamics: str, sig_kind: str,
-    expectation_signal: str,
+    policy: GaussianPolicy, model: MarketModel, spec: ProblemSpec, dynamics: str,
+    signal: str | None, expectation_signal: str,
 ) -> tuple[tuple, np.ndarray]:
-    """What every path of one evaluation shares: the (e0, ex, q, l) rows of a
+    """What every path of one evaluation shares, its policy reading the signal
+    ``signal`` (by default the dynamics' own): the (e0, ex, q, l) rows of a
     partial-information flavor (all None in real dynamics, where each path
     draws its own) and the policy's coefficients, (4, T) rows cx, cl, c0 and sd
     or, under the regime signal, (4, 2, T): the rows of regime 1, then of 2."""
+    if dynamics not in DYNAMICS:
+        raise ValueError(f"dynamics must be one of {DYNAMICS}, got {dynamics!r}")
+    signal = signal or mixing_signal(dynamics, expectation_signal)
+    if signal not in SIGNALS:
+        raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
     horizon = spec.horizon
     rates = (None,) * 4
     if dynamics == "real":
-        if sig_kind != "regime":
+        if signal != "regime":
             probs = filter_states(model.chain.p0, model.chain.matrix(), horizon)
-    else:  # observable_rates rejects an unknown flavor
+    else:
         probs, _, schedule = observable_rates(model, horizon, dynamics, expectation_signal)
         rates = schedule.a0, schedule.a1, schedule.a2, liability_path(spec.l0, schedule.a2)
-    if sig_kind == "regime":
+    if signal == "regime":
         if dynamics != "real":
             raise ValueError("regime signal requires real dynamics")
         ts, signals = np.tile(np.arange(horizon), 2), np.repeat([1.0, 2.0], horizon)
         return rates, _affine_tables(policy, ts, signals).reshape(4, 2, horizon)
-    return rates, _affine_tables(policy, np.arange(horizon), signal_path(sig_kind, probs)[:-1])
+    return rates, _affine_tables(policy, np.arange(horizon), signal_path(signal, probs)[:-1])
 
 
 def _rollout_blocks(
@@ -289,7 +264,8 @@ def _rollout_blocks(
     block = np.empty((3, _BLOCK, horizon))  # drawn e0, e1, q rows of the paths in a block
     in1 = np.empty((_BLOCK, horizon), dtype=bool)  # their periods in regime 1
     noise = np.zeros((_BLOCK, horizon))
-    for rows in _blocks(paths):
+    for start in paths[::_BLOCK]:
+        rows = range(start, min(start + _BLOCK, paths.stop))
         n = len(rows)
         for j, i in enumerate(rows if drawn or explore else ()):
             rng = stream(seed, PATH_KEY + i)
@@ -332,11 +308,6 @@ def simulate(
     """
     if spec.x0 <= 0.0:
         raise ValueError("initial wealth must be positive")
-    if dynamics not in DYNAMICS:
-        raise ValueError(f"dynamics must be one of {DYNAMICS}, got {dynamics!r}")
-    signal = signal or mixing_signal(dynamics, expectation_signal)
-    if signal not in SIGNALS:
-        raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
     tables = _path_tables(policy, model, spec, dynamics, signal, expectation_signal)
     x, l, rates, (cx, cl, c0, sd), noise = next(
         _rollout_blocks(tables, model, spec, seed, range(1), True)
@@ -522,25 +493,22 @@ def evaluate_on_market_paths(
 
     Test paths use the real risky-return draws while the baseline and
     liability legs follow the filtered expectations of the true model, the
-    same construction as the training episodes.  The regime-blind baseline
-    sees a unit signal and no liability inside its own decision rule (its
-    ``cl`` is zeroed), but is scored on the common terminal net wealth.
-    Path i draws from the stream ``PATH_KEY`` + i, and the paths split over
-    per-core shares, as in ``out_of_sample``.
+    same construction as the training episodes: ``out_of_sample``'s filtered
+    tables (``_path_tables``) with the risky leg left open.  The regime-blind
+    baseline decides by its own rule (a unit signal and no liability, in
+    ``rl.policy_from_state``), but is scored on the common terminal net wealth.
+    Path i draws from the stream ``PATH_KEY`` + i, the paths split over
+    per-core shares, and more than 1% non-finite terminals abort, as in
+    ``out_of_sample``.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     state.hyper.require_market_dt(model)
-    horizon = spec.horizon
-    if state.spec.horizon != horizon:
+    if state.spec.horizon != spec.horizon:
         raise ValueError(
-            f"problem horizon {horizon} differs from the trained horizon {state.spec.horizon}"
+            f"problem horizon {spec.horizon} differs from the trained horizon {state.spec.horizon}"
         )
-    probs, _, schedule = observable_rates(model, horizon, "filtered")
-    sig = probs if state.algo == "poemv1" else np.ones(horizon + 1)
-    coef = _affine_tables(rl.policy_from_state(state), np.arange(horizon), sig[:-1])
-    if state.algo != "poemv1":
-        coef[1] = 0.0
-    rates = schedule.a0, None, schedule.a2, liability_path(spec.l0, schedule.a2)
-    terminals = _terminals((rates, coef), model, spec, seed, n_paths, explore)
+    (a0, _, a2, l), coef = _path_tables(rl.policy_from_state(state), model, spec, "filtered",
+                                        "filtered_prob", state.hyper.expectation_signal)
+    terminals = _terminals(((a0, None, a2, l), coef), model, spec, seed, n_paths, explore)
     return _terminal_report(terminals, spec.x0, policy_kind="learned", algo=state.algo, seed=seed)

@@ -464,9 +464,8 @@ class TrainState:
     actor: ActorParams
     w: float
     iteration: int
-    terminals: list[float]
+    terminals: list[float]  # the last n_avg of them are the multiplier's window
     ws: list[float]
-    recent_terminals: list[float]
     hyper: Hyperparams
     spec: ProblemSpec
 
@@ -475,7 +474,17 @@ class TrainState:
         """Zero grids and the configured starting multiplier, before iteration 0."""
         critic, actor = CriticParams.zeros(hyper.m), ActorParams.zeros(hyper.m)
         w = spec.target if hyper.w0 is None else hyper.w0
-        return cls(algo, critic, actor, w, 0, [], [], [], hyper, spec)
+        return cls(algo, critic, actor, w, 0, [], [], hyper, spec)
+
+    def require_same(self, spec: ProblemSpec, hyper: Hyperparams | None = None) -> None:
+        """Reject hyperparameters (when given) but ``n_iter``, then a problem,
+        that differ from this run's, naming the first field that does."""
+        pairs = (("hyper", hyper, self.hyper),) if hyper is not None else ()
+        for kind, ours, saved in (*pairs, ("spec", spec, self.spec)):
+            for name in (f.name for f in fields(ours) if f.name != "n_iter"):
+                mine, theirs = getattr(ours, name), getattr(saved, name)
+                if mine != theirs:
+                    raise ValueError(f"{kind} {name} = {mine!r}, but the checkpoint has {theirs!r}")
 
     def history_rows(self, block: int = 10) -> list[dict]:
         rows = []
@@ -504,14 +513,16 @@ class TrainState:
             "actor": {k: v.tolist() for k, v in self.actor.grids().items()},
             "terminals": list(map(float, self.terminals)),
             "ws": list(map(float, self.ws)),
-            "recent_terminals": list(map(float, self.recent_terminals)),
+            "recent_terminals": list(map(float, self.terminals[-self.hyper.n_avg :])),
             "hyper": asdict(self.hyper),
             "spec": asdict(self.spec),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainState":
-        m = int(d["hyper"]["m"])
+        m, n_avg = int(d["hyper"]["m"]), int(d["hyper"]["n_avg"])
+        if list(d["recent_terminals"]) != list(d["terminals"])[-n_avg:]:
+            raise ValueError(f"recent_terminals is not the last n_avg = {n_avg} terminals")
         critic = CriticParams(**{k: np.asarray(v) for k, v in d["critic"].items()}, m=m)
         actor = ActorParams(**{k: np.asarray(v) for k, v in d["actor"].items()}, m=m)
         return cls(
@@ -522,7 +533,6 @@ class TrainState:
             iteration=d["iteration"],
             terminals=list(d["terminals"]),
             ws=list(d["ws"]),
-            recent_terminals=list(d["recent_terminals"]),
             hyper=Hyperparams(**d["hyper"]),
             spec=ProblemSpec(**d["spec"]),
         )
@@ -724,15 +734,11 @@ def _train_step(
     except OverflowError as exc:
         raise DivergenceError(f"{exc} at iteration {k}") from exc
 
-    terminal = float(np.mean([ep.x[-1] - ep.sc.l[-1] for ep in batch]))
-    ring = state.recent_terminals
-    ring.append(terminal)
-    del ring[: -hyper.n_avg]
+    state.terminals.append(float(np.mean([ep.x[-1] - ep.sc.l[-1] for ep in batch])))
     if (k + 1) % hyper.n_avg == 0:
-        state.w = update_lagrange(w, ring, d, hyper.alpha)
+        state.w = update_lagrange(w, state.terminals[-hyper.n_avg :], d, hyper.alpha)
         if not math.isfinite(state.w):
             raise DivergenceError(f"multiplier became non-finite at iteration {k}")
-    state.terminals.append(terminal)
     state.ws.append(state.w)
 
 
@@ -767,19 +773,9 @@ def train(
             raise ValueError(
                 f"n_iter = {hyper.n_iter} is below the checkpoint's iteration {state.iteration}"
             )
-        for kind, ours, saved in (("hyper", hyper, state.hyper), ("spec", spec, state.spec)):
-            for name in (f.name for f in fields(ours) if f.name != "n_iter"):
-                mine, theirs = getattr(ours, name), getattr(saved, name)
-                if mine != theirs:
-                    raise ValueError(f"{kind} {name} = {mine!r}, but the checkpoint has {theirs!r}")
-        run = replace(
-            state,
-            terminals=list(state.terminals),
-            ws=list(state.ws),
-            recent_terminals=list(state.recent_terminals),
-            hyper=hyper,
-            spec=spec,
-        )
+        state.require_same(spec, hyper)
+        run = replace(state, terminals=list(state.terminals), ws=list(state.ws), hyper=hyper,
+                      spec=spec)
     draws = (hyper.n_iter - run.iteration) * hyper.batch_size * spec.horizon
     if not isinstance(draw, _RealPaths) or forking.cores() < 2 or draws < _AHEAD_FLOOR:
         return _run(run, _serial(draw, hyper))
@@ -870,6 +866,16 @@ def _drawn_ahead(paths: _RealPaths, hyper: Hyperparams, start: int):
 
 
 def policy_from_state(state: TrainState) -> GaussianPolicy:
-    """Frozen learned policy; the runtime signal selects the grid features."""
+    """Frozen learned policy; the runtime signal selects the grid features.  The
+    regime-blind "emv" baseline decides as it trained: at a unit signal,
+    whatever the runtime one, and with no liability term (its cl row is 0)."""
     table = _learned_table(state.critic, state.actor, state.w, state.spec.horizon, state.hyper.dt)
-    return GaussianPolicy(table, "learned")
+    if state.algo != "emv":
+        return GaussianPolicy(table, "learned")
+
+    def blind_table(ts: np.ndarray, signals: np.ndarray) -> np.ndarray:
+        rows = table(ts, np.ones(len(ts)))
+        rows[1] = 0.0
+        return rows
+
+    return GaussianPolicy(blind_table, "learned")

@@ -225,6 +225,19 @@ class TestArtifacts:
         assert err.startswith("error: ") and "dt" in err
         assert not (ev / "report.csv").exists()
 
+    def test_checkpoint_under_another_problem_is_a_user_error(self, tmp_path, capsys):
+        # the checkpoint's problem used to be scored while the manifest echoed the config's
+        tr, ev = tmp_path / "tr", tmp_path / "ev"
+        assert run(["train", "--config", write_config(tmp_path), "--algo", "poemv1",
+                    "--out", str(tr)]) == 0
+        (tmp_path / "x0").mkdir()
+        other = write_config(tmp_path / "x0", problem={"x0": 2.0}, evaluation={"n_paths": 40})
+        capsys.readouterr()
+        assert run(["evaluate", "--config", other, "--checkpoint", str(tr / "checkpoint.json"),
+                    "--out", str(ev)]) == 1
+        assert "error: spec x0 = 2.0, but the checkpoint has 1.0" in capsys.readouterr().err
+        assert not ev.exists()
+
     def test_poemv2_checkpoint_is_scored_on_the_signal_it_was_trained_on(self, tmp_path):
         # with expectation_signal = "state1_prob" poemv2 learns on the filter
         # probability; the checkpoint's setting decides the evaluation signal,

@@ -383,11 +383,14 @@ class TestForkedShares:
         assert_no_child_left()
 
     def test_exclusions_are_counted_once_and_reported(self):
-        terminal = np.array([1.5, np.nan, 2.0, np.inf, 2.5])
-        report = E._terminal_report(terminal, 1.0, max_excluded=2, policy_kind="custom")
-        assert (report.n_paths, report.n_excluded, report.mean) == (3, 2, 2.0)
-        with pytest.raises(RuntimeError, match="2 of 5 paths produced non-finite terminals"):
-            E._terminal_report(terminal, 1.0, max_excluded=1.5, policy_kind="custom")
+        # up to 1 % of the paths may be excluded: 2 of 200 are, 3 of 200 abort
+        terminal = np.full(200, 2.0)
+        terminal[[5, 70]] = np.nan, np.inf
+        report = E._terminal_report(terminal, 1.0, policy_kind="custom")
+        assert (report.n_paths, report.n_excluded, report.mean) == (198, 2, 2.0)
+        terminal[9] = -np.inf
+        with pytest.raises(RuntimeError, match="3 of 200 paths produced non-finite terminals"):
+            E._terminal_report(terminal, 1.0, policy_kind="custom")
 
 
 class TestCompareTable:
@@ -558,6 +561,16 @@ class TestMarketPaths:
     def test_fewer_than_two_paths_rejected(self, trained, n_paths):
         with pytest.raises(ValueError, match=f"n_paths must be >= 2, got {n_paths}"):
             E.evaluate_on_market_paths(trained, monthly_study_market(), n_paths, tiny_spec(24), 1)
+
+    @pytest.mark.parametrize("algo", ["poemv1", "emv"])
+    def test_more_than_one_percent_non_finite_terminals_abort(self, algo):
+        # a wealth coefficient near 1e300 overflows every path; these terminals used
+        # to be dropped without limit, leaving a report on no paths
+        model, spec = monthly_study_market(), tiny_spec(24)
+        state = rl.TrainState.start(algo, rl.Hyperparams(dt=model.dt), spec)
+        state.actor.phi1[0, 0] = 1e300
+        with pytest.raises(RuntimeError, match="^200 of 200 paths produced non-finite terminals"):
+            E.evaluate_on_market_paths(state, model, 200, spec, seed=1)
 
     def test_market_dt_other_than_the_checkpoints_rejected(self, trained):
         daily = replace(monthly_study_market(), dt=1.0 / 252.0)

@@ -217,6 +217,15 @@ def flat_model(e0: M.ReturnSpec, e1_net: float) -> M.MarketModel:
     return M.MarketModel(chain=reference_chain(), e0=(e0, e0), e1=(e1, e1), q=(q, q), dt=1.0)
 
 
+# bad evaluation arguments and the error each names, the first only simulate's
+BAD_ARGUMENTS = [
+    ({"x0": 0.0}, "initial wealth must be positive"),
+    ({"dynamics": "regime"}, "dynamics must be one of"),
+    ({"signal": "filtered"}, "signal must be one of"),
+    ({"dynamics": "filtered", "signal": "regime"}, "regime signal requires real dynamics"),
+]
+
+
 class TestStepSurplus:
     """One period of x' = e0 x + (e1 - e0) u and l' = q l, through ``evaluate.simulate``."""
 
@@ -311,16 +320,17 @@ class TestSimulateEpisode:
         with pytest.raises(ValueError, match=f"diverged to non-finite state at t={t}$"):
             episode(simple_model(dt=1.0 / 252.0), policy, 20, 0, dynamics="filtered", l0=l0)
 
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [({"x0": 0.0}, "initial wealth must be positive"),
-         ({"dynamics": "regime"}, "dynamics must be one of"),
-         ({"signal": "filtered"}, "signal must be one of"),
-         ({"dynamics": "filtered", "signal": "regime"}, "regime signal requires real dynamics")],
-    )
+    @pytest.mark.parametrize("kwargs, message", BAD_ARGUMENTS)
     def test_bad_arguments_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             episode(simple_model(), zero_policy(), 5, 0, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", BAD_ARGUMENTS[1:])
+    def test_out_of_sample_rejects_bad_arguments_alike(self, kwargs, message):
+        # an unknown dynamics or signal used to fail there with another message
+        spec = ProblemSpec(horizon=5, target=1.5, multiplier=1.5, explore_weight=2.0, l0=0.1)
+        with pytest.raises(ValueError, match=message):
+            E.out_of_sample(zero_policy(), simple_model(), 4, spec, 0, **kwargs)
 
     def test_sampled_moments_match_moment_schedule(self):
         model = simple_model(dt=1.0 / 252.0)

@@ -486,6 +486,17 @@ class TestTrain:
         again = rl.train("poemv1", tiny_market(), tiny_hyper(30), tiny_spec(), state=state)
         assert again.iteration == 30 and len(again.terminals) == 30
 
+    def test_checkpoint_with_a_tampered_window_rejected(self):
+        # the multiplier window is the last n_avg terminals; an edited window used to
+        # steer the next multiplier step silently
+        state = rl.train("poemv1", tiny_market(), tiny_hyper(23), tiny_spec())
+        saved = json.loads(json.dumps(state.to_dict()))
+        assert saved["recent_terminals"] == saved["terminals"][-5:]
+        rl.TrainState.from_dict(saved)
+        saved["recent_terminals"][-1] += 1.0
+        with pytest.raises(ValueError, match="recent_terminals"):
+            rl.TrainState.from_dict(saved)
+
     def test_algo_mismatch_on_resume_rejected(self):
         state = rl.train("poemv1", tiny_market(), tiny_hyper(5), tiny_spec())
         with pytest.raises(ValueError, match="poemv1"):
@@ -861,7 +872,7 @@ class TestStackedStepOracle:
             actor.grids(), ref_agrads, ascales, dict.fromkeys(ACTOR_NAMES, hyper.eta_phi), clip
         )
 
-        state = rl.TrainState("poemv1", critic, actor, w, 0, [], [], [], hyper, spec)
+        state = rl.TrainState("poemv1", critic, actor, w, 0, [], [], hyper, spec)
         episodes, cgrads, agrads = recording_step(state, iter(scenarios))
 
         # the episodes were sampled from the pre-update expansions
@@ -951,13 +962,9 @@ def unfused_train_step(state, scenarios, k):
         rl._check_finite(state.actor, k, "actor")
     except OverflowError as exc:
         raise rl.DivergenceError(f"{exc} at iteration {k}") from exc
-    terminal = float(np.mean([x[-1] - sc.l[-1] for sc, x, _, _, _ in batch]))
-    ring = state.recent_terminals
-    ring.append(terminal)
-    del ring[: -hyper.n_avg]
+    state.terminals.append(float(np.mean([x[-1] - sc.l[-1] for sc, x, _, _, _ in batch])))
     if (k + 1) % hyper.n_avg == 0:
-        state.w = rl.update_lagrange(w, ring, d, hyper.alpha)
-    state.terminals.append(terminal)
+        state.w = rl.update_lagrange(w, state.terminals[-hyper.n_avg :], d, hyper.alpha)
     state.ws.append(state.w)
 
 
@@ -993,6 +1000,21 @@ class TestFusedTrainOracle:
 
 
 class TestPolicyTables:
+    def test_emv_reads_a_unit_signal_and_no_liability_at_any_signal(self):
+        # the regime-blind baseline trains on a unit signal and a zero liability; its
+        # deployed table used to follow the runtime signal and carry a cl row
+        gen, spec, m = np.random.default_rng(3), tiny_spec(), 2
+        grids = [gen.normal(0, 0.3, size=(m + 1, m)) for _ in range(9)]
+        state = replace(rl.TrainState.start("emv", tiny_hyper(0), spec), w=1.3,
+                        critic=rl.CriticParams(*grids[:6], m=m), actor=rl.ActorParams(*grids[6:], m=m))
+        ts = gen.integers(0, spec.horizon, size=40)
+        want = rl.policy_from_state(replace(state, algo="poemv1")).table(ts, np.ones(len(ts)))
+        assert np.all(want[1] != 0.0)
+        want[1] = 0.0
+        policy = rl.policy_from_state(state)
+        for signals in (np.ones(len(ts)), gen.uniform(0.0, 2.0, size=len(ts)), np.full(len(ts), 2.0)):
+            assert policy.table(ts, signals).tobytes() == want.tobytes()
+
     def test_learned_rows_do_not_depend_on_how_many_are_requested(self):
         # a 300-iteration poemv1 state at the reference config: before one-period
         # requests were expanded as two, about half of them differed in the last bit

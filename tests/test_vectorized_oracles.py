@@ -217,7 +217,7 @@ class TestPolicyTables:
         spec = small_spec(horizon)
         hyper = rl.Hyperparams(dt=dt, m=m)
         w = float(gen.uniform(0.5, 3.0))
-        state = rl.TrainState("poemv1", critic, actor, w, 0, [], [], [], hyper, spec)
+        state = rl.TrainState("poemv1", critic, actor, w, 0, [], [], hyper, spec)
         policy = rl.policy_from_state(state)
         ts = gen.integers(0, horizon, size=horizon + 2)
         signals = gen.uniform(0.0, 2.0, size=horizon + 2)
@@ -525,13 +525,19 @@ def per_period_terminals(policy, model, n_paths, spec, seed, dynamics, signal=No
     return out, path0
 
 
+def path_terminals(policy, model, n_paths, spec, seed, dynamics, signal, explore, exp_signal):
+    """Per-path terminal net wealth of ``out_of_sample`` with these arguments."""
+    tables = E._path_tables(policy, model, spec, dynamics, signal, exp_signal)
+    return E._terminals(tables, model, spec, seed, n_paths, explore)
+
+
 class TestBlockedEvaluation:
     @pytest.mark.parametrize("dynamics, kind", [("real", "regime"), ("filtered", "filtered")])
     def test_matches_per_period_loop(self, dynamics, kind):
         model, spec = skewed_market(), eval_spec()
         policy = analytic_policy(kind, model, spec)
         n = E._BLOCK + 37  # one full block and one partial block
-        got, _ = E._path_terminals(policy, model, n, spec, 11, dynamics, None, True, "expected_state")
+        got = path_terminals(policy, model, n, spec, 11, dynamics, None, True, "expected_state")
         want, _ = per_period_terminals(policy, model, n, spec, 11, dynamics)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -540,8 +546,8 @@ class TestBlockedEvaluation:
         model, spec = skewed_market(), eval_spec(24)
         policy = analytic_policy(kind, model, spec)
         args = (spec, 5, dynamics, None, True, "expected_state")
-        short, _ = E._path_terminals(policy, model, 1000, *args)
-        long, _ = E._path_terminals(policy, model, 2000, *args)
+        short = path_terminals(policy, model, 1000, *args)
+        long = path_terminals(policy, model, 2000, *args)
         np.testing.assert_array_equal(long[:1000], short)
 
     @pytest.mark.parametrize("explore", [False, True])
@@ -592,7 +598,7 @@ def learned_state(algo, model, spec, gen):
     m = int(gen.integers(1, 4))
     grids = [gen.normal(0, 0.1, size=(m + 1, m)) for _ in range(9)]
     return rl.TrainState(algo, rl.CriticParams(*grids[:6], m=m), rl.ActorParams(*grids[6:], m=m),
-                         float(gen.uniform(0.5, 3.0)), 0, [], [], [],
+                         float(gen.uniform(0.5, 3.0)), 0, [], [],
                          rl.Hyperparams(dt=model.dt, m=m), spec)
 
 
@@ -631,8 +637,8 @@ class TestSimulateEpisode:
             return
         got = E.simulate(*args, expectation_signal=exp_signal)
         # one full-table call on both sides, so the terminal is the evaluation's bit for bit
-        terminals, _ = E._path_terminals(policy, model, 69, spec, seed, dynamics, signal, True,
-                                         exp_signal)
+        terminals = path_terminals(policy, model, 69, spec, seed, dynamics, signal, True,
+                                   exp_signal)
         assert (got.x[-1] - got.l[-1]).tobytes() == terminals[0].tobytes()
         _, (x, l, action, regimes, p_hat, x_scale, u_scale) = per_period_terminals(
             policy, model, 1, spec, seed, dynamics, signal, exp_signal)
