@@ -78,7 +78,11 @@ def cmd_simulate(args) -> int:
         policy, model, spec, cfg["training"]["seed"], dynamics=args.dynamics,
         expectation_signal=exp_sig,
     )
-    out = _write(args, {"episode.csv": episode.to_csv_text()}, cfg, {"dynamics": args.dynamics})
+    header = ["t", "x", "l", "regime", "p_hat", "action"]
+    columns = (range(len(episode.x)), episode.x.tolist(), episode.l.tolist(),
+               episode.regime.tolist(), episode.p_hat.tolist(), [*episode.action.tolist(), None])
+    rows = [dict(zip(header, row)) for row in zip(*columns, strict=True)]
+    out = _write(args, {"episode.csv": _csv(rows, header)}, cfg, {"dynamics": args.dynamics})
     print(f"wrote {out / 'episode.csv'} ({episode.n_periods} periods)")
     return 0
 
@@ -181,7 +185,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ingest(args) -> int:
     series = data_ingest.PriceSeries.from_csv(args.prices, frequency=args.freq)
-    dt = 1.0 / 252.0 if args.freq == "daily" else 1.0 / 12.0
+    dt = data_ingest.PERIOD_YEARS[args.freq]
     files = {}
     labels = None
     if args.label or args.estimate:
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="label regimes / estimate parameters from a price CSV")
     common(p, config=False)
     p.add_argument("--prices", required=True, help="CSV with date,close columns")
-    p.add_argument("--freq", choices=("daily", "monthly"), default="daily")
+    p.add_argument("--freq", choices=data_ingest.PERIOD_YEARS, default="daily")
     p.add_argument("--label", action="store_true")
     p.add_argument("--estimate", action="store_true")
     p.add_argument("--gamma1", type=float, default=0.24)

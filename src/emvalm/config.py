@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import operator
 from dataclasses import fields
 
 from .closed_form import ProblemSpec
@@ -98,11 +99,6 @@ def resolve_config(overrides: dict | None) -> dict:
                 if bad:
                     raise ValueError(f"unknown keys in config section {section!r}: {sorted(bad)}")
                 cfg[section].update(values)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: dict) -> None:
     build_market(cfg)
     build_problem(cfg)
     build_hyper(cfg)
@@ -111,10 +107,18 @@ def validate_config(cfg: dict) -> None:
         raise ValueError(f"evaluation.dynamics {ev['dynamics']!r} is not recognized")
     if ev["signal"] not in (None, *SIGNALS):
         raise ValueError(f"evaluation.signal {ev['signal']!r} is not recognized")
+    if ev["signal"] is not None and ev["dynamics"] == "auto":
+        raise ValueError(f"evaluation.signal must be null when evaluation.dynamics is 'auto', "
+                         f"which picks the signal; got {ev['signal']!r}")
     if not isinstance(ev["explore"], bool):
         raise ValueError(f"evaluation.explore must be true or false, got {ev['explore']!r}")
+    try:
+        operator.index(ev["n_paths"])
+    except TypeError:
+        raise ValueError(f"evaluation.n_paths must be a whole number, got {ev['n_paths']!r}") from None
     if ev["n_paths"] < 2:
         raise ValueError("evaluation.n_paths must be >= 2")
+    return cfg
 
 
 def build_market(cfg: dict) -> MarketModel:

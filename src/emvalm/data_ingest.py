@@ -19,6 +19,7 @@ from datetime import date, timedelta
 import numpy as np
 
 BULL, BEAR = 1, 2
+PERIOD_YEARS = {"daily": 1.0 / 252.0, "monthly": 1.0 / 12.0}  # period length of each frequency
 
 
 @functools.lru_cache(maxsize=32)
@@ -48,8 +49,8 @@ class PriceSeries:
             raise ValueError("closes must be positive")
         if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
             raise ValueError("dates must be strictly increasing")
-        if self.frequency not in ("daily", "monthly"):
-            raise ValueError("frequency must be daily or monthly")
+        if self.frequency not in PERIOD_YEARS:
+            raise ValueError(f"frequency must be {' or '.join(PERIOD_YEARS)}")
 
     @classmethod
     def from_closes(cls, closes, frequency: str = "daily", start: str = "2000-01-01") -> "PriceSeries":

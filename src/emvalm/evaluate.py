@@ -478,7 +478,7 @@ def empirical_train(
 
 
 def blocks_frequency(dt: float) -> str:
-    return "monthly" if abs(dt - 1.0 / 12.0) < 1e-9 else "daily"
+    return "monthly" if abs(dt - data_ingest.PERIOD_YEARS["monthly"]) < 1e-9 else "daily"
 
 
 def evaluate_on_market_paths(

@@ -15,7 +15,6 @@ dynamics read, and ``regime_schedule`` gives the one of a single regime.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -94,40 +93,26 @@ class MomentSchedule(_Moments):
 
     ``rows`` is one (6, T) array whose rows a0, b0, a1, b1, a2, b2 are also
     attributes, either given or stacked from per-period ``sets``;
-    ``schedule[t]`` is period t's ``MomentSet``.  A mixed schedule keeps its
-    weights in ``signals``.
+    ``schedule[t]`` is period t's ``MomentSet``.
 
     ``flavor`` is one of ``"regime"`` (conditioned on a fixed regime),
     ``"filtered"`` (mixed by the filter probability path) or ``"expectation"``
-    (mixed by the expected-state signal, which lies outside [0, 1] and may
-    produce the ``violations`` recorded here).
+    (mixed by the expected-state signal, which lies outside [0, 1], where
+    ``deficits()`` may flag periods).
     """
 
     a0, b0, a1, b1, a2, b2 = map(_row_view, range(6))
 
-    def __init__(self, sets: Iterable[MomentSet] | None, flavor: str, rows=None, signals=None):
+    def __init__(self, sets: Iterable[MomentSet] | None, flavor: str, rows=None):
         if rows is None:
             rows = np.array([m.as_tuple() for m in sets], dtype=float).reshape(-1, 6).T
-        self.rows, self.flavor, self.signals = rows, flavor, signals
+        self.rows, self.flavor = rows, flavor
 
     def __len__(self) -> int:
         return self.rows.shape[1]
 
     def __getitem__(self, t: int) -> MomentSet:
         return MomentSet(*self.rows[:, t].tolist())
-
-    @functools.cached_property
-    def violations(self) -> tuple[str, ...]:
-        """Second-moment deficits of a mixed schedule as "t=.. signal=..: ..." lines,
-        formatted on first read."""
-        if self.signals is None:
-            return ()
-        flagged = np.flatnonzero(np.any(self.deficits(), axis=0))
-        return tuple(
-            f"t={t} signal={float(self.signals[t]):.6g}: {v}"
-            for t in flagged.tolist()
-            for v in self[t].violations()
-        )
 
 
 def _as_matrix(p) -> np.ndarray:
@@ -205,10 +190,8 @@ def mixed_schedule(
     rows, a0, b0, b1 = mixed[:6], mixed[0], mixed[1], mixed[3]
     b1 -= 2.0 * mixed[6] * a0  # b1 = E[risky^2] - 2 E[risky] a0 + b0
     b1 += b0
-    sched = MomentSchedule(None, flavor, rows=rows, signals=s)
-    inside = (s >= 0.0) & (s <= 1.0)
-    # b0, b1, b2 against a0^2, a1^2, a2^2: the deficits() test over the rows at once
-    deficit = inside & np.any(rows[1::2] < rows[0::2] ** 2 - _MOMENT_SLACK, axis=0)
+    sched = MomentSchedule(None, flavor, rows=rows)
+    deficit = (s >= 0.0) & (s <= 1.0) & np.any(sched.deficits(), axis=0)
     failed = (b1 <= 0.0) | ~np.isfinite(rows).all(axis=0) | deficit
     if failed.any():
         t = int(np.argmax(failed))

@@ -11,7 +11,8 @@ so the only randomness left is the action noise) and from the "expectation"
 dynamics (same, weighted by the expected-state signal).  Their per-period
 baseline, excess and liability rates are the a0, a1 and a2 rows of the
 flavor's mixed moment schedule (``filtering.mixed_schedule``), the same
-schedule the analytic policies are built from.
+schedule the analytic policies are built from.  An ``Episode`` records one
+path; ``cli`` writes it as ``episode.csv``.
 
 All randomness flows through counter-based Philox streams; `stream(seed, k)`
 gives the k-th independent stream, so episodes are reproducible and safely
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -293,13 +294,6 @@ class Episode:
     def n_periods(self) -> int:
         return len(self.action)
 
-    def to_csv_text(self) -> str:
-        """``t,x,l,regime,p_hat,action``: one row per state, the terminal one with no action."""
-        actions = [repr(float(u)) for u in self.action] + [""]
-        rows = (f"{t},{float(self.x[t])!r},{float(self.l[t])!r},{int(self.regime[t])},"
-                f"{float(self.p_hat[t])!r},{u}\n" for t, u in enumerate(actions))
-        return "t,x,l,regime,p_hat,action\n" + "".join(rows)
-
 
 def regime_path(chain: RegimeChain, horizon: int, rng: np.random.Generator) -> np.ndarray:
     """Regime labels s_0..s_T (int64, 1 or 2) from one uniform for s_0 and then
@@ -389,25 +383,11 @@ def liability_path(l0: float, q) -> np.ndarray:
     return np.cumprod(np.concatenate((np.full((*q.shape[:-1], 1), l0), q), axis=-1), axis=-1)
 
 
-_SPEC_KEYS = ("kind", "annual_mean", "annual_vol", "dof", "skew", "mean_is_gross", "vol_is_variance")
-
-
 def _spec_from_dict(d: dict) -> ReturnSpec:
-    unknown = set(d) - set(_SPEC_KEYS)
+    unknown = set(d) - {f.name for f in fields(ReturnSpec)}
     if unknown:
         raise ValueError(f"unknown return spec keys: {sorted(unknown)}")
     return ReturnSpec(**d)
-
-
-def _spec_to_dict(s: ReturnSpec) -> dict:
-    out = {"kind": s.kind, "annual_mean": s.annual_mean, "annual_vol": s.annual_vol}
-    if s.dof is not None:
-        out["dof"] = s.dof
-    if s.skew is not None:
-        out["skew"] = s.skew
-    out["mean_is_gross"] = s.mean_is_gross
-    out["vol_is_variance"] = s.vol_is_variance
-    return out
 
 
 def market_from_dict(cfg: dict) -> MarketModel:
@@ -440,5 +420,7 @@ def market_to_dict(model: MarketModel) -> dict:
     }
     for name in ("e0", "e1", "q"):
         pair = getattr(model, name)
-        out[name] = {"regime1": _spec_to_dict(pair[0]), "regime2": _spec_to_dict(pair[1])}
+        # a spec's fields in order, without the unset dof and skew of a normal or constant leg
+        out[name] = {f"regime{k}": {key: v for key, v in asdict(s).items() if v is not None}
+                     for k, s in enumerate(pair, 1)}
     return out

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
@@ -161,9 +162,13 @@ class Hyperparams:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name, low in (("n_avg", 1), ("batch_size", 1), ("m", 1), ("n_iter", 0)):
+        for name, low in (("n_avg", 1), ("batch_size", 1), ("m", 1), ("n_iter", 0), ("seed", None)):
             value = getattr(self, name)
-            if value < low:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+            if low is not None and value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value!r}")
         clip = self.grad_clip
         if clip is not None and not 0.0 < clip < math.inf:

@@ -76,6 +76,33 @@ class TestArgumentHandling:
         assert f"error: evaluation.{field}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("training", "N", 2.5, "n_avg"),
+        ("training", "m", 2.5, "m"),
+        ("training", "batch_size", 2.5, "batch_size"),
+        ("training", "n_iter", 2.5, "n_iter"),
+        ("training", "seed", None, "seed"),
+        ("evaluation", "n_paths", 2.5, "evaluation.n_paths"),
+    ])
+    def test_fractional_or_null_count_fails_at_load_naming_the_field(
+        self, tmp_path, capsys, section, key, value, field
+    ):
+        # these used to end in a bare TypeError (exit 2), or to run on (n_iter under --iters,
+        # n_paths outside evaluate)
+        cfg = write_config(tmp_path, **{section: {key: value}})
+        out = tmp_path / "o"
+        assert run(["train", "--config", cfg, "--iters", "3", "--out", str(out)]) == 1
+        assert f"error: {field} must be a whole number, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_signal_under_auto_dynamics_is_a_user_error(self, tmp_path, capsys):
+        # "auto" picks the signal itself, and used to ignore the configured one
+        cfg = write_config(tmp_path, evaluation={"signal": "expected_state"})
+        out = tmp_path / "o"
+        assert run(["evaluate", "--config", cfg, "--analytic", "poemv_opt", "--out", str(out)]) == 1
+        assert "error: evaluation.signal must be null" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_requires_a_policy_source(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -143,6 +170,24 @@ class TestArtifacts:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["config"]["training"]["seed"] == 4
+
+    @pytest.mark.parametrize("dynamics", ["real", "filtered"])
+    def test_episode_csv_rows_are_the_simulated_episode(self, tmp_path, dynamics):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sim"
+        assert run(["simulate", "--config", cfg, "--dynamics", dynamics, "--out", str(out)]) == 0
+        resolved = json.loads((out / "manifest.json").read_text())["config"]
+        model, spec = cfgmod.build_market(resolved), cfgmod.build_problem(resolved)
+        policy = evaluate.analytic_policy("poemv_opt", model, spec)
+        ep = evaluate.simulate(policy, model, spec, 4, dynamics=dynamics)
+        lines = (out / "episode.csv").read_text().split("\n")
+        assert lines[0] == "t,x,l,regime,p_hat,action" and lines[-1] == ""
+        assert len(lines) == spec.horizon + 3  # header, T + 1 states, final newline
+        for t, line in enumerate(lines[1:-1]):
+            action = repr(float(ep.action[t])) if t < spec.horizon else ""  # none at the terminal
+            want = [str(t), repr(float(ep.x[t])), repr(float(ep.l[t])), str(int(ep.regime[t])),
+                    repr(float(ep.p_hat[t])), action]
+            assert line.split(",") == want, t
 
     def test_identical_manifests_produce_byte_identical_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -415,6 +415,8 @@ class TestHyperparams:
             ("batch_size", 0),
             ("m", 0),
             ("n_iter", -1),
+            ("m", 2.5),
+            ("seed", None),
             ("eta_phi", float("nan")),
         ],
     )
@@ -425,6 +427,7 @@ class TestHyperparams:
     def test_unset_and_edge_values_accepted(self):
         hyper = rl.Hyperparams(grad_clip=None, w0=None, n_iter=0, expectation_signal="state1_prob")
         assert (hyper.grad_clip, hyper.w0, hyper.n_iter) == (None, None, 0)
+        rl.Hyperparams(n_avg=np.int64(3), m=np.int32(2), n_iter=np.uint8(5), seed=np.int64(-7))
 
 
 class TestTrain:

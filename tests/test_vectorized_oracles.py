@@ -688,13 +688,14 @@ def loop_moments(signal, pair):
 
 
 def loop_schedule(pair, signals):
-    """(T, 6) moments and the violation lines, one period at a time."""
-    sets, violations = [], []
-    for t, s in enumerate(signals):
+    """(T, 6) moments and the (3, T) b0, b1, b2 deficit flags, one period at a time."""
+    sets, deficits = [], []
+    for s in signals:
         m = loop_moments(float(s), pair)
         sets.append(m.as_tuple())
-        violations += [f"t={t} signal={float(s):.6g}: {v}" for v in loop_violations(m)]
-    return np.array(sets), tuple(violations)
+        bad = loop_violations(m)
+        deficits.append([any(v.startswith(b) for v in bad) for b in ("b0", "b1", "b2")])
+    return np.array(sets), np.array(deficits, dtype=bool).reshape(-1, 3).T
 
 
 def outcome(fn):
@@ -737,7 +738,7 @@ class TestMomentMixing:
         assert got_err == want_err
         if want is not None:
             assert got.rows.tobytes() == want[0].T.tobytes()
-            assert got.violations == want[1]
+            assert np.array_equal(got.deficits(), want[1])
         # the one-period mix is the one-column case
         one, one_err = outcome(lambda: F.mixed_schedule(pair, signals[:1], "filtered")[0])
         want_one, want_one_err = outcome(lambda: loop_moments(float(signals[0]), pair))
@@ -752,10 +753,10 @@ class TestMomentMixing:
         probs = F.filter_states(chain.p0, chain.matrix(), horizon)[:-1]
         weights = 2.0 - probs if signal == "expected_state" else probs
         sched = M.observable_rates(model, horizon, "expectation", signal)[2]
-        rows, violations = loop_schedule(pair, weights)
+        rows, deficits = loop_schedule(pair, weights)
         assert sched.rows.tobytes() == rows.T.tobytes()
-        assert sched.violations == violations
-        assert len(violations) == (2596 if signal == "expected_state" else 0)
+        assert np.array_equal(sched.deficits(), deficits)
+        assert int(np.sum(sched.deficits())) == (2596 if signal == "expected_state" else 0)
 
 
 # ---------------------------------------------------------------------------
