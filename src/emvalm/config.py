@@ -12,6 +12,7 @@ import copy
 import hashlib
 import json
 import operator
+import re
 from dataclasses import fields
 
 from .closed_form import ProblemSpec
@@ -23,6 +24,8 @@ from .rl import Hyperparams
 # (training key, Hyperparams field) of every field but dt, which the market sets
 _TRAINING = [("N" if f.name == "n_avg" else f.name, f)
              for f in fields(Hyperparams) if f.name != "dt"]
+# Hyperparams field -> the config key it is read from
+_CONFIG_KEYS = {f.name: f"training.{key}" for key, f in _TRAINING}
 
 
 def default_config() -> dict:
@@ -142,10 +145,18 @@ def build_problem(cfg: dict) -> ProblemSpec:
 
 
 def build_hyper(cfg: dict, seed: int | None = None) -> Hyperparams:
+    """The training section's ``Hyperparams``; an error names the field by its
+    config key (``training.N`` for n_avg)."""
     values = {f.name: cfg["training"][key] for key, f in _TRAINING}
     if seed is not None:
         values["seed"] = seed
-    return Hyperparams(**values, dt=cfg["market"]["dt"])
+    try:
+        return Hyperparams(**values, dt=cfg["market"]["dt"])
+    except ValueError as exc:
+        name = re.match(r"\w*", str(exc)).group()
+        if name not in _CONFIG_KEYS:
+            raise
+        raise ValueError(_CONFIG_KEYS[name] + str(exc)[len(name):]) from None
 
 
 def canonical_json(obj) -> str:

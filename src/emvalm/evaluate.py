@@ -48,8 +48,8 @@ from . import data_ingest, forking, rl
 from .closed_form import GaussianPolicy, ProblemSpec, regime_policy, schedule_policy
 from .filtering import filter_states, mixing_signal, regime_schedule, signal_path
 from .market import (
-    DYNAMICS, PATH_KEY, SIGNALS, Episode, MarketModel, ReturnsRecord, draw_path, liability_path,
-    observable_rates, regime_path, stream,
+    DYNAMICS, LEGS, PATH_KEY, SIGNALS, Episode, MarketModel, ReturnsRecord, draw_path,
+    liability_path, observable_rates, regime_path, stream,
 )
 
 _BLOCK = 32  # evaluation paths generated and rolled out together
@@ -251,8 +251,9 @@ def _rollout_blocks(
     coefficients as ``_path_tables`` gives them.
 
     Path i draws from its own stream ``PATH_KEY`` + i, opened only when it
-    draws something: first its market path where a leg is drawn
-    (``market.draw_path``), then, with ``explore``, its action noise.  Yields
+    draws something: first, where a leg is drawn, its regime path and the legs
+    whose rates are None, and only those (``market.draw_path``), then, with
+    ``explore``, its action noise.  Yields
     per block the wealth x (paths, T + 1), the liabilities l ((paths, T + 1)
     when drawn, otherwise the one (T + 1,) path every path shares), the
     (e0, e1, q) rates, the (cx, cl, c0, sd) coefficients and the action noise.
@@ -261,6 +262,7 @@ def _rollout_blocks(
     rates, coef = tables
     horizon = spec.horizon
     drawn = rates[1] is None
+    legs = tuple(name for name, rate in zip(LEGS, rates) if rate is None)  # those left open
     block = np.empty((3, _BLOCK, horizon))  # drawn e0, e1, q rows of the paths in a block
     in1 = np.empty((_BLOCK, horizon), dtype=bool)  # their periods in regime 1
     noise = np.zeros((_BLOCK, horizon))
@@ -270,7 +272,7 @@ def _rollout_blocks(
         for j, i in enumerate(rows if drawn or explore else ()):
             rng = stream(seed, PATH_KEY + i)
             if drawn:
-                regimes, _ = draw_path(model, horizon, rng, out=block[:, j])
+                regimes, _ = draw_path(model, horizon, rng, out=block[:, j], legs=legs)
                 if coef.ndim == 3:
                     np.equal(regimes[:-1], 1, out=in1[j])
             if explore:
@@ -497,9 +499,10 @@ def evaluate_on_market_paths(
     tables (``_path_tables``) with the risky leg left open.  The regime-blind
     baseline decides by its own rule (a unit signal and no liability, in
     ``rl.policy_from_state``), but is scored on the common terminal net wealth.
-    Path i draws from the stream ``PATH_KEY`` + i, the paths split over
-    per-core shares, and more than 1% non-finite terminals abort, as in
-    ``out_of_sample``.
+    Path i draws from the stream ``PATH_KEY`` + i its regime path, then the
+    risky leg e1 alone (the baseline and liability legs are not drawn), then,
+    with ``explore``, its action noise.  The paths split over per-core shares,
+    and more than 1% non-finite terminals abort, as in ``out_of_sample``.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")

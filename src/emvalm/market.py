@@ -27,23 +27,25 @@ each stream draws in order:
 |---|---|---|
 | ``rl.train``, iteration k of ``rl._run``, the one training loop | k | per episode: regime path and returns (real dynamics), action noise; in real dynamics drawn ahead, with the same keys and order, in a forked child when a core is free (``rl._drawn_ahead``) |
 | ``evaluate.empirical_train``, iteration k of ``rl._run`` | k | block pick, action noise |
-| every evaluation, path i: ``evaluate.out_of_sample``, ``evaluate.evaluate_on_market_paths``, ``evaluate.simulate`` (path 0) | ``PATH_KEY`` + i | regime path and returns where the dynamics draws them, then action noise (then, in ``simulate`` outside real dynamics, the recorded regime path) |
+| every evaluation, path i: ``evaluate.out_of_sample``, ``evaluate.evaluate_on_market_paths``, ``evaluate.simulate`` (path 0) | ``PATH_KEY`` + i | where the dynamics draws returns, the regime path and then the legs read (e0, e1 and q in real dynamics; e1 alone in ``evaluate_on_market_paths``), then action noise (then, in ``simulate`` outside real dynamics, the recorded regime path) |
 | ``cli`` filter-demo / improve | 0 | regime path / initial policy family |
 
 No key depends on a path count, so the first n paths of an evaluation are
 the same whatever the total, and an evaluation key, at or above 2^32, never
 meets a training iteration's.  Returns along a regime path are drawn leg by
-leg (e0, then e1, then q), each leg drawing its regime-1 periods and then its
-regime-2 periods (``sample_return_paths``).
+leg (e0, then e1, then q, skipping a leg its caller does not read), each leg
+drawing its regime-1 periods and then its regime-2 periods
+(``sample_return_paths``).
 
 Three functions build the inputs of every rollout, for training (``rl``) and
 evaluation (``evaluate``, the empirical pipeline and ``simulate`` included)
 alike: ``observable_rates`` turns a partial-information flavor into its
 filter path, signal path and mixed schedule, and is the only builder of
 filtered and expectation schedules, the analytic policies' too;
-``draw_path`` draws one real-market path, its regime path and then its
-returns, from one generator, and the evaluations have it write each path's
-legs straight into that path's rows of their (3, paths, T) block; and
+``draw_path`` draws one real-market path, its regime path and then the
+return legs asked for, from one generator, and the evaluations have it
+write each path's legs straight into that path's rows of their
+(3, paths, T) block; and
 ``liability_path`` multiplies l_0 by the liability returns in time order, so
 a learner is scored on the same liability path it was trained on.
 """
@@ -53,6 +55,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, fields
+from numbers import Real
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -64,6 +67,7 @@ from .filtering import (
 _ROW_SUM_TOL = 1e-12
 
 DYNAMICS = ("real", "filtered", "expectation")
+LEGS = ("e0", "e1", "q")  # the return legs of a path, in the order they are drawn
 PATH_KEY = 1 << 32  # stream key of evaluation path 0; path i draws from PATH_KEY + i
 SIGNALS = ("regime", "filtered_prob", "expected_state")
 
@@ -100,8 +104,8 @@ class RegimeChain:
 
     def __post_init__(self) -> None:
         mat = self.matrix()
-        if np.any(mat < 0.0) or np.any(mat > 1.0):
-            raise ValueError("transition probabilities must lie in [0, 1]")
+        if not np.all((mat >= 0.0) & (mat <= 1.0)):  # a NaN entry fails both comparisons
+            raise ValueError(f"transition probabilities must lie in [0, 1], got {self.p}")
         sums = mat.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
             raise ValueError(f"transition matrix rows must sum to 1, got sums {sums}")
@@ -234,8 +238,8 @@ class MarketModel:
     dt: float
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         pair = (self.regime_moment_set(1), self.regime_moment_set(2))
         for regime, m in enumerate(pair, 1):
             # E[e e'] for (baseline, risky) is PD iff b0 > 0 and the 2x2 determinant
@@ -325,35 +329,47 @@ def sample_return_paths(
     model: MarketModel,
     rng: np.random.Generator,
     out: np.ndarray | None = None,
+    legs: tuple[str, ...] = LEGS,
 ) -> ReturnsRecord:
     """Per-period draws along a regime path, only from the regime in force.
 
-    Each leg (e0, then e1, then q) draws its regime-1 periods, then its
-    regime-2 periods, each in time order, and scatters them into place: into
-    the rows of ``out`` (3, len(regimes)) when given, which the returned
-    record then views.
+    Each leg named in ``legs`` (in the order e0, then e1, then q, whatever
+    order ``legs`` gives) draws its regime-1 periods, then its regime-2
+    periods, each in time order, and scatters them into place: into the rows
+    of ``out`` (3, len(regimes)) when given, which the returned record then
+    views.  A leg not named is neither drawn nor written; in a fresh ``out``
+    its row is NaN.
     """
     regimes = np.asarray(regimes)
-    at1, at2 = np.flatnonzero(regimes == 1), np.flatnonzero(regimes == 2)
-    if len(at1) + len(at2) != len(regimes):
+    in1 = regimes == 1
+    n1 = int(np.count_nonzero(in1))
+    n2 = len(regimes) - n1
+    if np.count_nonzero(regimes == 2) != n2:
         raise ValueError("regime path contains labels outside {1, 2}")
     if out is None:
-        out = np.empty((3, len(regimes)))
-    for row, specs in zip(out, (model.e0, model.e1, model.q)):
-        row[at1] = specs[0].sample(model.dt, rng, size=len(at1))
-        row[at2] = specs[1].sample(model.dt, rng, size=len(at2))
+        out = np.full((3, len(regimes)), np.nan)
+    in2 = ~in1
+    for row, name in zip(out, LEGS):
+        if name in legs:
+            specs = getattr(model, name)
+            row[in1] = specs[0].sample(model.dt, rng, size=n1)
+            row[in2] = specs[1].sample(model.dt, rng, size=n2)
     return ReturnsRecord(*out)
 
 
 def draw_path(
-    model: MarketModel, horizon: int, rng: np.random.Generator, out: np.ndarray | None = None,
+    model: MarketModel,
+    horizon: int,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
+    legs: tuple[str, ...] = LEGS,
 ) -> tuple[np.ndarray, ReturnsRecord]:
     """One path of the real market drawn from ``rng``: its regime path s_0..s_T,
-    then the e0, e1 and q draws of the periods t = 0..T-1 along it, written
-    into the rows of ``out`` (3, T) when given, e.g. one path's slice of a
-    (3, P, T) block."""
+    then the draws of the legs ``legs`` (``sample_return_paths``) in the
+    periods t = 0..T-1 along it, written into the rows of ``out`` (3, T) when
+    given, e.g. one path's slice of a (3, P, T) block."""
     regimes = regime_path(model.chain, horizon, rng)
-    return regimes, sample_return_paths(regimes[:-1], model, rng, out)
+    return regimes, sample_return_paths(regimes[:-1], model, rng, out, legs)
 
 
 def observable_rates(
@@ -391,14 +407,20 @@ def _spec_from_dict(d: dict) -> ReturnSpec:
 
 
 def market_from_dict(cfg: dict) -> MarketModel:
-    """Build a model from the documented JSON layout (see README)."""
+    """Build a model from the documented JSON layout (see README); a chain
+    entry, ``p_hat_0`` or ``dt`` that is not a finite number is an error
+    naming its ``market.`` key."""
     try:
+        for key in ("P11", "P12", "P21", "P22", "p_hat_0", "dt"):
+            value = cfg[key]
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"market.{key} must be a finite number, got {value!r}")
         chain = RegimeChain.from_probs(
             p11=cfg["P11"], p12=cfg["P12"], p21=cfg["P21"], p22=cfg["P22"], p0=cfg["p_hat_0"]
         )
         dt = cfg["dt"]
         legs = {}
-        for name in ("e0", "e1", "q"):
+        for name in LEGS:
             legs[name] = (
                 _spec_from_dict(cfg[name]["regime1"]),
                 _spec_from_dict(cfg[name]["regime2"]),
@@ -418,7 +440,7 @@ def market_to_dict(model: MarketModel) -> dict:
         "p_hat_0": model.chain.p0,
         "dt": model.dt,
     }
-    for name in ("e0", "e1", "q"):
+    for name in LEGS:
         pair = getattr(model, name)
         # a spec's fields in order, without the unset dof and skew of a normal or constant leg
         out[name] = {f"regime{k}": {key: v for key, v in asdict(s).items() if v is not None}

@@ -77,11 +77,11 @@ class TestArgumentHandling:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section, key, value, field", [
-        ("training", "N", 2.5, "n_avg"),
-        ("training", "m", 2.5, "m"),
-        ("training", "batch_size", 2.5, "batch_size"),
-        ("training", "n_iter", 2.5, "n_iter"),
-        ("training", "seed", None, "seed"),
+        ("training", "N", 2.5, "training.N"),
+        ("training", "m", 2.5, "training.m"),
+        ("training", "batch_size", 2.5, "training.batch_size"),
+        ("training", "n_iter", 2.5, "training.n_iter"),
+        ("training", "seed", None, "training.seed"),
         ("evaluation", "n_paths", 2.5, "evaluation.n_paths"),
     ])
     def test_fractional_or_null_count_fails_at_load_naming_the_field(
@@ -94,6 +94,32 @@ class TestArgumentHandling:
         assert run(["train", "--config", cfg, "--iters", "3", "--out", str(out)]) == 1
         assert f"error: {field} must be a whole number, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["P11", "P22", "p_hat_0", "dt"])
+    @pytest.mark.parametrize("value", [float("nan"), None])
+    @pytest.mark.parametrize("argv", [["train", "--algo", "coemv", "--iters", "3"],
+                                      ["evaluate", "--analytic", "coemv_opt"]])
+    def test_nan_or_null_market_scalar_fails_at_load_naming_the_key(
+        self, tmp_path, capsys, key, value, argv
+    ):
+        # a NaN transition probability used to train and score; a null p_hat_0 or dt ended
+        # in a bare TypeError (exit 2)
+        market = cfgmod.default_config()["market"]
+        market[key] = value
+        cfg = write_config(tmp_path, market=market)
+        out = tmp_path / "o"
+        assert run([*argv, "--config", cfg, "--out", str(out)]) == 1
+        assert f"error: market.{key} must be a finite number, got {value!r}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_training_error_names_the_config_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, training={"eta_phi": 0.0})
+        assert run(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "error: training.eta_phi must be positive and finite, got 0.0" in (
+            capsys.readouterr().err)
+        with pytest.raises(ValueError, match="^eta_phi must be positive"):  # the field, directly
+            rl.Hyperparams(eta_phi=0.0)
 
     def test_signal_under_auto_dynamics_is_a_user_error(self, tmp_path, capsys):
         # "auto" picks the signal itself, and used to ignore the configured one

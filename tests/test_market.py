@@ -49,6 +49,11 @@ class TestRegimeChain:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             M.RegimeChain(p=((1.2, -0.2), (0.1, 0.9)), p0=0.5)
 
+    def test_nan_entry_rejected(self):
+        # a NaN compares false both ways, and used to pass the range check
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            M.RegimeChain(p=((math.nan, 0.5), (0.1, 0.9)), p0=0.5)
+
     def test_p0_open_interval(self):
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError, match="initial regime-1"):
@@ -364,6 +369,19 @@ class TestMarketJson:
         del cfg["P11"]
         with pytest.raises(ValueError, match="P11"):
             M.market_from_dict(cfg)
+
+    @pytest.mark.parametrize("key", ["P11", "P12", "P21", "P22", "p_hat_0", "dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None, "0.5", True])
+    def test_non_finite_or_non_numeric_scalar_names_its_key(self, key, value):
+        cfg = M.market_to_dict(simple_model())
+        cfg[key] = value
+        with pytest.raises(ValueError, match=rf"^market\.{key} must be a finite number"):
+            M.market_from_dict(cfg)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            simple_model(dt=dt)
 
     def test_degenerate_market_fails_positive_definite_check(self):
         with pytest.raises(ValueError, match="positive definite"):

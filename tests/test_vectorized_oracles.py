@@ -17,6 +17,7 @@ and entropy product against their backward recursions.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -266,11 +267,16 @@ def skewed_market():
     )
 
 
-def draw_then_scatter(regimes, model, rng):
-    """Per leg, draw every regime-1 period, then every regime-2 period, and
-    hand them out in time order."""
+LEGS = ("e0", "e1", "q")
+
+
+def draw_then_scatter(regimes, model, rng, legs=LEGS):
+    """Per leg named in ``legs``, in the order e0, e1, q, draw every regime-1
+    period, then every regime-2 period, and hand them out in time order."""
     out = {}
-    for name in ("e0", "e1", "q"):
+    for name in LEGS:
+        if name not in legs:
+            continue
         specs = getattr(model, name)
         n1 = sum(1 for r in regimes if r == 1)
         first = iter(np.atleast_1d(specs[0].sample(model.dt, rng, size=n1)))
@@ -292,6 +298,31 @@ class TestRegimeOnlyReturns:
         want = draw_then_scatter(regimes, model, M.stream(seed, 3))
         for name in ("e0", "e1", "q"):
             np.testing.assert_array_equal(getattr(rec, name), want[name])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        regimes=st.lists(st.sampled_from([1, 2]), min_size=0, max_size=60),
+        legs=st.sampled_from([legs for n in (1, 2, 3) for legs in itertools.combinations(LEGS, n)]),
+        reverse=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_named_legs_are_draw_then_scatter_and_others_untouched(self, seed, regimes, legs,
+                                                                   reverse):
+        model = skewed_market()
+        path = np.array(regimes, dtype=np.int64)
+        out = np.full((3, len(regimes)), -7.0)
+        rng, twin = M.stream(seed, 3), M.stream(seed, 3)
+        asked = legs[::-1] if reverse else legs  # the order asked for does not matter
+        rec = M.sample_return_paths(path, model, rng, out=out, legs=asked)
+        want = draw_then_scatter(regimes, model, twin, legs)
+        for k, name in enumerate(LEGS):
+            got = getattr(rec, name)
+            assert got.tobytes() == out[k].tobytes(), name  # the record reads ``out``
+            if name in legs:
+                assert got.tobytes() == want[name].tobytes(), name
+            else:
+                assert np.all(out[k] == -7.0), name
+        assert rng.random() == twin.random()  # the generator ends where the oracle's does
 
     def test_other_labels_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -561,12 +592,36 @@ class TestBlockedEvaluation:
         np.testing.assert_allclose(got.mean, np.mean(want), rtol=1e-12)
         np.testing.assert_allclose(got.variance, np.var(want, ddof=1), rtol=1e-9)
 
+    @pytest.mark.parametrize("algo", ["poemv1", "emv"])
+    def test_market_paths_on_a_constant_baseline_report_the_all_legs_draw(self, monkeypatch,
+                                                                          algo):
+        # e0 draws nothing and q's draws come after e1's, so without noise dropping the
+        # unread legs changes no path
+        base = skewed_market()
+        flat = M.ReturnSpec(kind="constant", annual_mean=1.05)
+        model = M.MarketModel(base.chain, (base.e0[0], flat), base.e1, base.q, base.dt)
+        spec = eval_spec(30)
+        state = learned_state(algo, model, spec, np.random.default_rng(6))
+        args = (state, model, E._BLOCK + 5, spec)
+        got = E.evaluate_on_market_paths(*args, seed=13, explore=False)
+        drawn = []
+
+        def every_leg(*a, legs, **kw):
+            drawn.append(legs)
+            return M.draw_path(*a, **kw)
+
+        monkeypatch.setattr(E, "draw_path", every_leg)
+        want = E.evaluate_on_market_paths(*args, seed=13, explore=False)
+        assert set(drawn) == {("e1",)}
+        assert (got.mean, got.variance, got.sharpe, got.n_paths) == (
+            want.mean, want.variance, want.sharpe, want.n_paths)
+
 
 def market_path_terminals(state, model, n_paths, spec, seed, explore):
-    """``evaluate_on_market_paths`` path by path and period by period: the risky
-    leg drawn from the path's stream, the baseline and liability legs on their
-    filtered expectations; the regime-blind baseline reads a unit signal and
-    no liability."""
+    """``evaluate_on_market_paths`` path by path and period by period: the
+    path's stream draws its regime path, then the risky leg alone, then its
+    noise; the baseline and liability legs are on their filtered expectations;
+    the regime-blind baseline reads a unit signal and no liability."""
     horizon, policy = spec.horizon, rl.policy_from_state(state)
     p_hat = F.filter_states(model.chain.p0, model.chain.matrix(), horizon)
     m1, m2 = model.moment_pair()
@@ -577,7 +632,7 @@ def market_path_terminals(state, model, n_paths, spec, seed, explore):
     for i in range(n_paths):
         rng = M.stream(seed, M.PATH_KEY + i)
         regimes = M.regime_path(model.chain, horizon, rng)
-        e1 = M.sample_return_paths(regimes[:-1], model, rng).e1
+        e1 = draw_then_scatter(regimes[:-1], model, rng, legs=("e1",))["e1"]
         noise = rng.standard_normal(horizon) if explore else np.zeros(horizon)
         x, l = spec.x0, spec.l0
         for t in range(horizon):
