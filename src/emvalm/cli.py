@@ -21,7 +21,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import data_ingest, evaluate, filtering, improvement, market, rl
-from .closed_form import policy_table_rows
+from .closed_form import POLICY_COLUMNS, policy_table_rows
 
 
 def _setup(args, **training) -> tuple:
@@ -110,8 +110,7 @@ def cmd_policy_eval(args) -> int:
         schedule = filtering.regime_schedule(model.moment_pair()[int(flavor[-1]) - 1], spec.horizon)
     else:
         schedule = market.observable_rates(model, spec.horizon, flavor, exp_sig)[2]
-    header = ["t", "mean_x_coeff", "mean_l_coeff", "mean_const", "variance"]
-    text = _csv(policy_table_rows(schedule, spec), header)
+    text = _csv(policy_table_rows(schedule, spec), ["t", *POLICY_COLUMNS])
     out = _write(args, {"policy.csv": text}, cfg, {"flavor": flavor})
     print(f"wrote {out / 'policy.csv'}")
     return 0
@@ -126,15 +125,15 @@ def cmd_improve(args) -> int:
     family = improvement.InitialPolicyFamily.random(horizon, rng)
     current = improvement.initial_iterate(family, schedule, spec)
     rows = []
-    keys = ("mean_x_coeff", "mean_l_coeff", "mean_const", "variance")
+    header = ["round", "t", *POLICY_COLUMNS, "objective_at_start"]
     n_rounds = horizon if args.iters == "auto" else int(args.iters)
     for n in range(n_rounds + 1):
         starts = current.objective[:horizon](spec.x0, spec.l0)
         for t, (coeffs, start) in enumerate(zip(current.policy.table.T.tolist(), starts.tolist())):
-            rows.append({"round": n, "t": t, **dict(zip(keys, coeffs)), "objective_at_start": start})
+            rows.append(dict(zip(header, (n, t, *coeffs, start))))
         if n < n_rounds:
             current = improvement.improve_once(current, schedule, spec)
-    text = _csv(rows, ["round", "t", *keys, "objective_at_start"])
+    text = _csv(rows, header)
     out = _write(args, {"improvement.csv": text}, cfg, {"T": horizon, "iters": args.iters})
     print(f"wrote {out / 'improvement.csv'}")
     return 0
@@ -177,7 +176,7 @@ def cmd_evaluate(args) -> int:
         signal=signal, explore=ev["explore"], expectation_signal=exp_sig,
     )
     text, rows = evaluate.compare_table([replace(report, algo=algo)])
-    csv = _csv(rows, ["algo", "mean", "variance", "sharpe", "n_paths", "seed"])
+    csv = _csv(rows, evaluate.EvalReport.COLUMNS)
     _write(args, {"report.csv": csv}, cfg, {"algo": algo, "dynamics": dynamics, "signal": signal})
     print(text, end="")
     return 0

@@ -7,7 +7,11 @@ the optimal randomized control at each period is Gaussian, its mean affine in
 This module evaluates those formulas on any moment schedule (regime-
 conditioned, filtered, or expectation-based), exposes the value function as an
 explicit quadratic in (wealth, liability), and provides an independent
-Gauss-Hermite check of the one-step recursion.  Every policy in the package,
+Gauss-Hermite check of the one-step recursion.  That recursion has one
+operator: ``_action_expansion`` writes E[V_{t+1}] as b u^2 + 2 mu u + rest,
+``policy_value_step`` scores a given Gaussian law on it, and ``bellman_step``
+scores the minimizer N(-mu/b, lam/(2b)), so the Bellman minimum is the policy
+value at its minimizer.  Every policy in the package,
 analytic or learned, is a ``GaussianPolicy``: a (4, n) table of cx, cl, c0
 and variance rows over periods, as ``improvement.AffineGaussianPolicy`` holds.
 
@@ -241,12 +245,6 @@ class _ScheduleTables:
         cx, k1, variance = self.policy_arrays(np.array([t]))
         return float(cx[0]), float(k1[0]), float(variance[0])
 
-    def mean_variance(self, t: int, x: float, l: float) -> tuple[float, float]:
-        cx, k1, variance = self.policy_at(t)
-        w = self.spec.multiplier
-        mean = cx * x + k1 * (w + l * self.p_a2.value(t))
-        return mean, variance
-
     def value_quadratic(self, t: int) -> QuadraticValue:
         spec = self.spec
         w, d, lam = spec.multiplier, spec.target, spec.explore_weight
@@ -282,8 +280,11 @@ def terminal_value(w: float, d: float) -> QuadraticValue:
 def optimal_policy(
     t: int, x: float, l: float, schedule: MomentSchedule, spec: ProblemSpec
 ) -> tuple[float, float]:
-    """Mean and variance of the optimal Gaussian action at (t, x, l)."""
-    return _ScheduleTables(schedule, spec).mean_variance(t, x, l)
+    """Mean cx*x + cl*l + c0 and variance of the optimal Gaussian action at
+    (t, x, l), read from the policy's ``affine_rows``."""
+    table = _ScheduleTables(schedule, spec).affine_rows(np.array([t]))
+    cx, cl, c0, variance = table[:, 0].tolist()
+    return cx * x + cl * l + c0, variance
 
 
 def schedule_policy(schedule: MomentSchedule, spec: ProblemSpec, kind: str) -> GaussianPolicy:
@@ -335,58 +336,11 @@ def _action_expansion(next_value: QuadraticValue, m: MomentSet | MomentSchedule)
     return b, mu, rest
 
 
-def bellman_step(
-    next_value: QuadraticValue, m: MomentSet | MomentSchedule, lam: float, first_period: int = 0
-):
-    """One entropy-regularized minimization step of the backward recursion.
-
-    Expands E[next_value(e0 x + (e1 - e0) u, q l)] exactly in the period's
-    moments, minimizes over Gaussian action laws, and returns the new
-    quadratic value together with the minimizing policy's mean coefficients
-    (mx, ml, mc) and variance.  Given arrays (a surface per period and a
-    schedule's rows) it steps every period at once, elementwise; errors count
-    periods from ``first_period``.  This is the independent route against
-    which the product formulas are tested, and the primitive the
-    policy-improvement iteration is built on.
-    """
-    if lam <= 0.0:
-        raise ValueError("exploration weight must be positive")
-    b, (mu_x, mu_l, mu_c), rest = _action_expansion(next_value, m)
-    k = _first(b <= 0.0)
-    if k is not None:
-        raise ValueError(
-            "extracted action-quadratic coefficient is non-positive at period "
-            f"{first_period + k} ({np.ravel(b)[k]})"
-        )
-    mx, ml, mc = -mu_x / b, -mu_l / b, -mu_c / b
-    variance = lam / (2.0 * b)
-    # plugging the minimizing Gaussian into the one-step functional leaves
-    # -mu^2 / b + (lam / 2) ln(b / (pi lam)) on top of the u-free terms
-    new = QuadraticValue(
-        xx=rest.xx - mu_x * mu_x / b,
-        xl=rest.xl - 2.0 * mu_x * mu_l / b,
-        ll=rest.ll - mu_l * mu_l / b,
-        x=rest.x - 2.0 * mu_x * mu_c / b,
-        l=rest.l - 2.0 * mu_l * mu_c / b,
-        c=rest.c - mu_c * mu_c / b + 0.5 * lam * np.log(b / (math.pi * lam)),
-    )
-    return new, (mx, ml, mc), variance
-
-
-def policy_value_step(
-    next_value: QuadraticValue,
-    m: MomentSet | MomentSchedule,
-    mean_coeffs,
-    variance,
-    lam: float,
-) -> QuadraticValue:
-    """One-step objective of a *given* affine Gaussian policy (no minimization),
-    for one period or elementwise over arrays as ``bellman_step``."""
-    k = _first(variance < 0.0)
-    if k is not None:
-        raise ValueError(f"policy variance must be non-negative (period {k})")
+def _gaussian_value(expansion, mean_coeffs, variance, lam: float) -> QuadraticValue:
+    """The one-step objective E[b u^2 + 2 mu u + rest] - lam * entropy of the law
+    u ~ N(mx x + ml l + mc, variance), on ``_action_expansion``'s terms."""
+    b, (mu_x, mu_l, mu_c), rest = expansion
     mx, ml, mc = mean_coeffs
-    b, (mu_x, mu_l, mu_c), rest = _action_expansion(next_value, m)
     # b E[u^2] + 2 E[mu u] with u = mx x + ml l + mc + sqrt(v) xi; a degenerate
     # policy (v = 0) has entropy -inf, so its objective diverges unless lam = 0
     with np.errstate(divide="ignore"):
@@ -402,6 +356,50 @@ def policy_value_step(
     )
 
 
+def bellman_step(
+    next_value: QuadraticValue, m: MomentSet | MomentSchedule, lam: float, first_period: int = 0
+):
+    """One entropy-regularized minimization step of the backward recursion.
+
+    Expands E[next_value(e0 x + (e1 - e0) u, q l)] exactly in the period's
+    moments as b u^2 + 2 mu u + rest, takes the minimizing Gaussian law
+    N(-mu/b, lam/(2b)), and returns its mean coefficients (mx, ml, mc) and
+    variance with the new quadratic value: that law's ``policy_value_step``
+    surface, so the minimum is the policy value at the minimizer.  Given
+    arrays (a surface per period and a schedule's rows) it steps every period
+    at once, elementwise; errors count periods from ``first_period``.  This is
+    the independent route against which the product formulas are tested, and
+    the primitive the policy-improvement iteration is built on.
+    """
+    if lam <= 0.0:
+        raise ValueError("exploration weight must be positive")
+    expansion = _action_expansion(next_value, m)
+    b, (mu_x, mu_l, mu_c), _ = expansion
+    k = _first(b <= 0.0)
+    if k is not None:
+        raise ValueError(
+            "extracted action-quadratic coefficient is non-positive at period "
+            f"{first_period + k} ({np.ravel(b)[k]})"
+        )
+    mean, variance = (-mu_x / b, -mu_l / b, -mu_c / b), lam / (2.0 * b)
+    return _gaussian_value(expansion, mean, variance, lam), mean, variance
+
+
+def policy_value_step(
+    next_value: QuadraticValue,
+    m: MomentSet | MomentSchedule,
+    mean_coeffs,
+    variance,
+    lam: float,
+) -> QuadraticValue:
+    """One-step objective of a *given* affine Gaussian policy (no minimization),
+    for one period or elementwise over arrays as ``bellman_step``."""
+    k = _first(variance < 0.0)
+    if k is not None:
+        raise ValueError(f"policy variance must be non-negative (period {k})")
+    return _gaussian_value(_action_expansion(next_value, m), mean_coeffs, variance, lam)
+
+
 def bellman_residual(
     t: int,
     x: float,
@@ -413,37 +411,29 @@ def bellman_residual(
     """|RHS - V_t(x, l)| for the one-step recursion, V_t = ``value_quadratic(t)``.
 
     The RHS integrates over the optimal Gaussian action with Gauss-Hermite
-    quadrature while the return expectation is expanded exactly in moments, so
-    the check shares no code with the product-form value function.
+    quadrature while the return expectation is expanded exactly in moments
+    (``_action_expansion``), so the check shares no code with the
+    product-form value function.
     """
     if quad_order < 5:
         raise ValueError("quad_order must be >= 5")
+    mean, variance = optimal_policy(t, x, l, schedule, spec)
     tables = _ScheduleTables(schedule, spec)
-    lam = spec.explore_weight
-    mean, variance = tables.mean_variance(t, x, l)
-    next_q = tables.value_quadratic(t + 1)
-    m = schedule[t]
-    cross = m.cross()
+    b, (mu_x, mu_l, mu_c), rest = _action_expansion(tables.value_quadratic(t + 1), schedule[t])
 
     nodes, weights = np.polynomial.hermite.hermgauss(quad_order)
     u = mean + math.sqrt(2.0 * variance) * nodes
-
-    exp_next = (
-        next_q.xx * (m.b0 * x * x + 2.0 * cross * x * u + m.b1 * u * u)
-        + next_q.xl * m.a2 * l * (m.a0 * x + m.a1 * u)
-        + next_q.ll * m.b2 * l * l
-        + next_q.x * (m.a0 * x + m.a1 * u)
-        + next_q.l * m.a2 * l
-        + next_q.c
-    )
+    exp_next = b * u * u + 2.0 * (mu_x * x + mu_l * l + mu_c) * u + rest(x, l)
     log_pi = -0.5 * math.log(2.0 * math.pi * variance) - (u - mean) ** 2 / (2.0 * variance)
-    rhs = float(np.sum(weights * (exp_next + lam * log_pi)) / math.sqrt(math.pi))
-    lhs = tables.value_quadratic(t)(x, l)
-    return abs(rhs - lhs)
+    rhs = float(np.sum(weights * (exp_next + spec.explore_weight * log_pi)) / math.sqrt(math.pi))
+    return abs(rhs - tables.value_quadratic(t)(x, l))
+
+
+POLICY_COLUMNS = ("mean_x_coeff", "mean_l_coeff", "mean_const", "variance")  # a table's rows
 
 
 def policy_table_rows(schedule: MomentSchedule, spec: ProblemSpec) -> list[dict]:
-    """Per-period affine coefficients and variance, for CSV dumps."""
+    """Per-period affine coefficients and variance, for CSV dumps: a "t"
+    column, then ``POLICY_COLUMNS``."""
     table = _ScheduleTables(schedule, spec).affine_rows(np.arange(spec.horizon))
-    keys = ("mean_x_coeff", "mean_l_coeff", "mean_const", "variance")
-    return [{"t": t, **dict(zip(keys, map(float, row)))} for t, row in enumerate(table.T)]
+    return [{"t": t, **dict(zip(POLICY_COLUMNS, map(float, row)))} for t, row in enumerate(table.T)]

@@ -76,15 +76,12 @@ class EvalReport:
     seed: int = 0
     n_excluded: int = 0
 
+    COLUMNS = ("algo", "mean", "variance", "sharpe", "n_paths", "seed")  # of report.csv
+
     def row(self) -> dict:
-        return {
-            "algo": self.algo or self.policy_kind,
-            "mean": self.mean,
-            "variance": self.variance,
-            "sharpe": self.sharpe,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-        }
+        values = (self.algo or self.policy_kind, self.mean, self.variance, self.sharpe,
+                  self.n_paths, self.seed)
+        return dict(zip(self.COLUMNS, values))
 
 
 def sharpe_ratio(mean: float, variance: float, x0: float = 1.0) -> float:
@@ -335,7 +332,7 @@ def _digest(obj) -> str:
 def compare_table(reports: list[EvalReport]) -> tuple[str, list[dict]]:
     """Aligned text table plus CSV-ready rows for a list of reports."""
     rows = [r.row() for r in reports]
-    header = ("algo", "mean", "variance", "sharpe", "n_paths", "seed")
+    header = EvalReport.COLUMNS
     if not rows:
         return ",".join(header) + "\n(empty)\n", rows
     widths = {h: max(len(h), *(len(_fmt(r[h])) for r in rows)) for h in header}
@@ -374,6 +371,11 @@ class BlockSource:
     def __post_init__(self) -> None:
         if not self.series_set:
             raise ValueError("series_set: a block source needs at least one series")
+        for i, series in enumerate(self.series_set):
+            if abs(data_ingest.PERIOD_YEARS[series.frequency] - self.dt) > 1e-9:
+                raise ValueError(
+                    f"series_set: series {i} is {series.frequency}, but dt = {self.dt!r}"
+                )
         try:
             self.horizon_periods()
         except ValueError as exc:
@@ -391,15 +393,16 @@ class BlockSource:
         transition estimate; the one draw is ``data_ingest.block_sampler``'s."""
         window = data_ingest.block_sampler(self.series_set, self.horizon_years, self.dt, rng)
         idx, start = window
-        closes = self.series_set[idx].closes[start : start + self.horizon_periods() + 1]
+        parent = self.series_set[idx]
+        closes = parent.closes[start : start + self.horizon_periods() + 1]
         if window not in self._estimates:
-            self._estimates[window] = self._estimate(closes)
+            self._estimates[window] = self._estimate(closes, parent.frequency)
         return closes, self._estimates[window]
 
-    def _estimate(self, closes: np.ndarray) -> np.ndarray | None:
+    def _estimate(self, closes: np.ndarray, frequency: str) -> np.ndarray | None:
         """[p12, p21] of the window's labeled bull/bear phases, or None when
         the window holds a single regime."""
-        series = data_ingest.PriceSeries.from_closes(closes, frequency=blocks_frequency(self.dt))
+        series = data_ingest.PriceSeries.from_closes(closes, frequency=frequency)
         try:
             labels = data_ingest.label_regimes(series)
             est = data_ingest.estimate_params(series, labels, self.dt)
@@ -479,10 +482,6 @@ def empirical_train(
     return rl._run(rl.TrainState.start(algo, hyper, spec), rl._serial(draw, hyper))
 
 
-def blocks_frequency(dt: float) -> str:
-    return "monthly" if abs(dt - data_ingest.PERIOD_YEARS["monthly"]) < 1e-9 else "daily"
-
-
 def evaluate_on_market_paths(
     state: rl.TrainState,
     model: MarketModel,
@@ -499,6 +498,8 @@ def evaluate_on_market_paths(
     tables (``_path_tables``) with the risky leg left open.  The regime-blind
     baseline decides by its own rule (a unit signal and no liability, in
     ``rl.policy_from_state``), but is scored on the common terminal net wealth.
+    A state trained on another problem (any ``ProblemSpec`` field) or at
+    another ``dt`` is refused, naming the field.
     Path i draws from the stream ``PATH_KEY`` + i its regime path, then the
     risky leg e1 alone (the baseline and liability legs are not drawn), then,
     with ``explore``, its action noise.  The paths split over per-core shares,
@@ -507,10 +508,7 @@ def evaluate_on_market_paths(
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
     state.hyper.require_market_dt(model)
-    if state.spec.horizon != spec.horizon:
-        raise ValueError(
-            f"problem horizon {spec.horizon} differs from the trained horizon {state.spec.horizon}"
-        )
+    state.require_same(spec)
     (a0, _, a2, l), coef = _path_tables(rl.policy_from_state(state), model, spec, "filtered",
                                         "filtered_prob", state.hyper.expectation_signal)
     terminals = _terminals(((a0, None, a2, l), coef), model, spec, seed, n_paths, explore)

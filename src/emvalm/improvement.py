@@ -5,7 +5,9 @@ round replaces the policy at every period by the Gaussian minimizer of the
 one-step objective built on the previous round's objective surface.  Because
 the objective stays quadratic in (wealth, liability) and the minimizer of
 ``integral (B u^2 + 2 mu u + lam ln pi) pi du`` over densities is
-``N(-mu/B, lam/(2B))``, every round is exact coefficient algebra.  The
+``N(-mu/B, lam/(2B))``, every round is exact coefficient algebra, and one
+operator does it: ``bellman_step``'s minimum is ``policy_value_step``'s value
+of that minimizer, the step ``evaluate_policy`` scores any policy with.  The
 iteration reaches the closed-form optimum at period t after at most
 ``horizon - t`` rounds, with the objective nonincreasing pointwise along the
 way.

@@ -332,7 +332,7 @@ class TestOptimalityAgainstPerturbations:
         for t in range(T):
             next_q = tables.value_quadratic(t + 1)
             for x, l in ((1.0, 0.3), (2.0, 0.0), (0.4, 1.1)):
-                mean, var = tables.mean_variance(t, x, l)
+                mean, var = C.optimal_policy(t, x, l, sched, spec)
                 best = self._one_step_objective(mean, var, next_q, sched[t], spec.explore_weight, x, l)
                 for dm in (-0.1, 0.1):
                     for dv in (-0.1, 0.0, 0.1):

@@ -474,9 +474,9 @@ def every_window(blocks):
             pick += 1
 
 
-def fresh_estimate(closes, dt):
+def fresh_estimate(closes, frequency, dt):
     """(p12, p21) labeled and estimated from scratch, or None for a single regime."""
-    series = D.PriceSeries.from_closes(closes, frequency=E.blocks_frequency(dt))
+    series = D.PriceSeries.from_closes(closes, frequency=frequency)
     try:
         est = D.estimate_params(series, D.label_regimes(series), dt)
     except ValueError:
@@ -501,7 +501,8 @@ class TestBlockSource:
         for pick, idx, start in every_window(blocks):
             closes, est = blocks.sample(FixedPick(pick))
             assert len(closes) == n + 1
-            want = fresh_estimate(blocks.series_set[idx].closes[start : start + n + 1], blocks.dt)
+            parent = blocks.series_set[idx]
+            want = fresh_estimate(parent.closes[start : start + n + 1], parent.frequency, blocks.dt)
             if want is None:
                 single += 1
                 assert est is None
@@ -545,6 +546,16 @@ class TestBlockSource:
         one = D.PriceSeries.from_closes(blocks.series_set[0].closes[:25], frequency="monthly")
         E.BlockSource(series_set=(one,), horizon_years=2.0, dt=blocks.dt)
 
+    def test_series_of_another_frequency_fails_at_construction(self):
+        # a daily series used to be resampled as if its periods were months
+        blocks = monthly_blocks(monthly_study_market())
+        daily = D.PriceSeries.from_closes(blocks.series_set[0].closes)
+        with pytest.raises(ValueError, match=r"^series_set: series 2 is daily, but dt = 0\.0833"):
+            E.BlockSource(series_set=(*blocks.series_set[:2], daily), horizon_years=2.0,
+                          dt=blocks.dt)
+        with pytest.raises(ValueError, match=r"^series_set: series 0 is monthly, but dt = 0\.00396"):
+            E.BlockSource(series_set=blocks.series_set, horizon_years=2.0, dt=1.0 / 252.0)
+
     def test_empty_series_set_fails_at_construction(self):
         with pytest.raises(ValueError, match="series_set: "):
             E.BlockSource(series_set=(), horizon_years=2.0, dt=1.0 / 12.0)
@@ -571,6 +582,13 @@ class TestMarketPaths:
         state.actor.phi1[0, 0] = 1e300
         with pytest.raises(RuntimeError, match="^200 of 200 paths produced non-finite terminals"):
             E.evaluate_on_market_paths(state, model, 200, spec, seed=1)
+
+    @pytest.mark.parametrize("field, value", [("x0", 2.0), ("target", 1.7), ("horizon", 12)])
+    def test_state_of_another_problem_rejected(self, trained, field, value):
+        # only the horizon used to be checked; another x0 or target was scored silently
+        spec = replace(tiny_spec(24), **{field: value})
+        with pytest.raises(ValueError, match=f"^spec {field} = {value!r}, but the checkpoint has "):
+            E.evaluate_on_market_paths(trained, monthly_study_market(), 100, spec, 1)
 
     def test_market_dt_other_than_the_checkpoints_rejected(self, trained):
         daily = replace(monthly_study_market(), dt=1.0 / 252.0)

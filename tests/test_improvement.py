@@ -229,6 +229,34 @@ class TestSweptRound:
             C.policy_value_step(nxt, sched, np.zeros((3, 3)), np.array([1.0, 0.5, -0.1]), 1.0)
 
 
+class TestOneOperator:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 40),
+        flavor=st.sampled_from(["regime", "filtered"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bellman_minimum_is_the_value_of_its_minimiser_bit_for_bit(self, seed, horizon, flavor):
+        # the backward recursion's surfaces are exactly what evaluate_policy gives
+        # the table of minimisers it leaves
+        rng = np.random.default_rng(seed)
+        if flavor == "regime":
+            sched = random_schedule(rng, horizon)
+        else:
+            pair = (random_moment_set(rng), random_moment_set(rng))
+            probs = filter_states(float(rng.uniform(0.0, 1.0)), REFERENCE_P, horizon)
+            sched = mixed_schedule(pair, probs[:-1], "filtered")
+        spec = spec_for(horizon, w=float(rng.uniform(0.3, 2.5)), lam=float(rng.uniform(0.5, 3.0)))
+        surfaces = [C.terminal_value(spec.multiplier, spec.target)]
+        table = np.empty((4, horizon))
+        for t in range(horizon - 1, -1, -1):
+            value, mean, var = C.bellman_step(surfaces[0], sched[t], spec.explore_weight)
+            table[:, t] = (*mean, var)
+            surfaces.insert(0, value)
+        valued = I.evaluate_policy(I.AffineGaussianPolicy(table), sched, spec)
+        assert same_bits(valued.as_tuple(), np.array([q.as_tuple() for q in surfaces]).T)
+
+
 class TestIterateToConvergence:
     def test_one_period_horizon_uses_single_round(self, rng):
         sched = random_schedule(rng, 3)
