@@ -11,9 +11,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import operator
 import re
 from dataclasses import fields
+from numbers import Real
 
 from .closed_form import ProblemSpec
 from .data_ingest import periods_in_horizon
@@ -129,18 +131,25 @@ def build_market(cfg: dict) -> MarketModel:
 
 
 def build_problem(cfg: dict) -> ProblemSpec:
+    """The problem section's ``ProblemSpec`` (``w`` defaults to ``d``); a value
+    that is not a finite number is an error naming its ``problem.`` key."""
     p = cfg["problem"]
     try:
         horizon = periods_in_horizon(p["T_years"], cfg["market"]["dt"])
     except ValueError as exc:
         raise ValueError(f"T_years: {exc}") from None
+    values = {"d": p["d"], "lambda": p["lambda"], "x0": p["x0"], "l0": p["l0"],
+              "w": p.get("w", p["d"])}
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ValueError(f"problem.{key} must be a finite number, got {value!r}")
     return ProblemSpec(
         horizon=horizon,
-        target=p["d"],
-        multiplier=p.get("w", p["d"]),
-        explore_weight=p["lambda"],
-        x0=p["x0"],
-        l0=p["l0"],
+        target=values["d"],
+        multiplier=values["w"],
+        explore_weight=values["lambda"],
+        x0=values["x0"],
+        l0=values["l0"],
     )
 
 

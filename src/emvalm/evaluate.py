@@ -13,26 +13,31 @@ the learners update on, in ``rl._run``, the one training loop.
 Every evaluation (``out_of_sample`` in each dynamics flavor and
 ``evaluate_on_market_paths``) runs on one front: ``_path_tables`` builds what
 every path shares (the policy's coefficient tables, the filter path and any
-fixed rates), ``_terminals`` rolls the paths out, and ``_terminal_report``
-reports them, aborting above 1 % non-finite terminals.  A learner, the
-regime-blind emv baseline included, is scored on the policy
-``rl.policy_from_state`` deploys.  ``_terminals`` splits the paths over
-processes by one rule: it cuts them into contiguous ``_BLOCK``-aligned
-shares, one per core in ``os.sched_getaffinity(0)``, rolls out the first
-share itself and each other one in an ``os.fork`` child that pickles its
-terminals back (``forking.forked``).  Path i reads only its own stream
+fixed rates), ``_terminals`` gives the paths' terminals, and
+``_terminal_report`` reports them, aborting above 1 % non-finite terminals.
+A learner, the regime-blind emv baseline included, is scored on the policy
+``rl.policy_from_state`` deploys.  A path that draws its rates is rolled
+out; on fixed rates (filtered and expectation dynamics) the action enters
+wealth linearly, so a path's terminal is the closed form c + w . z of the
+noise z it draws (``_fixed_rate_terminal``): the same draws, other rounding.
+``_terminals`` splits the paths over processes by one rule: it cuts them
+into contiguous ``_BLOCK``-aligned shares, one per core in
+``os.sched_getaffinity(0)``, runs the first share itself and each other one
+in an ``os.fork`` child that pickles its terminals back
+(``forking.forked``).  Path i reads only its own stream
 (``market.PATH_KEY`` + i), so the terminals, and every report, are
 bit-identical at any core count.  A split into n shares needs n x
 ``_FORK_FLOOR`` path-periods (paths x T): on a 2-core host a split of a
 55 MB process costs 25-35 ms beyond half the serial time (fork, copy-on-write
 faults, the child's start), against about 0.28 us per real-dynamics
 path-period, so it breaks even near 100,000 path-periods per share; the
-floor of 150,000 leaves a margin.  A path on fixed rates (filtered and
-expectation dynamics) draws at most its noise, so its path-periods count a
-quarter: at T = 2520, with 48 MB of ballast, a split at the undivided floor
-lost on 128 such paths (15.3 against 18.3 ms, medians of 25 alternating
-pairs) and on 256 without noise (14.9 against 16.6 ms), while 256 paths with
-noise won (43.7 to 35.1 ms) and 512 without (25.0 to 20.4 ms).
+floor of 150,000 leaves a margin.  A path on fixed rates draws at most its
+noise, so its path-periods count ``_FIXED_RATE_WEIGHT``, a quarter, and
+nothing without noise: at T = 2520, with 48 MB of ballast, a split broke even
+between 190 and 260 such paths (medians of 31 and 41 alternating pairs: 128
+paths took 9.5 ms split against 7.7 serial, 384 paths 17.0 against 23.6, 1000
+paths 37.1 against 61.4), and the quarter splits from 477 paths.  Without
+noise, 1000 paths took 5.1 ms split against 1.3 serial.
 """
 
 from __future__ import annotations
@@ -52,10 +57,13 @@ from .market import (
     liability_path, observable_rates, regime_path, stream,
 )
 
-_BLOCK = 32  # evaluation paths generated and rolled out together
+_BLOCK = 32  # evaluation paths drawn and scored together
 # path-periods (paths x T) per share a split needs: a margin above the break-even of a fork
 # measured in the module docstring
 _FORK_FLOOR = 150_000
+# what a path-period on fixed rates counts towards the floor: it draws at most its noise and
+# adds one product to its terminal (see the module docstring)
+_FIXED_RATE_WEIGHT = 1 / 4
 _N_SMOOTH = 6  # window of the empirical pipeline's exponential parameter averaging
 
 # analytic policy -> the flavor it is built for (rl.ALGO_FLAVORS holds the learners')
@@ -177,9 +185,9 @@ def out_of_sample(
     ``explore=False`` applies the policy mean instead of sampling the Gaussian
     action.  Non-finite terminals are excluded and counted; more than 1%
     exclusions aborts the evaluation.  Path i draws from the stream
-    ``PATH_KEY`` + i (``_rollout_blocks``), so the first n paths do not depend
-    on ``n_paths``.  Paths are generated and rolled out ``_BLOCK`` at a time,
-    split over per-core shares (see the module docstring).
+    ``PATH_KEY`` + i (``_block_draws``), so the first n paths do not depend
+    on ``n_paths``.  Paths are drawn and scored ``_BLOCK`` at a time, split
+    over per-core shares (see the module docstring).
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
@@ -196,17 +204,45 @@ def _terminals(
     tables: tuple, model: MarketModel, spec: ProblemSpec, seed: int, n_paths: int, explore: bool,
 ) -> np.ndarray:
     """Terminal net wealth x_T - l_T of the paths 0..n_paths-1 on ``tables``:
-    ``_shares`` of them, the first rolled out in this process and each other
-    in a forked child."""
+    ``_shares`` of them, the first in this process and each other in a forked
+    child.  A path that draws its rates is rolled out; on fixed rates
+    (filtered and expectation dynamics) its terminal is the closed form
+    c + w . z of the noise z it draws (``_fixed_rate_terminal``), so it
+    differs from the rolled-out one by rounding only."""
+    if tables[0][1] is None:
+        def terminals(paths: range) -> np.ndarray:
+            blocks = _rollout_blocks(tables, model, spec, seed, paths, explore)
+            # map lets go of each block before the next one is drawn, which bounds the peak memory
+            return np.concatenate(list(map(lambda block: block[0][:, -1] - block[1][..., -1],
+                                           blocks)))
 
-    def terminals(paths: range) -> np.ndarray:
-        blocks = _rollout_blocks(tables, model, spec, seed, paths, explore)
-        # map lets go of each block before the next one is drawn, which bounds the peak memory
-        return np.concatenate(list(map(lambda block: block[0][:, -1] - block[1][..., -1], blocks)))
+        periods = spec.horizon
+    else:
+        c, w = _fixed_rate_terminal(tables, spec)
 
-    periods = spec.horizon if tables[0][1] is None else spec.horizon / 4  # see the module docstring
+        def terminals(paths: range) -> np.ndarray:
+            draws = _block_draws(model, spec, seed, paths, (), explore, False)
+            # einsum reduces each row on its own, so a path's bits do not depend on its block
+            with np.errstate(all="ignore"):
+                return np.concatenate([c + np.einsum("ij,j->i", z, w) for _, _, z in draws])
+
+        periods = spec.horizon * _FIXED_RATE_WEIGHT if explore else 0  # no draw, no split
     shares = _shares(n_paths, periods)
     return np.concatenate(forking.forked(terminals, shares, "the evaluation share of paths"))
+
+
+def _fixed_rate_terminal(tables: tuple, spec: ProblemSpec) -> tuple[float, np.ndarray]:
+    """(c, w) of a path on the fixed rates ``tables``: its terminal x_T - l_T
+    is c + w . z over its action noise z.  With alpha_t = e0_t + ex_t cx_t and
+    the suffix products S_k = prod_{j>k} alpha_j (no division, so a zero
+    alpha is exact), c = x0 prod_j alpha_j + sum_k S_k ex_k (cl_k l_k + c0_k)
+    - l_T and w_k = S_k ex_k sd_k."""
+    (e0, ex, _, l), (cx, cl, c0, sd) = tables
+    tail = np.ones(spec.horizon + 1)  # tail[k] = prod_{j>=k} alpha_j, so S_k = tail[k + 1]
+    with np.errstate(all="ignore"):
+        tail[:-1] = np.cumprod((e0 + ex * cx)[::-1])[::-1]
+        c = spec.x0 * tail[0] + np.einsum("k,k->", tail[1:], ex * (cl * l[:-1] + c0)) - l[-1]
+        return float(c), tail[1:] * ex * sd
 
 
 def _path_tables(
@@ -242,54 +278,65 @@ def _path_tables(
 def _rollout_blocks(
     tables: tuple, model: MarketModel, spec: ProblemSpec, seed: int, paths: range, explore: bool,
 ):
-    """The paths ``paths`` of one evaluation, generated and rolled out ``_BLOCK``
-    at a time on its tables: rates (e0, ex, q, l), each shared by every path or
-    None where each path draws its own (ex None: the risky leg), and
-    coefficients as ``_path_tables`` gives them.
-
-    Path i draws from its own stream ``PATH_KEY`` + i, opened only when it
-    draws something: first, where a leg is drawn, its regime path and the legs
-    whose rates are None, and only those (``market.draw_path``), then, with
-    ``explore``, its action noise.  Yields
-    per block the wealth x (paths, T + 1), the liabilities l ((paths, T + 1)
-    when drawn, otherwise the one (T + 1,) path every path shares), the
-    (e0, e1, q) rates, the (cx, cl, c0, sd) coefficients and the action noise.
-    The next block overwrites the drawn rates and the noise.
+    """The paths ``paths`` of one evaluation, drawn (``_block_draws``) and
+    rolled out ``_BLOCK`` at a time on its tables: rates (e0, ex, q, l), each
+    shared by every path or None where each path draws its own (ex None: the
+    risky leg), and coefficients as ``_path_tables`` gives them.  Yields per
+    block the wealth x (paths, T + 1), the liabilities l ((paths, T + 1) when
+    drawn, otherwise the one (T + 1,) path every path shares), the (e0, e1, q)
+    rates, the (cx, cl, c0, sd) coefficients and the action noise; the next
+    block overwrites the drawn rates and the noise.
     """
     rates, coef = tables
-    horizon = spec.horizon
     drawn = rates[1] is None
     legs = tuple(name for name, rate in zip(LEGS, rates) if rate is None)  # those left open
+    for block, in1, noise in _block_draws(model, spec, seed, paths, legs, explore,
+                                          coef.ndim == 3):
+        e0, ex, q, l = rates
+        if drawn:  # the drawn legs stand in for the rates the tables leave open
+            e0 = block[0] if e0 is None else e0
+            e1 = block[1]
+            ex = e1 - e0
+            if q is None:
+                q = block[2]
+                l = liability_path(spec.l0, q)
+        else:
+            e1 = e0 + ex
+        if coef.ndim == 3:  # the regime signal: each period reads its regime's coefficients
+            cx, cl, c0, sd = np.where(in1, coef[:, 0, None], coef[:, 1, None])
+        else:
+            cx, cl, c0, sd = coef
+        x = rl._linear_rollout(e0 + ex * cx, ex * (cl * l[..., :-1] + c0 + sd * noise), spec.x0)
+        yield x, l, (e0, e1, q), (cx, cl, c0, sd), noise
+
+
+def _block_draws(
+    model: MarketModel, spec: ProblemSpec, seed: int, paths: range, legs: tuple[str, ...],
+    explore: bool, regimes_read: bool,
+):
+    """The draws of the paths ``paths``, ``_BLOCK`` at a time, into buffers the
+    next block overwrites.  Path i opens its stream ``PATH_KEY`` + i only when
+    it draws something: first, with ``legs``, its regime path and those legs
+    (``market.draw_path``), then, with ``explore``, its action noise.  Yields
+    per block of n paths the drawn (e0, e1, q) rows (3, n, T), their periods in
+    regime 1 (n, T; filled when ``regimes_read``) and the noise (n, T; zero
+    without ``explore``)."""
+    horizon = spec.horizon
     block = np.empty((3, _BLOCK, horizon))  # drawn e0, e1, q rows of the paths in a block
     in1 = np.empty((_BLOCK, horizon), dtype=bool)  # their periods in regime 1
     noise = np.zeros((_BLOCK, horizon))
     for start in paths[::_BLOCK]:
         rows = range(start, min(start + _BLOCK, paths.stop))
-        n = len(rows)
-        for j, i in enumerate(rows if drawn or explore else ()):
+        for j, i in enumerate(rows if legs or explore else ()):
             rng = stream(seed, PATH_KEY + i)
-            if drawn:
+            if legs:
                 regimes, _ = draw_path(model, horizon, rng, out=block[:, j], legs=legs)
-                if coef.ndim == 3:
+                if regimes_read:
                     np.equal(regimes[:-1], 1, out=in1[j])
             if explore:
                 rng.standard_normal(out=noise[j])
-        e0, ex, q, l = rates
-        if drawn:  # the drawn legs stand in for the rates the tables leave open
-            e0 = block[0, :n] if e0 is None else e0
-            e1 = block[1, :n]
-            ex = e1 - e0
-            if q is None:
-                q = block[2, :n]
-                l = liability_path(spec.l0, q)
-        else:
-            e1 = e0 + ex
-        if coef.ndim == 3:  # the regime signal: each period reads its regime's coefficients
-            cx, cl, c0, sd = np.where(in1[:n], coef[:, 0, None], coef[:, 1, None])
-        else:
-            cx, cl, c0, sd = coef
-        x = rl._linear_rollout(e0 + ex * cx, ex * (cl * l[..., :-1] + c0 + sd * noise[:n]), spec.x0)
-        yield x, l, (e0, e1, q), (cx, cl, c0, sd), noise[:n]
+        n = len(rows)
+        yield block[:, :n], in1[:n], noise[:n]
 
 
 def simulate(
@@ -298,8 +345,10 @@ def simulate(
 ) -> Episode:
     """One recorded episode: path 0 of ``out_of_sample`` with the same arguments.
 
-    Its terminal x_T - l_T is that evaluation's first terminal, and the action
-    at t is (cx*x_t + cl*l_t + c0) + sd*noise_t.  The hidden regime path is
+    Its terminal x_T - l_T is that evaluation's first terminal: bit for bit in
+    real dynamics, and to rounding on fixed rates, where the evaluation takes
+    the closed form on the same draws (``_terminals``).  The action at t is
+    (cx*x_t + cl*l_t + c0) + sd*noise_t.  The hidden regime path is
     recorded under every flavor, with the filter path p_0..p_T: in real
     dynamics the one path 0 runs on, the first draw of its stream
     ``PATH_KEY``, and otherwise the draw that follows the path's noise there.

@@ -113,6 +113,23 @@ class TestArgumentHandling:
             capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["d", "lambda", "x0", "l0", "w"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), None])
+    @pytest.mark.parametrize("argv", [["train", "--algo", "poemv1", "--iters", "3"],
+                                      ["evaluate", "--analytic", "poemv_opt"]])
+    def test_non_finite_problem_value_fails_at_load_naming_the_key(
+        self, tmp_path, capsys, key, value, argv
+    ):
+        # a NaN l0, d or x0 used to end as a non-finite wealth path at iteration 0 and an
+        # infinite lambda as a non-finite critic grid (exit 2); a NaN w trained and was
+        # echoed into the manifest
+        cfg = write_config(tmp_path, problem={key: value})
+        out = tmp_path / "o"
+        assert run([*argv, "--config", cfg, "--out", str(out)]) == 1
+        assert f"error: problem.{key} must be a finite number, got {value!r}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_training_error_names_the_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, training={"eta_phi": 0.0})
         assert run(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

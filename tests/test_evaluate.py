@@ -371,10 +371,10 @@ class TestForkedShares:
 
     @pytest.mark.parametrize("dynamics", ["filtered", "expectation"])
     def test_partial_information_dynamics_never_fork(self, three_cores, monkeypatch, dynamics):
-        """... below four times the floor, where real dynamics already fork: their
-        paths run on fixed rates, a quarter of the work per path-period."""
+        """... at a floor their path-periods reach only at ``_FIXED_RATE_WEIGHT``,
+        where real dynamics already fork: their paths run on fixed rates."""
         n_paths, spec = 3 * E._BLOCK + 5, tiny_spec(24)
-        monkeypatch.setattr(E, "_FORK_FLOOR", n_paths * spec.horizon // 4)
+        monkeypatch.setattr(E, "_FORK_FLOOR", n_paths * spec.horizon * E._FIXED_RATE_WEIGHT)
         E.out_of_sample(affine_policy(2), tiny_market(), n_paths, spec, seed=8,
                         dynamics=dynamics)
         assert not three_cores

@@ -8,11 +8,13 @@ path, the skewed-t transform and the filter recursion against their
 sequential or first-written forms, the one-path draw against the regime path
 followed by its returns and the block-row draw against the per-path one, the
 liability path against the sequential recursion, the blocked out-of-sample
-and market-path rollouts against the per-period loop, the recorded episode of
-``evaluate.simulate`` against path 0 of the blocked evaluation (its terminal
-bit for bit) and of that loop, the one-call moment mix against the
-per-period mixing loop, and the scans behind the value function's risk sum
-and entropy product against their backward recursions.
+and market-path rollouts and the fixed-rate closed form against the
+per-period loop, the fixed-rate sample moments against the exact population
+moments, the recorded episode of ``evaluate.simulate`` against path 0 of the
+blocked evaluation (its terminal bit for bit in real dynamics) and of that
+loop, the one-call moment mix against the per-period mixing loop, and the
+scans behind the value function's risk sum and entropy product against their
+backward recursions.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emvalm import closed_form as C
@@ -539,13 +541,12 @@ def per_period_terminals(policy, model, n_paths, spec, seed, dynamics, signal=No
             noise = rng.standard_normal(horizon)
             regimes = M.regime_path(model.chain, horizon, rng)
         sig = regimes.astype(float) if signal == "regime" else F.signal_path(signal, p_hat)
-        x, l, action, cxs = [spec.x0], [spec.l0], [], []
-        for t in range(horizon):
+
+        def coefs(t):
             cx, cl, c0, var = policy.table([t], [sig[t]])[:, 0].tolist()
-            action.append(cx * x[t] + cl * l[t] + c0 + math.sqrt(var) * noise[t])
-            cxs.append(cx)
-            x.append(e0[t] * x[t] + ex[t] * action[t])
-            l.append(q[t] * l[t])
+            return cx, cl, c0, math.sqrt(var)
+
+        x, l, action, cxs = period_loop(e0, ex, q, coefs, noise, spec)
         out[i] = x[-1] - l[-1]
         if i == 0:
             x, action, cxs = np.array(x), np.array(action), np.array(cxs)
@@ -554,6 +555,20 @@ def per_period_terminals(policy, model, n_paths, spec, seed, dynamics, signal=No
             path0 = (x, np.array(l), action, regimes, p_hat, scale,
                      np.abs(cxs) * scale[:-1] + np.abs(shift))
     return out, path0
+
+
+def period_loop(e0, ex, q, coefs, noise, spec):
+    """One path period by period: the action u_t = cx x_t + cl l_t + c0 + sd noise_t
+    with (cx, cl, c0, sd) = ``coefs(t)``, x_{t+1} = e0_t x_t + ex_t u_t and
+    l_{t+1} = q_t l_t from (x0, l0).  Returns the lists x, l, u and cx."""
+    x, l, action, cxs = [spec.x0], [spec.l0], [], []
+    for t in range(spec.horizon):
+        cx, cl, c0, sd = coefs(t)
+        action.append(cx * x[t] + cl * l[t] + c0 + sd * noise[t])
+        cxs.append(cx)
+        x.append(e0[t] * x[t] + ex[t] * action[t])
+        l.append(q[t] * l[t])
+    return x, l, action, cxs
 
 
 def path_terminals(policy, model, n_paths, spec, seed, dynamics, signal, explore, exp_signal):
@@ -615,6 +630,151 @@ class TestBlockedEvaluation:
         assert set(drawn) == {("e1",)}
         assert (got.mean, got.variance, got.sharpe, got.n_paths) == (
             want.mean, want.variance, want.sharpe, want.n_paths)
+
+
+# ---------------------------------------------------------------------------
+# fixed-rate terminals: the closed form on the drawn noise
+# ---------------------------------------------------------------------------
+
+
+def sequential_scale(alpha, beta, x0):
+    """``closed_form_scale`` at T, |A_T| (|x0| + sum_k |beta_k / A_{k+1}|), summed
+    forward as s_{t+1} = |alpha_t| s_t + |beta_t|, so that a zero alpha does not
+    divide."""
+    s = abs(x0)
+    for a, b in zip(alpha, beta):
+        s = abs(a) * s + abs(b)
+    return s
+
+
+def table_terminals(tables, spec, seed, n_paths, explore):
+    """``period_loop`` on fixed-rate tables, path i drawing its noise from the
+    stream ``PATH_KEY`` + i: the terminals and, per path, the rounding scale of
+    x_T - l_T (the wealth's ``sequential_scale`` plus |l_T|)."""
+    (e0, ex, q, _), coef = tables
+    out, scale = np.empty(n_paths), np.empty(n_paths)
+    for i in range(n_paths):
+        noise = (M.stream(seed, M.PATH_KEY + i).standard_normal(spec.horizon) if explore
+                 else np.zeros(spec.horizon))
+        x, l, action, cxs = period_loop(e0, ex, q, lambda t: coef[:, t], noise, spec)
+        x, action, cxs = np.array(x), np.array(action), np.array(cxs)
+        out[i] = x[-1] - l[-1]
+        scale[i] = sequential_scale(e0 + ex * cxs, ex * (action - cxs * x[:-1]), spec.x0)
+        scale[i] += abs(l[-1])
+    return out, scale
+
+
+# alpha_t = e0_t + ex_t cx_t values a period is pinned to: a zero cuts every earlier period
+# out of the terminal, and +-1e6 grow the products far from 1 (six of them stay below 1e36)
+SPECIAL_ALPHAS = (0.0, 1.0, -1.0, 1e6, -1e6)
+
+
+class TestFixedRateClosedForm:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        horizon=st.integers(1, 40),
+        kind=st.sampled_from(["custom", "learned", "filtered"]),
+        dynamics=st.sampled_from(["filtered", "expectation"]),
+        explore=st.booleans(),
+        special=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                   st.sampled_from(SPECIAL_ALPHAS)), max_size=6),
+        poison=st.sampled_from([None, None, None, (0, math.nan), (2, math.inf), (3, math.inf)]),
+    )
+    @example(seed=7, horizon=12, kind="custom", dynamics="filtered", explore=False,
+             special=[(0.5, 0.0)], poison=(3, math.inf))
+    @example(seed=8, horizon=12, kind="learned", dynamics="expectation", explore=True,
+             special=[(0.25, 0.0), (0.5, 1e6), (0.75, -1.0)], poison=None)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_period_loop(self, seed, horizon, kind, dynamics, explore, special,
+                                         poison):
+        """Every terminal is the loop's within its rounding scale, and the non-finite
+        ones (a NaN cx, an infinite c0 or sd) fall on the same paths."""
+        model, spec = skewed_market(), eval_spec(horizon)
+        gen = np.random.default_rng(seed)
+        policy = episode_policy(kind, model, spec, gen)
+        (e0, ex, q, l), coef = E._path_tables(policy, model, spec, dynamics, None,
+                                              "expected_state")
+        e0, coef = e0.copy(), coef.copy()
+        for at, alpha in special:
+            t = int(at * horizon)
+            e0[t], coef[0, t] = alpha, 0.0  # alpha_t = alpha exactly
+        if poison is not None:
+            coef[poison[0], gen.integers(horizon)] = poison[1]
+        tables = ((e0, ex, q, l), coef)
+        n_paths = E._BLOCK + 5
+        got = E._terminals(tables, model, spec, seed, n_paths, explore)
+        with np.errstate(all="ignore"):
+            want, scale = table_terminals(tables, spec, seed, n_paths, explore)
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        assert poison is None or not finite.any()
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale[finite])
+
+    @pytest.mark.parametrize("kind", ["poemv_opt", "poemv_sub"])
+    @pytest.mark.parametrize("n_paths", [1000, 997])
+    def test_a_partial_last_block_moves_no_bit_at_the_desk_horizon(self, kind, n_paths):
+        """The last paths of n_paths end that evaluation in a partial block (of 8 or
+        5) and sit in a full block of the 1037-path one."""
+        cfg = config.default_config()
+        model, spec = config.build_market(cfg), config.build_problem(cfg)
+        policy = E.analytic_policy(kind, model, spec)
+        args = (spec, 3, E.ANALYTIC_FLAVORS[kind], None, True, "expected_state")
+        short = path_terminals(policy, model, n_paths, *args)
+        long = path_terminals(policy, model, 1037, *args)
+        assert long[:n_paths].tobytes() == short.tobytes()
+
+
+def exact_terminal_moments(tables, spec):
+    """Population mean and variance of x_T - l_T on fixed-rate tables with Gaussian
+    actions, period by period: m_{t+1} = alpha_t m_t + ex_t (cl_t l_t + c0_t) and
+    v_{t+1} = alpha_t^2 v_t + (ex_t sd_t)^2 from (x0, 0)."""
+    (e0, ex, _, l), (cx, cl, c0, sd) = tables
+    m, v = spec.x0, 0.0
+    for t in range(spec.horizon):
+        alpha = e0[t] + ex[t] * cx[t]
+        m = alpha * m + ex[t] * (cl[t] * l[t] + c0[t])
+        v = alpha * alpha * v + (ex[t] * sd[t]) ** 2
+    return m - l[-1], v
+
+
+class TestFixedRateMoments:
+    """The Monte Carlo mean and variance of ``out_of_sample`` against the exact
+    population moments, as z-scores: (mean - m) / sqrt(s^2 / n) and
+    (s^2 / v - 1) / sqrt(2 / (n - 1)).
+
+    K is set from the spread of z over many seeds, not from the seeds below: over
+    seeds 0-1999 (T = 36, n = 1000; the custom and learned policies in both
+    dynamics) the mean's z had a standard deviation of 1.00-1.02 and a largest
+    |z| of 3.4-3.8, the variance's 0.99-1.00 and 3.4-3.7, and over seeds 0-399 of
+    the desk configuration (the analytic policies) the mean's 1.02-1.04 and
+    3.3-3.4, the variance's 1.04 and 3.3-3.7, as for draws of N(0, 1).  Under N(0, 1) one seed exceeds K = 4.5 with a chance of
+    7e-6."""
+
+    K = 4.5
+
+    @pytest.mark.parametrize("kind, dynamics", [("custom", "filtered"), ("custom", "expectation"),
+                                                ("learned", "filtered"),
+                                                ("learned", "expectation")])
+    def test_sample_moments_lie_within_k_standard_errors(self, kind, dynamics):
+        model, spec = skewed_market(), eval_spec(36)
+        self.check(episode_policy(kind, model, spec, np.random.default_rng(3)), model, spec,
+                   dynamics)
+
+    @pytest.mark.parametrize("kind", ["poemv_opt", "poemv_sub"])
+    def test_desk_analytic_policies(self, kind):
+        cfg = config.default_config()
+        model, spec = config.build_market(cfg), config.build_problem(cfg)
+        self.check(E.analytic_policy(kind, model, spec), model, spec, E.ANALYTIC_FLAVORS[kind])
+
+    def check(self, policy, model, spec, dynamics):
+        mean, var = exact_terminal_moments(
+            E._path_tables(policy, model, spec, dynamics, None, "expected_state"), spec)
+        for seed in range(6):
+            report = E.out_of_sample(policy, model, 1000, spec, seed, dynamics)
+            n = report.n_paths
+            z_mean = (report.mean - mean) / math.sqrt(report.variance / n)
+            z_var = (report.variance / var - 1.0) / math.sqrt(2.0 / (n - 1))
+            assert abs(z_mean) <= self.K and abs(z_var) <= self.K, (seed, z_mean, z_var)
 
 
 def market_path_terminals(state, model, n_paths, spec, seed, explore):
@@ -691,12 +851,15 @@ class TestSimulateEpisode:
                 E.simulate(*args, expectation_signal=exp_signal)
             return
         got = E.simulate(*args, expectation_signal=exp_signal)
-        # one full-table call on both sides, so the terminal is the evaluation's bit for bit
         terminals = path_terminals(policy, model, 69, spec, seed, dynamics, signal, True,
                                    exp_signal)
-        assert (got.x[-1] - got.l[-1]).tobytes() == terminals[0].tobytes()
         _, (x, l, action, regimes, p_hat, x_scale, u_scale) = per_period_terminals(
             policy, model, 1, spec, seed, dynamics, signal, exp_signal)
+        if dynamics == "real":
+            # one full-table call on both sides, so the terminal is the evaluation's bit for bit
+            assert (got.x[-1] - got.l[-1]).tobytes() == terminals[0].tobytes()
+        else:  # the evaluation takes the closed form on fixed rates: the same draws, other rounding
+            assert abs(terminals[0] - (x[-1] - l[-1])) <= 1e-12 * x_scale[-1]
         for name, want in (("l", l), ("regime", regimes), ("p_hat", p_hat)):
             assert getattr(got, name).tobytes() == want.tobytes(), name
         assert np.all(np.abs(got.x - x) <= 1e-12 * x_scale)
