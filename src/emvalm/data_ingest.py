@@ -11,8 +11,10 @@ in each regime.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
+import itertools
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -215,29 +217,31 @@ def periods_in_horizon(horizon_years: float, dt: float) -> int:
     return int(rounded)
 
 
-def _window_counts(series_set, horizon_years: float, dt: float) -> list[int]:
-    """Overlapping horizon-length return windows in each series."""
+def window_offsets(series_set, horizon_years: float, dt: float) -> tuple[int, ...]:
+    """Cumulative counts of the overlapping horizon-length return windows:
+    series i holds the picks offsets[i] .. offsets[i + 1] - 1 of the
+    offsets[-1] windows across all series."""
     horizon = periods_in_horizon(horizon_years, dt)
     counts = [len(s.closes) - horizon for s in series_set]
     if any(c < 1 for c in counts):
         raise ValueError("every series must span at least one full horizon")
-    return counts
+    return tuple(itertools.accumulate(counts, initial=0))
 
 
 def block_count(series_set, horizon_years: float, dt: float) -> int:
     """Number of overlapping horizon-length return windows across all series."""
-    return sum(_window_counts(series_set, horizon_years, dt))
+    return window_offsets(series_set, horizon_years, dt)[-1]
+
+
+def block_at(offsets: tuple[int, ...], pick: int) -> tuple[int, int]:
+    """The (series index, start offset) of window number ``pick`` of ``window_offsets``."""
+    idx = bisect.bisect_right(offsets, pick) - 1
+    return idx, pick - offsets[idx]
 
 
 def block_sampler(
     series_set, horizon_years: float, dt: float, rng: np.random.Generator
 ) -> tuple[int, int]:
     """Uniformly sample one (series index, start offset) block identifier."""
-    counts = _window_counts(series_set, horizon_years, dt)
-    pick = int(rng.integers(sum(counts)))
-    for idx, c in enumerate(counts):
-        if pick < c:
-            return idx, pick
-        pick -= c
-    raise AssertionError("unreachable")
-
+    offsets = window_offsets(series_set, horizon_years, dt)
+    return block_at(offsets, int(rng.integers(offsets[-1])))

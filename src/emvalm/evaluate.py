@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from . import data_ingest, forking, rl
 from .closed_form import GaussianPolicy, ProblemSpec, regime_policy, schedule_policy
 from .filtering import filter_states, mixing_signal, regime_schedule, signal_path
 from .market import (
-    DYNAMICS, LEGS, PATH_KEY, SIGNALS, Episode, MarketModel, ReturnsRecord, draw_path,
-    liability_path, observable_rates, regime_path, stream,
+    DYNAMICS, LEGS, PATH_KEY, SIGNALS, Episode, KeyedStreams, MarketModel, ReturnsRecord,
+    draw_path, liability_path, observable_rates, regime_path, stream,
 )
 
 _BLOCK = 32  # evaluation paths drawn and scored together
@@ -320,15 +320,17 @@ def _block_draws(
     (``market.draw_path``), then, with ``explore``, its action noise.  Yields
     per block of n paths the drawn (e0, e1, q) rows (3, n, T), their periods in
     regime 1 (n, T; filled when ``regimes_read``) and the noise (n, T; zero
-    without ``explore``)."""
+    without ``explore``).  The paths share one generator, re-keyed for each
+    (``market.KeyedStreams``)."""
     horizon = spec.horizon
+    streams = KeyedStreams(seed) if legs or explore else None
     block = np.empty((3, _BLOCK, horizon))  # drawn e0, e1, q rows of the paths in a block
     in1 = np.empty((_BLOCK, horizon), dtype=bool)  # their periods in regime 1
     noise = np.zeros((_BLOCK, horizon))
     for start in paths[::_BLOCK]:
         rows = range(start, min(start + _BLOCK, paths.stop))
         for j, i in enumerate(rows if legs or explore else ()):
-            rng = stream(seed, PATH_KEY + i)
+            rng = streams.at(PATH_KEY + i)
             if legs:
                 regimes, _ = draw_path(model, horizon, rng, out=block[:, j], legs=legs)
                 if regimes_read:
@@ -416,6 +418,9 @@ class BlockSource:
     dt: float
     # (series index, start) -> read-only [p12, p21], or None for a single-regime window
     _estimates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the windows' ``data_ingest.window_offsets`` and the horizon in periods, counted once
+    _offsets: tuple = field(default=(), init=False, repr=False, compare=False)
+    _periods: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.series_set:
@@ -426,24 +431,27 @@ class BlockSource:
                     f"series_set: series {i} is {series.frequency}, but dt = {self.dt!r}"
                 )
         try:
-            self.horizon_periods()
+            periods = data_ingest.periods_in_horizon(self.horizon_years, self.dt)
         except ValueError as exc:
             raise ValueError(f"horizon_years: {exc}") from None
         try:
-            data_ingest.block_count(self.series_set, self.horizon_years, self.dt)
+            offsets = data_ingest.window_offsets(self.series_set, self.horizon_years, self.dt)
         except ValueError as exc:
             raise ValueError(f"series_set: {exc}") from None
+        object.__setattr__(self, "_periods", periods)
+        object.__setattr__(self, "_offsets", offsets)
 
     def horizon_periods(self) -> int:
-        return data_ingest.periods_in_horizon(self.horizon_years, self.dt)
+        return self._periods
 
     def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
         """Closing prices of one sampled block (horizon + 1 values) and its
-        transition estimate; the one draw is ``data_ingest.block_sampler``'s."""
-        window = data_ingest.block_sampler(self.series_set, self.horizon_years, self.dt, rng)
+        transition estimate; the one draw is ``data_ingest.block_sampler``'s,
+        on the window counts of the source."""
+        window = data_ingest.block_at(self._offsets, int(rng.integers(self._offsets[-1])))
         idx, start = window
         parent = self.series_set[idx]
-        closes = parent.closes[start : start + self.horizon_periods() + 1]
+        closes = parent.closes[start : start + self._periods + 1]
         if window not in self._estimates:
             self._estimates[window] = self._estimate(closes, parent.frequency)
         return closes, self._estimates[window]
@@ -485,9 +493,13 @@ def empirical_train(
     episode whose risky returns are the block's own while the baseline and
     liability legs follow the filtered expectations implied by the current
     transition estimates, in ``rl._run``; that world (baseline, liability and
-    features) is rebuilt only when an estimate moves the average.  The block
-    pick is the stream's first draw and the action noise follows it; before
-    the first estimate there is no episode.  ``blocks`` estimates each window
+    features) is rebuilt only when an estimate moves the average, by the
+    run's one ``rl._ObservableWorld``, which holds what no estimate moves (the
+    tau powers and the mixing inputs).  An iteration computes its block's
+    excess returns and draws its noise; the run holds one generator, re-keyed
+    to (seed, k) for iteration k.  The block pick is the stream's first draw
+    and the action noise follows it; before the first estimate there is no
+    episode.  ``blocks`` estimates each window once and counts its windows
     once, so a warm source gives the same states as a fresh one.  ``algo`` is
     ``"poemv1"`` (filter signal) or ``"emv"`` (regime-blind baseline: constant
     sojourn-weighted baseline rate, no liability in its world, unit signal).
@@ -504,7 +516,9 @@ def empirical_train(
         raise ValueError(f"problem horizon {horizon} and block horizon {n_block} disagree")
     running = None  # exponentially averaged (p12, p21) transition estimates
     world = None  # the episode world at ``running``, but for its returns
-    if algo == "emv":  # the same unit signal and zero liability in every episode
+    if algo == "poemv1":
+        world_at = rl._ObservableWorld(model, hyper, spec, "filtered")
+    else:  # the same unit signal and zero liability in every episode
         blind_feats = rl._flat(rl.features(np.ones(horizon + 1), rl._tau_grid(horizon, hyper.dt),
                                            hyper.m))
         blind_l = np.zeros(horizon + 1)
@@ -518,15 +532,14 @@ def empirical_train(
             )
             p12, p21 = running.tolist()
             if algo == "poemv1":
-                mat = np.array([[1.0 - p12, p12], [p21, 1.0 - p21]])
-                world = rl._observable_scenario(model, hyper, spec, "filtered", p=mat)
+                world = world_at(np.array([[1.0 - p12, p12], [p21, 1.0 - p21]]))
             else:
                 e0_bar = np.full(horizon, 1.0 + _baseline_rate(model, p12, p21) * hyper.dt)
                 world = rl._Scenario(e0_bar, None, blind_l, blind_feats)
         if world is None:
             return None
         gross = closes[1:] / closes[:-1]
-        return replace(world, ex=gross - world.e0, noise=rng.standard_normal(horizon))
+        return world.drawn(rng.standard_normal(horizon), gross - world.e0)
 
     return rl._run(rl.TrainState.start(algo, hyper, spec), rl._serial(draw, hyper))
 

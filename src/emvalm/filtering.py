@@ -8,7 +8,7 @@ This module implements that recursion (iterated and closed form), the
 expectation-based state signal used by the learning-free variant, and the
 mixing of per-regime return moments along a weight path into (6, T) schedules
 of the moments a0, b0, a1, b1, a2, b2.  ``mixing_signal`` names each flavor's
-signal; ``market.observable_rates`` is the only builder of the "filtered" and
+signal; ``market.ObservableRates`` is the only builder of the "filtered" and
 "expectation" schedules, whose rows the analytic policies and the observable
 dynamics read, and ``regime_schedule`` gives the one of a single regime.
 """
@@ -170,39 +170,56 @@ def mix(v1, v2, signal):
     return v2 + signal * (v1 - v2)
 
 
+class Mixing:
+    """The mixed schedules of one moment pair, at any signal path.
+
+    Construction reads the pair's rows a0, b0, a1, E[risky^2], a2, b2 and
+    E[risky] once, as the regime-2 column and the regime-1 minus regime-2
+    column that ``mix`` combines; ``schedule`` mixes them along a signal path.
+    """
+
+    def __init__(self, pair: tuple[MomentSet, MomentSet]):
+        v1, v2 = (np.array([m.a0, m.b0, m.a1, m.risky_sq(), m.a2, m.b2, m.risky_mean()])[:, None]
+                  for m in pair)
+        self.base, self.slope = v2, v1 - v2
+
+    def schedule(self, signals: np.ndarray, flavor: str) -> MomentSchedule:
+        """Schedule of the pair mixed with weight ``signals[t]`` on regime 1 in period t.
+
+        All first moments and the raw second moments of the three returns mix
+        linearly.  The second moment of the excess return is then rebuilt from
+        the mixed components, so its cross term is the product of the *mixed*
+        means rather than the mixture of per-regime cross products.  The first
+        period with a non-positive mixed b1, a non-finite moment, or a
+        second-moment deficit at a signal inside [0, 1] (impossible for a true
+        convex mixture) raises.
+        """
+        s = np.asarray(signals, dtype=float)
+        mixed = self.base + s * self.slope  # ``mix``, each row in one expression
+        rows, a0, b0, b1 = mixed[:6], mixed[0], mixed[1], mixed[3]
+        b1 -= 2.0 * mixed[6] * a0  # b1 = E[risky^2] - 2 E[risky] a0 + b0
+        b1 += b0
+        sched = MomentSchedule(None, flavor, rows=rows)
+        d0, d1, d2 = sched.deficits()
+        deficit = (s >= 0.0) & (s <= 1.0) & (d0 | d1 | d2)
+        failed = (b1 <= 0.0) | ~np.isfinite(rows).all(axis=0) | deficit
+        if failed.any():
+            t = int(np.argmax(failed))
+            if b1[t] <= 0.0:
+                raise ValueError(
+                    f"mixed second moment of the excess return is non-positive ({float(b1[t])}) "
+                    f"at signal {float(s[t])}"
+                )
+            bad = sched[t].violations()  # a non-finite period raises here
+            raise ValueError(f"moment mixing produced invalid set at signal {float(s[t])}: {bad}")
+        return sched
+
+
 def mixed_schedule(
     pair: tuple[MomentSet, MomentSet], signals: np.ndarray, flavor: str
 ) -> MomentSchedule:
-    """Schedule of the pair mixed with weight ``signals[t]`` on regime 1 in period t.
-
-    All first moments and the raw second moments of the three returns mix
-    linearly.  The second moment of the excess return is then rebuilt from the
-    mixed components, so its cross term is the product of the *mixed* means
-    rather than the mixture of per-regime cross products.  The first period
-    with a non-positive mixed b1, a non-finite moment, or a second-moment
-    deficit at a signal inside [0, 1] (impossible for a true convex mixture)
-    raises.
-    """
-    s = np.asarray(signals, dtype=float)
-    # rows a0, b0, a1, E[risky^2], a2, b2 and E[risky], each mixed in one expression
-    v1, v2 = (np.array([m.a0, m.b0, m.a1, m.risky_sq(), m.a2, m.b2, m.risky_mean()]) for m in pair)
-    mixed = mix(v1[:, None], v2[:, None], s)
-    rows, a0, b0, b1 = mixed[:6], mixed[0], mixed[1], mixed[3]
-    b1 -= 2.0 * mixed[6] * a0  # b1 = E[risky^2] - 2 E[risky] a0 + b0
-    b1 += b0
-    sched = MomentSchedule(None, flavor, rows=rows)
-    deficit = (s >= 0.0) & (s <= 1.0) & np.any(sched.deficits(), axis=0)
-    failed = (b1 <= 0.0) | ~np.isfinite(rows).all(axis=0) | deficit
-    if failed.any():
-        t = int(np.argmax(failed))
-        if b1[t] <= 0.0:
-            raise ValueError(
-                f"mixed second moment of the excess return is non-positive ({float(b1[t])}) "
-                f"at signal {float(s[t])}"
-            )
-        bad = sched[t].violations()  # a non-finite period raises here
-        raise ValueError(f"moment mixing produced invalid set at signal {float(s[t])}: {bad}")
-    return sched
+    """``Mixing(pair).schedule(signals, flavor)``: the pair mixed along one signal path."""
+    return Mixing(pair).schedule(signals, flavor)
 
 
 def mixing_signal(flavor: str, expectation_signal: str = "expected_state") -> str:

@@ -10,7 +10,7 @@ v*dt.  Besides the real dynamics, episodes can be generated from the
 so the only randomness left is the action noise) and from the "expectation"
 dynamics (same, weighted by the expected-state signal).  Their per-period
 baseline, excess and liability rates are the a0, a1 and a2 rows of the
-flavor's mixed moment schedule (``filtering.mixed_schedule``), the same
+flavor's mixed moment schedule (``filtering.Mixing``), the same
 schedule the analytic policies are built from.  An ``Episode`` records one
 path; ``cli`` writes it as ``episode.csv``.
 
@@ -20,14 +20,18 @@ parallel: each evaluation path reads only its own stream, so
 ``evaluate.out_of_sample`` and ``evaluate.evaluate_on_market_paths`` roll
 contiguous shares of their paths out in forked processes and their reports
 are bit-identical at any core count.  A stream is keyed directly by the words
-(seed, k), without first gathering OS entropy.  The keys in use, and what
-each stream draws in order:
+(seed, k), without first gathering OS entropy.  A Philox stream is a keyed
+counter (Salmon et al., SC'11), so a loop over keys holds one generator
+(``KeyedStreams``) and re-keys it for each key: a training run holds one for
+its iterations, and an evaluation share one for its paths.  ``stream`` stays
+the entry point of a one-off draw.  The keys in use, and what each stream
+draws in order:
 
 | caller | key | draws |
 |---|---|---|
-| ``rl.train``, iteration k of ``rl._run``, the one training loop | k | per episode: regime path and returns (real dynamics), action noise; in real dynamics drawn ahead, with the same keys and order, in a forked child when a core is free (``rl._drawn_ahead``) |
-| ``evaluate.empirical_train``, iteration k of ``rl._run`` | k | block pick, action noise |
-| every evaluation, path i: ``evaluate.out_of_sample``, ``evaluate.evaluate_on_market_paths``, ``evaluate.simulate`` (path 0) | ``PATH_KEY`` + i | where the dynamics draws returns, the regime path and then the legs read (e0, e1 and q in real dynamics; e1 alone in ``evaluate_on_market_paths``), then action noise (then, in ``simulate`` outside real dynamics, the recorded regime path) |
+| ``rl.train``, iteration k of ``rl._run``, the one training loop | k | per episode: regime path and returns (real dynamics), action noise; in real dynamics drawn ahead, with the same keys and order, in a forked child when a core is free (``rl._drawn_ahead``); one ``KeyedStreams`` per run |
+| ``evaluate.empirical_train``, iteration k of ``rl._run`` | k | block pick, action noise; one ``KeyedStreams`` per run |
+| every evaluation, path i: ``evaluate.out_of_sample``, ``evaluate.evaluate_on_market_paths``, ``evaluate.simulate`` (path 0) | ``PATH_KEY`` + i | where the dynamics draws returns, the regime path and then the legs read (e0, e1 and q in real dynamics; e1 alone in ``evaluate_on_market_paths``), then action noise (then, in ``simulate`` outside real dynamics, the recorded regime path); one ``KeyedStreams`` per evaluation share, ``stream`` in ``simulate`` |
 | ``cli`` filter-demo / improve | 0 | regime path / initial policy family |
 
 No key depends on a path count, so the first n paths of an evaluation are
@@ -37,11 +41,12 @@ leg (e0, then e1, then q, skipping a leg its caller does not read), each leg
 drawing its regime-1 periods and then its regime-2 periods
 (``sample_return_paths``).
 
-Three functions build the inputs of every rollout, for training (``rl``) and
+Three builders make the inputs of every rollout, for training (``rl``) and
 evaluation (``evaluate``, the empirical pipeline and ``simulate`` included)
-alike: ``observable_rates`` turns a partial-information flavor into its
-filter path, signal path and mixed schedule, and is the only builder of
-filtered and expectation schedules, the analytic policies' too;
+alike: ``ObservableRates`` turns a partial-information flavor into its
+filter path, signal path and mixed schedule at any transition matrix, and is
+the only builder of filtered and expectation schedules, the analytic
+policies' too (``observable_rates`` builds one at a single matrix);
 ``draw_path`` draws one real-market path, its regime path and then the
 return legs asked for, from one generator, and the evaluations have it
 write each path's legs straight into that path's rows of their
@@ -61,7 +66,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .filtering import (
-    MomentSchedule, MomentSet, filter_states, mixed_schedule, mixing_signal, signal_path,
+    Mixing, MomentSchedule, MomentSet, filter_states, mixing_signal, signal_path,
 )
 
 _ROW_SUM_TOL = 1e-12
@@ -69,6 +74,9 @@ _ROW_SUM_TOL = 1e-12
 DYNAMICS = ("real", "filtered", "expectation")
 LEGS = ("e0", "e1", "q")  # the return legs of a path, in the order they are drawn
 PATH_KEY = 1 << 32  # stream key of evaluation path 0; path i draws from PATH_KEY + i
+_WORD = 0xFFFFFFFFFFFFFFFF  # a Philox key word, to which seeds and keys wrap
+_ZERO_WORDS = (0, 0, 0, 0)  # a fresh Philox counter and buffer
+_PHILOX_BUFFER = 4  # the buffer position of a fresh Philox: every word used
 SIGNALS = ("regime", "filtered_prob", "expected_state")
 
 
@@ -91,8 +99,32 @@ class _PhiloxKey(ISeedSequence):
 
 def stream(seed: int, key: int) -> np.random.Generator:
     """Independent counter-based RNG stream number ``key`` of ``seed``."""
-    words = np.array([seed & 0xFFFFFFFFFFFFFFFF, key & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    words = np.array([seed & _WORD, key & _WORD], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_PhiloxKey(words)))
+
+
+class KeyedStreams:
+    """The streams ``stream(seed, key)`` of one seed, from one generator.
+
+    ``at(key)`` re-keys the generator in place and returns it: the Philox key
+    becomes (seed, key), and the counter, the buffer and the half-used 32-bit
+    word are cleared, so it draws what a fresh ``stream(seed, key)`` draws,
+    bit for bit, at about a sixth of the cost of building one.  A generator
+    returned earlier is the same object, so its draws end where the next
+    ``at`` begins."""
+
+    def __init__(self, seed: int):
+        self.seed = seed & _WORD
+        self.gen = stream(seed, 0)
+        self._bits = self.gen.bit_generator
+
+    def at(self, key: int) -> np.random.Generator:
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS, "key": (self.seed, key & _WORD)},
+            "buffer": _ZERO_WORDS, "buffer_pos": _PHILOX_BUFFER, "has_uint32": 0, "uinteger": 0,
+        }
+        return self.gen
 
 
 @dataclass(frozen=True)
@@ -372,6 +404,31 @@ def draw_path(
     return regimes, sample_return_paths(regimes[:-1], model, rng, out, legs)
 
 
+class ObservableRates:
+    """The observable rates of one model's partial-information flavor over
+    ``horizon`` periods, at any transition matrix.
+
+    A call gives the filter path p_0..p_T (``filtering.filter_states``), the
+    signal path t = 0..T the flavor is mixed along (``filtering.mixing_signal``)
+    and the model's moments mixed along it (``filtering.Mixing``), whose a0,
+    a1 and a2 rows are the per-period baseline, excess and liability rates.
+    The filter runs on the chain's transition matrix, or on ``p`` when one is
+    given.  What no matrix changes, the signal kind and the mixing inputs, is
+    read once, at construction."""
+
+    def __init__(self, model: MarketModel, horizon: int, dynamics: str,
+                 expectation_signal: str = "expected_state"):
+        self.p0, self.p, self.horizon, self.dynamics = (
+            model.chain.p0, model.chain.matrix(), horizon, dynamics)
+        self.kind = mixing_signal(dynamics, expectation_signal)
+        self.mixing = Mixing(model.moment_pair())
+
+    def __call__(self, p=None) -> tuple[np.ndarray, np.ndarray, MomentSchedule]:
+        probs = filter_states(self.p0, self.p if p is None else p, self.horizon)
+        signal = signal_path(self.kind, probs)
+        return probs, signal, self.mixing.schedule(signal[:-1], self.dynamics)
+
+
 def observable_rates(
     model: MarketModel,
     horizon: int,
@@ -379,16 +436,8 @@ def observable_rates(
     expectation_signal: str = "expected_state",
     p=None,
 ) -> tuple[np.ndarray, np.ndarray, MomentSchedule]:
-    """The filter path p_0..p_T (``filtering.filter_states``), the signal path
-    t = 0..T that a partial-information flavor is mixed along
-    (``filtering.mixing_signal``) and the model's moments mixed along it
-    (``filtering.mixed_schedule``), whose a0, a1 and a2 rows are the
-    per-period baseline, excess and liability rates.  The filter runs on the
-    chain's transition matrix, or on ``p`` when one is given."""
-    chain = model.chain
-    probs = filter_states(chain.p0, chain.matrix() if p is None else p, horizon)
-    signal = signal_path(mixing_signal(dynamics, expectation_signal), probs)
-    return probs, signal, mixed_schedule(model.moment_pair(), signal[:-1], dynamics)
+    """``ObservableRates`` at the one transition matrix ``p``, or the chain's."""
+    return ObservableRates(model, horizon, dynamics, expectation_signal)(p)
 
 
 def liability_path(l0: float, q) -> np.ndarray:
@@ -399,21 +448,48 @@ def liability_path(l0: float, q) -> np.ndarray:
     return np.cumprod(np.concatenate((np.full((*q.shape[:-1], 1), l0), q), axis=-1), axis=-1)
 
 
-def _spec_from_dict(d: dict) -> ReturnSpec:
+_NUMBER_LEAVES = ("annual_mean", "annual_vol", "dof", "skew")  # dof and skew may be null
+_FLAG_LEAVES = ("mean_is_gross", "vol_is_variance")
+
+
+def _finite_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+
+
+def _spec_from_dict(d: dict, where: str) -> ReturnSpec:
+    """The return spec of the config entry ``where`` (``market.<leg>.regime<k>``).
+    A number leaf that is not a finite number, a flag that is not a bool or a
+    missing ``kind`` or ``annual_mean`` is an error naming its key, and every
+    other error of the spec names the entry."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {d!r}")
     unknown = set(d) - {f.name for f in fields(ReturnSpec)}
     if unknown:
-        raise ValueError(f"unknown return spec keys: {sorted(unknown)}")
-    return ReturnSpec(**d)
+        raise ValueError(f"{where}: unknown return spec keys: {sorted(unknown)}")
+    for key in ("kind", "annual_mean"):
+        if key not in d:
+            raise ValueError(f"{where}.{key} is missing")
+    for key, value in d.items():
+        unset = value is None and key in ("dof", "skew")
+        if key in _NUMBER_LEAVES and not (unset or _finite_number(value)):
+            raise ValueError(f"{where}.{key} must be a finite number, got {value!r}")
+        if key in _FLAG_LEAVES and not isinstance(value, bool):
+            raise ValueError(f"{where}.{key} must be true or false, got {value!r}")
+    try:
+        return ReturnSpec(**d)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def market_from_dict(cfg: dict) -> MarketModel:
     """Build a model from the documented JSON layout (see README); a chain
-    entry, ``p_hat_0`` or ``dt`` that is not a finite number is an error
-    naming its ``market.`` key."""
+    entry, ``p_hat_0``, ``dt`` or return-spec leaf that is not a finite
+    number, or a return-spec flag that is not a bool, is an error naming its
+    ``market.`` key."""
     try:
         for key in ("P11", "P12", "P21", "P22", "p_hat_0", "dt"):
             value = cfg[key]
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            if not _finite_number(value):
                 raise ValueError(f"market.{key} must be a finite number, got {value!r}")
         chain = RegimeChain.from_probs(
             p11=cfg["P11"], p12=cfg["P12"], p21=cfg["P21"], p22=cfg["P22"], p0=cfg["p_hat_0"]
@@ -421,10 +497,8 @@ def market_from_dict(cfg: dict) -> MarketModel:
         dt = cfg["dt"]
         legs = {}
         for name in LEGS:
-            legs[name] = (
-                _spec_from_dict(cfg[name]["regime1"]),
-                _spec_from_dict(cfg[name]["regime2"]),
-            )
+            legs[name] = tuple(_spec_from_dict(cfg[name][f"regime{k}"], f"market.{name}.regime{k}")
+                               for k in (1, 2))
     except KeyError as exc:
         raise ValueError(f"market config is missing key {exc}") from exc
     return MarketModel(chain=chain, e0=legs["e0"], e1=legs["e1"], q=legs["q"], dt=dt)

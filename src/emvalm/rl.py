@@ -29,7 +29,14 @@ one gradient is one product D F[:-1] of the (grids, T) per-period weights D.
 One loop (``_run``) trains every learner on its scenario source ``draw(rng,
 slot)``, keying iteration k on the stream (seed, k): a scenario carries its
 market path and then its action noise, both drawn there, so sampling reads
-no generator and no draw depends on the parameters.  An iteration
+no generator and no draw depends on the parameters.  A run pays once for
+what its iterations share: one generator, re-keyed to (seed, k) for
+iteration k (``market.KeyedStreams``); in filtered and expectation dynamics
+the one world (rates, liability path, features) that each iteration pairs
+with fresh noise, whose builder (``_ObservableWorld``) holds the tau powers
+and mixing inputs that the empirical pipeline's rebuilds at a new transition
+estimate reuse; and the critic's column of learning rates (``_Workspace``).
+An iteration recomputes only what its draws or parameters move.  An iteration
 (``_train_step``) expands the critic twice and the actor once: sampling and the
 martingale-loss gradient share the pre-update expansions, and the policy
 gradient re-expands only the updated critic.  Each sampled episode is one
@@ -58,6 +65,7 @@ import math
 import mmap
 import operator
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable
@@ -67,7 +75,7 @@ import numpy as np
 from . import forking
 from .closed_form import GaussianPolicy, ProblemSpec, check_periods
 from .filtering import mixing_signal, signal_path
-from .market import Episode, MarketModel, draw_path, liability_path, observable_rates, stream
+from .market import Episode, KeyedStreams, MarketModel, ObservableRates, draw_path, liability_path
 
 ALGO_FLAVORS = {"coemv": "real", "poemv1": "filtered", "poemv2": "expectation"}  # dynamics
 
@@ -188,10 +196,19 @@ class Hyperparams:
 
 def features(signals, taus, m: int) -> np.ndarray:
     """Polynomial features signal^i * tau^j for i = 0..m, j = 1..m."""
-    s = np.atleast_1d(np.asarray(signals, dtype=float))
+    return _features_at(signals, _tau_powers(taus, m))
+
+
+def _tau_powers(taus, m: int) -> np.ndarray:
+    """(n, m) powers tau^j, j = 1..m, of the times-to-go ``taus``."""
     tau = np.atleast_1d(np.asarray(taus, dtype=float))
-    s_pow = s[:, None] ** np.arange(m + 1)[None, :]
-    t_pow = tau[:, None] ** np.arange(1, m + 1)[None, :]
+    return tau[:, None] ** np.arange(1, m + 1)[None, :]
+
+
+def _features_at(signals, t_pow: np.ndarray) -> np.ndarray:
+    """``features`` of ``signals`` at the tau powers ``t_pow`` (``_tau_powers``)."""
+    s = np.atleast_1d(np.asarray(signals, dtype=float))
+    s_pow = s[:, None] ** np.arange(t_pow.shape[1] + 1)[None, :]
     return s_pow[:, :, None] * t_pow[:, None, :]
 
 
@@ -200,7 +217,7 @@ def _flat(feats: np.ndarray) -> np.ndarray:
     return feats.reshape(len(feats), -1)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _CriticExpansion:
     """Scalar critic weights along one feature path."""
 
@@ -236,7 +253,7 @@ def _expand_actor(
 ) -> np.ndarray:
     """(3, n) rows phi1, phi2, phi3 along the feature path (in ``out`` if given)."""
     ph = np.matmul(actor.stacked, _flat(feats).T, out=out)
-    if not np.all(np.isfinite(ph[1:])):
+    if not np.isfinite(ph[1:]).all():
         raise OverflowError("actor grid expansion is not finite")
     return ph
 
@@ -357,7 +374,7 @@ class _Episode:
         values += self.th2l * w
         values += out[2]
         values += ce.psi[:-1]
-        tail = np.cumsum((np.asarray(entropies) * (lam * dt))[::-1])[::-1]
+        tail = (np.asarray(entropies) * (lam * dt))[::-1].cumsum()[::-1]
         jt = terminal_objective(float(self.x[-1]), float(self.sc.l[-1]), w, d)
         deltas = np.subtract(jt, values, out=out[5])
         deltas -= tail
@@ -462,15 +479,18 @@ def update_lagrange(w: float, recent_terminals, d: float, alpha: float) -> float
 
 @dataclass
 class TrainState:
-    """Everything a training run produces, sufficient to resume it exactly."""
+    """Everything a training run produces, sufficient to resume it exactly.
+
+    The per-iteration terminals and multipliers are ``array("d")``s: 8 bytes
+    a value, where a list holds a 32-byte float object per terminal."""
 
     algo: str
     critic: CriticParams
     actor: ActorParams
     w: float
     iteration: int
-    terminals: list[float]  # the last n_avg of them are the multiplier's window
-    ws: list[float]
+    terminals: array  # the last n_avg of them are the multiplier's window
+    ws: array
     hyper: Hyperparams
     spec: ProblemSpec
 
@@ -479,7 +499,7 @@ class TrainState:
         """Zero grids and the configured starting multiplier, before iteration 0."""
         critic, actor = CriticParams.zeros(hyper.m), ActorParams.zeros(hyper.m)
         w = spec.target if hyper.w0 is None else hyper.w0
-        return cls(algo, critic, actor, w, 0, [], [], hyper, spec)
+        return cls(algo, critic, actor, w, 0, array("d"), array("d"), hyper, spec)
 
     def require_same(self, spec: ProblemSpec, hyper: Hyperparams | None = None) -> None:
         """Reject hyperparameters (when given) but ``n_iter``, then a problem,
@@ -493,8 +513,8 @@ class TrainState:
 
     def history_rows(self, block: int = 10) -> list[dict]:
         rows = []
-        terms = np.asarray(self.terminals)
-        ws = np.asarray(self.ws)
+        terms = np.array(self.terminals)  # a copy: a view would stop the arrays from growing
+        ws = np.array(self.ws)
         for start in range(0, len(terms), block):
             chunk = terms[start : start + block]
             rows.append(
@@ -536,8 +556,8 @@ class TrainState:
             actor=actor,
             w=d["w"],
             iteration=d["iteration"],
-            terminals=list(d["terminals"]),
-            ws=list(d["ws"]),
+            terminals=array("d", d["terminals"]),
+            ws=array("d", d["ws"]),
             hyper=Hyperparams(**d["hyper"]),
             spec=ProblemSpec(**d["spec"]),
         )
@@ -563,17 +583,30 @@ class _Scenario:
         if self.head is None:
             self.head = self.feats[:-1]
 
+    def drawn(self, noise: np.ndarray, ex: np.ndarray | None = None) -> _Scenario:
+        """This world on the action noise ``noise`` (and the excess returns
+        ``ex`` when given), sharing every other array."""
+        return _Scenario(self.e0, self.ex if ex is None else ex, self.l, self.feats, noise,
+                         self.head, self.ll)
 
-def _observable_scenario(
-    model: MarketModel, hyper: Hyperparams, spec: ProblemSpec, dynamics: str, p=None
-) -> _Scenario:
-    """The one scenario of a partial-information flavor, from its
-    ``market.observable_rates`` (filtered on ``p`` when given)."""
-    _, signal, sched = observable_rates(model, spec.horizon, dynamics, hyper.expectation_signal, p)
-    # column-major, so that the transpose every expansion multiplies by is contiguous
-    feats = np.asfortranarray(_flat(features(signal, _tau_grid(spec.horizon, hyper.dt), hyper.m)))
-    return _Scenario(sched.a0, sched.a1, liability_path(spec.l0, sched.a2), feats,
-                     head=np.ascontiguousarray(feats[:-1]))
+
+class _ObservableWorld:
+    """The scenarios of a partial-information flavor, at any transition matrix:
+    a call gives the world of its ``market.ObservableRates`` (filtered on ``p``
+    when given), with no action noise.  The tau powers of its features and the
+    rates' mixing inputs depend on no matrix, so a run computes them once."""
+
+    def __init__(self, model: MarketModel, hyper: Hyperparams, spec: ProblemSpec, dynamics: str):
+        self.rates = ObservableRates(model, spec.horizon, dynamics, hyper.expectation_signal)
+        self.t_pow = _tau_powers(_tau_grid(spec.horizon, hyper.dt), hyper.m)
+        self.l0 = spec.l0
+
+    def __call__(self, p=None) -> _Scenario:
+        _, signal, sched = self.rates(p)
+        # column-major, so that the transpose every expansion multiplies by is contiguous
+        feats = np.asfortranarray(_flat(_features_at(signal, self.t_pow)))
+        return _Scenario(sched.a0, sched.a1, liability_path(self.l0, sched.a2), feats,
+                         head=np.ascontiguousarray(feats[:-1]))
 
 
 class _RealPaths:
@@ -633,8 +666,8 @@ def _build_env(
     dynamics = ALGO_FLAVORS[algo]
     if dynamics == "real":
         return _RealPaths(model, hyper, spec)
-    fixed = _observable_scenario(model, hyper, spec, dynamics)
-    return lambda rng, slot: replace(fixed, noise=rng.standard_normal(spec.horizon))
+    fixed = _ObservableWorld(model, hyper, spec, dynamics)()
+    return lambda rng, slot: fixed.drawn(rng.standard_normal(spec.horizon))
 
 
 def _linear_rollout(alpha: np.ndarray, beta: np.ndarray, x0: float) -> np.ndarray:
@@ -646,21 +679,20 @@ def _linear_rollout(alpha: np.ndarray, beta: np.ndarray, x0: float) -> np.ndarra
     products A of alpha; a path whose products leave 1e-250 < |A| < inf, or
     whose closed form is not finite, runs the recursion itself instead.
     """
-    a, b = np.atleast_2d(alpha), np.atleast_2d(beta)
-    x = np.empty((len(b), b.shape[1] + 1))
-    x[:, 0] = x0
+    x = np.empty((*beta.shape[:-1], beta.shape[-1] + 1))
+    x[..., 0] = x0
     with np.errstate(all="ignore"):
-        cum = np.cumprod(a, axis=1)
-        x[:, 1:] = cum * (x0 + np.cumsum(b / cum, axis=1))
-        ok = np.isfinite(x).all(axis=1) & (np.isfinite(cum) & (np.abs(cum) > 1e-250)).all(axis=1)
+        cum = alpha.cumprod(axis=-1)
+        x[..., 1:] = cum * (x0 + (beta / cum).cumsum(axis=-1))
+        ok = np.isfinite(x).all(axis=-1) & (np.isfinite(cum) & (np.abs(cum) > 1e-250)).all(axis=-1)
         if not ok.all():
-            seq = x[~ok]
-            a_seq = a if len(a) == 1 else a[~ok]
-            b_seq = b[~ok]
-            for t in range(b.shape[1]):
+            rows, a = x.reshape(-1, x.shape[-1]), np.atleast_2d(alpha)  # rows views x
+            bad = ~np.atleast_1d(ok)
+            seq, a_seq, b_seq = rows[bad], a if len(a) == 1 else a[bad], np.atleast_2d(beta)[bad]
+            for t in range(x.shape[-1] - 1):
                 seq[:, t + 1] = a_seq[:, t] * seq[:, t] + b_seq[:, t]
-            x[~ok] = seq
-    return x if np.ndim(beta) == 2 else x[0]
+            rows[bad] = seq
+    return x
 
 
 def _clip(grad: np.ndarray, limit: float | None) -> np.ndarray:
@@ -677,13 +709,16 @@ def _check_finite(params: _Grids, iteration: int, kind: str) -> None:
 
 
 class _Workspace:
-    """Arrays a training run rewrites every iteration: per batch slot the
+    """What a training run's iterations share: the critic's (6, 1) column of
+    learning rates, and the arrays every iteration rewrites, per batch slot the
     pre-update critic and the actor expansions, the updated critic's expansion
-    and both gradients' per-period weights.  Allocated afresh, they cost about
-    a hundred page faults per iteration at T = 2520, as the allocator returns
-    their memory to the system and takes it back."""
+    and both gradients' per-period weights.  Allocated afresh, the arrays cost
+    about a hundred page faults per iteration at T = 2520, as the allocator
+    returns their memory to the system and takes it back."""
 
-    def __init__(self, horizon: int, batch: int):
+    def __init__(self, horizon: int, batch: int, hyper: Hyperparams):
+        rates = (hyper.eta_theta, hyper.eta_vartheta, hyper.eta_psi)
+        self.critic_rates = np.repeat(rates, (3, 2, 1))[:, None]
         n = horizon + 1
         self.critic = np.empty((batch, _CRITIC_ROWS, n))
         self.actor = np.empty((batch, len(_ACTOR_GRIDS), n))
@@ -710,7 +745,6 @@ def _train_step(
     """
     hyper, spec, w = state.hyper, state.spec, state.w
     lam, d, dt, m = spec.explore_weight, spec.target, hyper.dt, hyper.m
-    critic_rates = np.repeat([hyper.eta_theta, hyper.eta_vartheta, hyper.eta_psi], (3, 2, 1))
     try:
         batch, grads = [], []
         for slot, sc in enumerate(scenarios):
@@ -723,7 +757,7 @@ def _train_step(
             batch.append(ep)
         grad = CriticParams.from_stacked(sum(grads) / len(grads), m)
         _check_finite(grad, k, "critic gradient")
-        step = critic_rates[:, None] * _clip(grad.stacked, hyper.grad_clip)
+        step = work.critic_rates * _clip(grad.stacked, hyper.grad_clip)
         state.critic = CriticParams.from_stacked(state.critic.stacked - step, m)
         _check_finite(state.critic, k, "critic")
 
@@ -739,7 +773,10 @@ def _train_step(
     except OverflowError as exc:
         raise DivergenceError(f"{exc} at iteration {k}") from exc
 
-    state.terminals.append(float(np.mean([ep.x[-1] - ep.sc.l[-1] for ep in batch])))
+    if len(batch) == 1:  # np.mean of one terminal: (0 + x) / 1, which is x but for -0.0
+        state.terminals.append(batch[0].x[-1] - batch[0].sc.l[-1] + 0.0)
+    else:
+        state.terminals.append(np.mean([ep.x[-1] - ep.sc.l[-1] for ep in batch]))
     if (k + 1) % hyper.n_avg == 0:
         state.w = update_lagrange(w, state.terminals[-hyper.n_avg :], d, hyper.alpha)
         if not math.isfinite(state.w):
@@ -779,8 +816,8 @@ def train(
                 f"n_iter = {hyper.n_iter} is below the checkpoint's iteration {state.iteration}"
             )
         state.require_same(spec, hyper)
-        run = replace(state, terminals=list(state.terminals), ws=list(state.ws), hyper=hyper,
-                      spec=spec)
+        run = replace(state, terminals=array("d", state.terminals), ws=array("d", state.ws),
+                      hyper=hyper, spec=spec)
     draws = (hyper.n_iter - run.iteration) * hyper.batch_size * spec.horizon
     if not isinstance(draw, _RealPaths) or forking.cores() < 2 or draws < _AHEAD_FLOOR:
         return _run(run, _serial(draw, hyper))
@@ -795,7 +832,7 @@ def _run(
     ``batches(k)``: its batch slots' scenarios, or None while the source has
     nothing to train on.  ``batches(k)`` is asked for only after iteration
     k - 1 has returned."""
-    work = _Workspace(state.spec.horizon, state.hyper.batch_size)
+    work = _Workspace(state.spec.horizon, state.hyper.batch_size, state.hyper)
     for k in range(state.iteration, state.hyper.n_iter):
         _train_step(state, batches(k), k, work)
     state.iteration = state.hyper.n_iter
@@ -806,10 +843,12 @@ def _serial(
     draw: Callable[[np.random.Generator, int], _Scenario | None], hyper: Hyperparams
 ) -> Callable[[int], Iterable[_Scenario | None]]:
     """The batches of the scenario source ``draw``: iteration k draws each
-    batch slot in turn, ``draw(rng, slot)``, from the stream (seed, k)."""
+    batch slot in turn, ``draw(rng, slot)``, from the stream (seed, k), the
+    run's one generator re-keyed (``market.KeyedStreams``)."""
+    streams = KeyedStreams(hyper.seed)
 
     def batches(k: int) -> Iterable[_Scenario | None]:
-        rng = stream(hyper.seed, k)
+        rng = streams.at(k)
         return (draw(rng, slot) for slot in range(hyper.batch_size))
 
     return batches
@@ -834,9 +873,9 @@ def _drawn_ahead(paths: _RealPaths, hyper: Hyperparams, start: int):
     free_read, free_write = os.pipe()  # rows the trainer is done with
 
     def produce(ready: int) -> None:
-        credit, n = n_rows, 0
+        credit, n, streams = n_rows, 0, KeyedStreams(hyper.seed)
         for k in range(start, hyper.n_iter):
-            rng = stream(hyper.seed, k)
+            rng = streams.at(k)
             for _ in range(size):
                 while not credit:
                     tokens = os.read(free_read, n_rows)

@@ -113,6 +113,34 @@ class TestArgumentHandling:
             capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("leaf, value, kind", [
+        ("e1.regime1.dof", float("nan"), "a finite number"),
+        ("e1.regime1.dof", "x", "a finite number"),
+        ("e1.regime2.skew", float("inf"), "a finite number"),
+        ("e1.regime1.annual_vol", float("nan"), "a finite number"),
+        ("e1.regime2.annual_vol", float("inf"), "a finite number"),
+        ("q.regime1.annual_mean", float("nan"), "a finite number"),
+        ("e0.regime2.annual_mean", float("-inf"), "a finite number"),
+        ("e0.regime1.annual_mean", "1.2", "a finite number"),
+        ("q.regime2.annual_vol", True, "a finite number"),
+        ("e1.regime1.mean_is_gross", "false", "true or false"),
+        ("q.regime1.vol_is_variance", 0, "true or false"),
+    ])
+    def test_bad_return_spec_leaf_fails_at_load_naming_the_key(
+        self, tmp_path, capsys, leaf, value, kind
+    ):
+        # a NaN dof used to end as a non-finite wealth path at iteration 0 and a string dof
+        # as a TypeError (exit 2); a NaN or infinite vol or mean failed naming no key
+        market = cfgmod.default_config()["market"]
+        leg, regime, field = leaf.split(".")
+        market[leg][regime][field] = value
+        cfg = write_config(tmp_path, market=market)
+        out = tmp_path / "o"
+        assert run(["train", "--algo", "coemv", "--iters", "3", "--config", cfg,
+                    "--out", str(out)]) == 1
+        assert f"error: market.{leaf} must be {kind}, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["d", "lambda", "x0", "l0", "w"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), None])
     @pytest.mark.parametrize("argv", [["train", "--algo", "poemv1", "--iters", "3"],

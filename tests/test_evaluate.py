@@ -17,6 +17,7 @@ from emvalm import market as M
 from emvalm import rl
 from emvalm.closed_form import GaussianPolicy, ProblemSpec
 from conftest import REFERENCE_P
+from test_rl import fresh_stream_batches, rebuilt_world
 
 
 def tiny_market():
@@ -201,15 +202,15 @@ def throw(exc):
 
 
 def on_path(monkeypatch, path, action):
-    """Run ``action`` when evaluation path ``path`` opens its stream."""
-    real = E.stream
+    """Run ``action`` when evaluation path ``path`` keys its stream."""
+    real = M.KeyedStreams.at
 
-    def stream(seed, key):
+    def at(self, key):
         if key == M.PATH_KEY + path:
             action()
-        return real(seed, key)
+        return real(self, key)
 
-    monkeypatch.setattr(E, "stream", stream)
+    monkeypatch.setattr(M.KeyedStreams, "at", at)
 
 
 @pytest.fixture
@@ -594,6 +595,60 @@ class TestMarketPaths:
         daily = replace(monthly_study_market(), dt=1.0 / 252.0)
         with pytest.raises(ValueError, match="dt"):
             E.evaluate_on_market_paths(trained, daily, 100, tiny_spec(24), 1)
+
+
+def rebuilt_empirical_draw(algo, blocks, model, hyper, spec, estimates):
+    """``empirical_train``'s scenario source with nothing held across iterations: each
+    pick recounts the windows, each estimate is labeled afresh, and each moved average
+    rebuilds its world (``test_rl.rebuilt_world``); every episode is a
+    ``dataclasses.replace`` of the world.  ``estimates`` collects each pick's estimate."""
+    horizon, running, world = spec.horizon, None, None
+    counts = [len(s.closes) - horizon for s in blocks.series_set]
+    blind_feats = rl._flat(rl.features(np.ones(horizon + 1), rl._tau_grid(horizon, hyper.dt),
+                                       hyper.m))
+
+    def draw(rng, slot):
+        nonlocal running, world
+        pick = int(rng.integers(sum(counts)))
+        idx = 0
+        while pick >= counts[idx]:
+            pick, idx = pick - counts[idx], idx + 1
+        parent = blocks.series_set[idx]
+        closes = parent.closes[pick : pick + horizon + 1]
+        est = fresh_estimate(closes, parent.frequency, blocks.dt)
+        estimates.append(est)
+        if est is not None:
+            est = np.array(est)
+            running = est if running is None else D.exp_average_update(running, est, E._N_SMOOTH)
+            p12, p21 = running.tolist()
+            if algo == "poemv1":
+                mat = np.array([[1.0 - p12, p12], [p21, 1.0 - p21]])
+                world = rebuilt_world(model, hyper, spec, "filtered", p=mat)
+            else:
+                e0_bar = np.full(horizon, 1.0 + E._baseline_rate(model, p12, p21) * hyper.dt)
+                world = rl._Scenario(e0_bar, None, np.zeros(horizon + 1), blind_feats)
+        if world is None:
+            return None
+        gross = closes[1:] / closes[:-1]
+        return replace(world, ex=gross - world.e0, noise=rng.standard_normal(horizon))
+
+    return draw
+
+
+class TestEmpiricalRunOracle:
+    @pytest.mark.parametrize("algo", ["poemv1", "emv"])
+    def test_state_is_byte_identical_to_the_rebuilt_sources(self, algo):
+        model, spec = monthly_study_market(), tiny_spec(24)
+        hyper = rl.Hyperparams(n_iter=300, dt=model.dt, seed=12, n_avg=5)
+        blocks, estimates = monthly_blocks(model), []
+        got = E.empirical_train(algo, blocks, model, hyper, spec)
+        draw = rebuilt_empirical_draw(algo, blocks, model, hyper, spec, estimates)
+        want = rl._run(rl.TrainState.start(algo, hyper, spec), fresh_stream_batches(draw, hyper))
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        # single-regime windows keep the world, and the others move it
+        single = sum(est is None for est in estimates)
+        assert len(estimates) == hyper.n_iter and 0 < single < len(estimates)
+        assert len(set(estimates)) > 10
 
 
 class TestEmpiricalTrain:

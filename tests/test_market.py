@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from emvalm import evaluate as E
@@ -80,6 +82,65 @@ class TestStream:
     def test_extra_key_words_are_rejected_not_dropped(self):
         with pytest.raises(TypeError):
             M.stream(1, 2, 3)
+
+
+# the key words in use and at the edges of a word: 0, 2^63, 2^64 - 1 (and -1, which wraps to
+# it), the evaluation keys PATH_KEY + i, and any word
+KEY_WORDS = st.one_of(
+    st.sampled_from([0, 1, 2**63, 2**64 - 1, -1]),
+    st.integers(0, 5000).map(lambda i: M.PATH_KEY + i),
+    st.integers(0, 2**64 - 1),
+)
+
+
+def draw_mix(gen, plan):
+    """The draws ``plan`` names, in order, from ``gen``; "uint32" draws an odd count of
+    32-bit words, which leaves half of a 64-bit word for the next such draw."""
+    out = []
+    for name, size in plan:
+        if name == "random":
+            out.append(gen.random(size))
+        elif name == "standard_normal_out":
+            buffer = np.empty(size)
+            gen.standard_normal(out=buffer)
+            out.append(buffer)
+        elif name == "standard_t":
+            out.append(gen.standard_t(7.5, size=size))
+        elif name == "normal":
+            out.append(gen.normal(1.0, 0.3, size=size))
+        else:
+            out.append(gen.integers(0, 2**32 - 1, size=2 * size - 1, dtype=np.uint32))
+    return out
+
+
+DRAW_PLANS = st.lists(
+    st.tuples(st.sampled_from(["random", "standard_normal_out", "standard_t", "normal", "uint32"]),
+              st.integers(1, 5)),
+    min_size=1, max_size=6,
+)
+
+
+class TestKeyedStreams:
+    @given(seed=KEY_WORDS, visits=st.lists(st.tuples(KEY_WORDS, DRAW_PLANS), min_size=1,
+                                           max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_rekeyed_draws_equal_a_fresh_stream(self, seed, visits):
+        # each visit starts from what the previous one left: a used counter, a filled buffer
+        # and, after an odd count of 32-bit words, a half-used word
+        streams = M.KeyedStreams(seed)
+        for key, plan in visits:
+            gen = streams.at(key)
+            assert gen is streams.gen
+            fresh = M.stream(seed, key)
+            want = fresh.bit_generator.state
+            got = gen.bit_generator.state
+            assert got["state"]["key"].tolist() == want["state"]["key"].tolist()
+            assert got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+            assert got["buffer"].tolist() == want["buffer"].tolist()
+            for name in ("buffer_pos", "has_uint32", "uinteger"):
+                assert got[name] == want[name], name
+            for a, b in zip(draw_mix(gen, plan), draw_mix(fresh, plan), strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestRegimePath:

@@ -16,6 +16,7 @@ from scipy import stats
 
 from emvalm import config
 from emvalm import evaluate as E
+from emvalm import filtering as F
 from emvalm import market as M
 from emvalm import rl
 from emvalm.closed_form import GaussianPolicy, ProblemSpec
@@ -548,7 +549,7 @@ class TestTrain:
         with np.errstate(over="ignore"), pytest.raises(
             rl.DivergenceError, match=r"^terminal surplus x - l = 1e\+160 .* at iteration 4$"
         ):
-            rl._train_step(state, [sc], 4, rl._Workspace(2, 1))
+            rl._train_step(state, [sc], 4, rl._Workspace(2, 1, hyper))
 
     def test_non_finite_gradient_fails_before_clipping(self):
         # large steps take the wealth paths to 1e97, where the critic gradient
@@ -797,7 +798,8 @@ def recording_step(state, scenarios):
         for name, sink in records.items():
             fn = getattr(rl._Episode, name)
             stack.enter_context(mock.patch.object(rl._Episode, name, recording(fn, sink)))
-        rl._train_step(state, scenarios, 0, rl._Workspace(state.spec.horizon, len(scenarios)))
+        rl._train_step(state, scenarios, 0,
+                       rl._Workspace(state.spec.horizon, len(scenarios), state.hyper))
     return episodes, *records.values()
 
 
@@ -1269,3 +1271,75 @@ class TestDrawnAhead:
         monkeypatch.setattr(rl, "_AHEAD_FLOOR", 20 * spec.horizon)
         rl.train("coemv", model, hyper, spec)
         assert len(forks) == 1
+
+
+# ---------------------------------------------------------------------------
+# Oracle for what a run holds across its iterations (one re-keyed generator,
+# one observable world, the critic's rates): the scenario sources that held
+# nothing -- a fresh stream per iteration, a world rebuilt from the filter
+# path, the mixed moments and the features, and each episode a
+# ``dataclasses.replace`` of it -- driven through the same loop, ``rl._run``.
+# ---------------------------------------------------------------------------
+
+
+def rebuilt_world(model, hyper, spec, dynamics, p=None):
+    """The world of a partial-information flavor, every array built afresh."""
+    chain, m = model.chain, hyper.m
+    probs = F.filter_states(chain.p0, chain.matrix() if p is None else p, spec.horizon)
+    sig = F.signal_path(F.mixing_signal(dynamics, hyper.expectation_signal), probs)
+    v1, v2 = (np.array([s.a0, s.b0, s.a1, s.risky_sq(), s.a2, s.b2, s.risky_mean()])
+              for s in model.moment_pair())
+    mixed = F.mix(v1[:, None], v2[:, None], sig[:-1])
+    taus = rl._tau_grid(spec.horizon, hyper.dt)
+    s_pow = sig[:, None] ** np.arange(m + 1)[None, :]
+    t_pow = taus[:, None] ** np.arange(1, m + 1)[None, :]
+    feats = np.asfortranarray((s_pow[:, :, None] * t_pow[:, None, :]).reshape(len(sig), -1))
+    return rl._Scenario(mixed[0], mixed[2], M.liability_path(spec.l0, mixed[4]), feats,
+                        head=np.ascontiguousarray(feats[:-1]))
+
+
+def fresh_stream_batches(draw, hyper):
+    """``rl._serial``'s batches, each iteration k on a new ``stream(seed, k)``."""
+
+    def batches(k):
+        rng = M.stream(hyper.seed, k)
+        return (draw(rng, slot) for slot in range(hyper.batch_size))
+
+    return batches
+
+
+def rebuilt_source(algo, model, hyper, spec):
+    dynamics = rl.ALGO_FLAVORS[algo]
+    if dynamics == "real":
+        return rl._RealPaths(model, hyper, spec)
+    fixed = rebuilt_world(model, hyper, spec, dynamics)
+    return lambda rng, slot: replace(fixed, noise=rng.standard_normal(spec.horizon))
+
+
+class TestRunHeldStateOracle:
+    @pytest.mark.parametrize("producer", ["ahead", "serial"])
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    @pytest.mark.parametrize("algo", ["poemv1", "poemv2", "coemv"])
+    def test_train_is_byte_identical_to_the_rebuilt_sources(self, forks, monkeypatch, algo,
+                                                           batch_size, producer):
+        model, spec, hyper = reference_run(120, batch_size=batch_size)
+        if producer == "serial":
+            one_core(monkeypatch)
+        got = rl.train(algo, model, hyper, spec)
+        # only real dynamics draw ahead, and only when a second core is free
+        assert len(forks) == (algo == "coemv" and producer == "ahead")
+        source = rebuilt_source(algo, model, hyper, spec)
+        want = rl._run(rl.TrainState.start(algo, hyper, spec), fresh_stream_batches(source, hyper))
+        assert state_json(got) == state_json(want)
+
+    @pytest.mark.parametrize("algo", ["poemv1", "poemv2"])
+    def test_the_held_world_is_the_rebuilt_one(self, algo):
+        model, spec, hyper = reference_run(1)
+        dynamics = rl.ALGO_FLAVORS[algo]
+        world = rl._build_env(algo, model, hyper, spec)(M.stream(5, 3), 0)
+        want = rebuilt_world(model, hyper, spec, dynamics)
+        for name in ("e0", "ex", "l", "ll", "feats", "head"):
+            got, ref = getattr(world, name), getattr(want, name)
+            assert got.tobytes(order="A") == ref.tobytes(order="A"), name
+            assert got.flags.f_contiguous == ref.flags.f_contiguous, name
+        assert world.noise.tobytes() == M.stream(5, 3).standard_normal(spec.horizon).tobytes()
