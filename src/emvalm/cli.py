@@ -34,6 +34,7 @@ def _setup(args, **training) -> tuple:
     cfg = cfgmod.resolve_config(overrides)
     training["seed"] = args.seed
     cfg["training"].update((key, value) for key, value in training.items() if value is not None)
+    cfgmod.check_config(cfg)  # as resolve_config did, now with the flags' values
     return cfg, cfgmod.build_market(cfg), cfgmod.build_problem(cfg)
 
 
@@ -67,7 +68,7 @@ def _csv_cell(v) -> str:
 
 def _checkpoint(path: str) -> rl.TrainState:
     with open(path, "r", encoding="utf-8") as fh:
-        return rl.TrainState.from_dict(json.load(fh))
+        return cfgmod.load_checkpoint(json.load(fh))
 
 
 def cmd_simulate(args) -> int:

@@ -215,13 +215,6 @@ class Mixing:
         return sched
 
 
-def mixed_schedule(
-    pair: tuple[MomentSet, MomentSet], signals: np.ndarray, flavor: str
-) -> MomentSchedule:
-    """``Mixing(pair).schedule(signals, flavor)``: the pair mixed along one signal path."""
-    return Mixing(pair).schedule(signals, flavor)
-
-
 def mixing_signal(flavor: str, expectation_signal: str = "expected_state") -> str:
     """The signal a flavor's policies see, and a partial-information flavor is mixed along.
 

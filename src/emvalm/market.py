@@ -59,8 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, fields
-from numbers import Real
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -78,6 +77,7 @@ _WORD = 0xFFFFFFFFFFFFFFFF  # a Philox key word, to which seeds and keys wrap
 _ZERO_WORDS = (0, 0, 0, 0)  # a fresh Philox counter and buffer
 _PHILOX_BUFFER = 4  # the buffer position of a fresh Philox: every word used
 SIGNALS = ("regime", "filtered_prob", "expected_state")
+RETURN_KINDS = ("constant", "normal", "skewed_t")
 
 
 class _PhiloxKey(ISeedSequence):
@@ -138,9 +138,9 @@ class RegimeChain:
         mat = self.matrix()
         if not np.all((mat >= 0.0) & (mat <= 1.0)):  # a NaN entry fails both comparisons
             raise ValueError(f"transition probabilities must lie in [0, 1], got {self.p}")
-        sums = mat.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
-            raise ValueError(f"transition matrix rows must sum to 1, got sums {sums}")
+        for regime, total in enumerate(mat.sum(axis=1).tolist(), 1):
+            if abs(total - 1.0) > _ROW_SUM_TOL:
+                raise ValueError(f"transitions out of regime {regime} must sum to 1, got {total!r}")
         if not 0.0 < self.p0 < 1.0:
             raise ValueError(f"initial regime-1 probability must lie in (0, 1), got {self.p0}")
 
@@ -172,7 +172,7 @@ class ReturnSpec:
     vol_is_variance: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "normal", "skewed_t"):
+        if self.kind not in RETURN_KINDS:
             raise ValueError(f"unknown return kind {self.kind!r}")
         if self.annual_vol < 0.0:
             raise ValueError("annual_vol must be >= 0")
@@ -272,8 +272,12 @@ class MarketModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        pair = (self.regime_moment_set(1), self.regime_moment_set(2))
-        for regime, m in enumerate(pair, 1):
+        pair = []
+        for regime in (1, 2):
+            try:  # a MomentSet is finite, with b1 > 0; a huge annual vol overflows its square
+                m = self.regime_moment_set(regime)
+            except (OverflowError, ValueError) as exc:
+                raise ValueError(f"moments of regime {regime} returns: {exc}") from None
             # E[e e'] for (baseline, risky) is PD iff b0 > 0 and the 2x2 determinant
             # b0 * E[risky^2] - (a0 * E[risky])^2 is positive
             risky_sq = m.risky_sq()
@@ -282,8 +286,9 @@ class MarketModel:
                 raise ValueError(
                     f"second-moment matrix of regime {regime} returns is not positive definite"
                 )
+            pair.append(m)
         # kept for moment_pair(): the empirical pipeline mixes them every iteration
-        object.__setattr__(self, "_pair", pair)
+        object.__setattr__(self, "_pair", tuple(pair))
 
     def regime_moment_set(self, regime: int) -> MomentSet:
         i = regime - 1
@@ -446,62 +451,6 @@ def liability_path(l0: float, q) -> np.ndarray:
     so that every entry is the recursion's own float."""
     q = np.asarray(q, dtype=float)
     return np.cumprod(np.concatenate((np.full((*q.shape[:-1], 1), l0), q), axis=-1), axis=-1)
-
-
-_NUMBER_LEAVES = ("annual_mean", "annual_vol", "dof", "skew")  # dof and skew may be null
-_FLAG_LEAVES = ("mean_is_gross", "vol_is_variance")
-
-
-def _finite_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
-
-
-def _spec_from_dict(d: dict, where: str) -> ReturnSpec:
-    """The return spec of the config entry ``where`` (``market.<leg>.regime<k>``).
-    A number leaf that is not a finite number, a flag that is not a bool or a
-    missing ``kind`` or ``annual_mean`` is an error naming its key, and every
-    other error of the spec names the entry."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be an object, got {d!r}")
-    unknown = set(d) - {f.name for f in fields(ReturnSpec)}
-    if unknown:
-        raise ValueError(f"{where}: unknown return spec keys: {sorted(unknown)}")
-    for key in ("kind", "annual_mean"):
-        if key not in d:
-            raise ValueError(f"{where}.{key} is missing")
-    for key, value in d.items():
-        unset = value is None and key in ("dof", "skew")
-        if key in _NUMBER_LEAVES and not (unset or _finite_number(value)):
-            raise ValueError(f"{where}.{key} must be a finite number, got {value!r}")
-        if key in _FLAG_LEAVES and not isinstance(value, bool):
-            raise ValueError(f"{where}.{key} must be true or false, got {value!r}")
-    try:
-        return ReturnSpec(**d)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
-def market_from_dict(cfg: dict) -> MarketModel:
-    """Build a model from the documented JSON layout (see README); a chain
-    entry, ``p_hat_0``, ``dt`` or return-spec leaf that is not a finite
-    number, or a return-spec flag that is not a bool, is an error naming its
-    ``market.`` key."""
-    try:
-        for key in ("P11", "P12", "P21", "P22", "p_hat_0", "dt"):
-            value = cfg[key]
-            if not _finite_number(value):
-                raise ValueError(f"market.{key} must be a finite number, got {value!r}")
-        chain = RegimeChain.from_probs(
-            p11=cfg["P11"], p12=cfg["P12"], p21=cfg["P21"], p22=cfg["P22"], p0=cfg["p_hat_0"]
-        )
-        dt = cfg["dt"]
-        legs = {}
-        for name in LEGS:
-            legs[name] = tuple(_spec_from_dict(cfg[name][f"regime{k}"], f"market.{name}.regime{k}")
-                               for k in (1, 2))
-    except KeyError as exc:
-        raise ValueError(f"market config is missing key {exc}") from exc
-    return MarketModel(chain=chain, e0=legs["e0"], e1=legs["e1"], q=legs["q"], dt=dt)
 
 
 def market_to_dict(model: MarketModel) -> dict:

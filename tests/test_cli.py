@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from emvalm import cli, evaluate, rl
 from emvalm import config as cfgmod
 from emvalm import filtering as F
 from emvalm.closed_form import policy_table_rows
+from emvalm.market import ReturnSpec
 from test_evaluate import monthly_blocks, monthly_study_market, tiny_spec
 
 
@@ -58,7 +60,7 @@ class TestArgumentHandling:
         assert run(["filter-demo", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "error" in err
-        assert f"unknown keys in config section {section!r}: ['horizon?']" in err
+        assert f"unknown keys in {section}: ['horizon?']" in err
 
     def test_bad_training_value_fails_at_load_naming_the_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, training={"expectation_signal": "state1prob"})
@@ -228,6 +230,131 @@ class TestConfigResolution:
     def test_fractional_period_count_rejected(self):
         with pytest.raises(ValueError, match="whole number"):
             cfgmod.resolve_config({"problem": {"T_years": 0.123}})
+
+
+def leaves(tree: dict, where: str = "") -> list[str]:
+    """The dotted keys of the leaves of a config, or of a schema (whose leaves are rules)."""
+    out = []
+    for key, value in tree.items():
+        dotted = f"{where}.{key}" if where else key
+        out += leaves(value, dotted) if isinstance(value, dict) else [dotted]
+    return out
+
+
+# every leaf a config may hold: the defaults' and the optional ones of each return spec
+CONFIG_LEAVES = sorted({*leaves(cfgmod.default_config()), *(
+    f"market.{leg}.regime{k}.{f.name}" for leg in ("e0", "e1", "q") for k in (1, 2)
+    for f in fields(ReturnSpec))})
+BAD_VALUES = [-1, 0, float("nan"), float("inf"), 1e308, "x", None, 2.5, True]
+SWEEP_COMMANDS = [["train", "--algo", "coemv", "--iters", "2"],
+                  ["evaluate", "--analytic", "poemv_opt"]]
+# how a run on a config the schema admits may still fail, after load: training diverges (exit
+# 2), every evaluation path does, or the analytic policy is not finite on the market (exit 1)
+AFTER_LOAD = ("internal error: DivergenceError", "paths produced non-finite terminals",
+              "error: policy")
+
+
+def names_its_key(message: str, key: str) -> bool:
+    """Whether a load error names ``key``; a rule over several leaves names their return spec
+    entry, or ``market`` and the regime."""
+    entry = key.rsplit(".", 1)[0]
+    return key in message or message.startswith(f"{entry}: ") or (
+        message.startswith("market: ") and "regime" in message)
+
+
+class TestInputSchema:
+    def test_the_schema_holds_every_config_leaf(self):
+        # a key the defaults gain cannot skip the table
+        assert sorted(leaves(cfgmod.SCHEMA)) == CONFIG_LEAVES
+
+    @pytest.mark.parametrize("key", CONFIG_LEAVES)
+    def test_a_corrupt_leaf_runs_or_fails_at_load_by_its_key(self, tmp_path, capsys, key):
+        # before the schema table, 37 of the 522 single-leaf corruptions of the defaults exited
+        # 2 (a bare TypeError or OverflowError at load among them), and 38 more exited 1
+        # without naming the key
+        for value in BAD_VALUES:
+            cfg = cfgmod.default_config()
+            cfg["evaluation"]["n_paths"] = 4
+            *path, leaf = key.split(".")
+            node = cfg
+            for part in path:
+                node = node[part]
+            node[leaf] = value
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(cfg))
+            try:
+                cfgmod.resolve_config(json.loads(config.read_text()))
+                load_error = None
+            except ValueError as exc:
+                load_error = str(exc)
+                assert names_its_key(load_error, key), (value, load_error)
+            for argv in SWEEP_COMMANDS:
+                out = tmp_path / "o"
+                code = run([*argv, "--config", str(config), "--out", str(out)])
+                err = capsys.readouterr().err
+                if load_error is not None:
+                    assert (code, err) == (1, f"error: {load_error}\n"), (value, argv[0])
+                elif code != 0:
+                    assert err.startswith(AFTER_LOAD) or AFTER_LOAD[1] in err, (value, err)
+                assert code == 0 or not out.exists(), (value, argv[0])
+                if out.exists():
+                    for f in out.iterdir():
+                        f.unlink()
+                    out.rmdir()
+
+
+MISSING = object()
+# (field path, bad value, the field the error names): before the schema table each exited 2,
+# but a ragged grid (1) and, under evaluate --checkpoint, a word for the iteration (0: scored)
+CHECKPOINT_CORRUPTIONS = [
+    *[((key,), MISSING, key) for key in ("hyper", "spec", "critic", "w", "iteration",
+                                         "terminals", "algo")],
+    (("w",), "x", "w"), (("w",), None, "w"), (("hyper", "eta_phi"), "x", "hyper.eta_phi"),
+    (("hyper", "m"), MISSING, "hyper.m"), (("spec", "horizon"), "x", "spec.horizon"),
+    (("critic", "psi"), MISSING, "critic.psi"), (("critic", "theta1", 2), [0.0], "critic.theta1"),
+    (("iteration",), "x", "iteration"),
+]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A config and the checkpoint of a short poemv1 run on it."""
+    tmp = tmp_path_factory.mktemp("trained")
+    cfg = write_config(tmp, evaluation={"n_paths": 4})
+    assert run(["train", "--config", cfg, "--algo", "poemv1", "--iters", "20",
+                "--out", str(tmp / "t")]) == 0
+    return cfg, (tmp / "t" / "checkpoint.json").read_text()
+
+
+class TestCheckpointSchema:
+    def test_a_valid_checkpoint_loads_bit_identically(self, trained):
+        _, text = trained
+        assert cfgmod.canonical_json(cfgmod.load_checkpoint(json.loads(text)).to_dict()) == text
+
+    @pytest.mark.parametrize("path, value, field", CHECKPOINT_CORRUPTIONS,
+                             ids=[f"{field}={'missing' if value is MISSING else repr(value)}"
+                                  for _, value, field in CHECKPOINT_CORRUPTIONS])
+    @pytest.mark.parametrize("argv", [["evaluate", "--checkpoint"],
+                                      ["train", "--algo", "poemv1", "--iters", "30", "--resume"]],
+                             ids=["evaluate", "resume"])
+    def test_a_corrupt_checkpoint_fails_by_its_field(
+        self, tmp_path, capsys, trained, argv, path, value, field
+    ):
+        cfg, text = trained
+        d = json.loads(text)
+        node = d
+        for part in path[:-1]:
+            node = node[part]
+        if value is MISSING:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert run([*argv, str(ckpt), "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: checkpoint.{field} ")
+        assert not out.exists()
 
 
 class TestArtifacts:
@@ -488,9 +615,7 @@ class TestArtifacts:
         params = json.loads((out / "params.json").read_text())
         assert "market" in params and "estimates" in params
         # the emitted market block must itself be loadable
-        from emvalm.market import market_from_dict
-
-        market_from_dict(params["market"])
+        cfgmod.resolve_config({"market": params["market"]})
 
 
 # (dynamics, signal) each policy is scored in under evaluation.dynamics = "auto",
@@ -559,7 +684,7 @@ class TestFlavorTable:
         else:
             probs = F.filter_states(chain.p0, chain.matrix(), spec.horizon)[:-1]
             literal = (flavor, exp_sig) == ("expectation", "expected_state")
-            schedule = F.mixed_schedule(pair, 2.0 - probs if literal else probs, flavor)
+            schedule = F.Mixing(pair).schedule(2.0 - probs if literal else probs, flavor)
         header = ["t", "mean_x_coeff", "mean_l_coeff", "mean_const", "variance"]
         want = cli._csv(policy_table_rows(schedule, spec), header)
         assert (out / "policy.csv").read_bytes() == want.encode("utf-8")

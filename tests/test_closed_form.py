@@ -144,8 +144,8 @@ class TestSuboptimalPolicy:
         T = 6
         spec = spec_for(T)
         probs = F.filter_states(0.3, REFERENCE_P, T)[:-1]
-        filt = F.mixed_schedule(pair, probs, "filtered")
-        tilde = F.mixed_schedule(pair, 2.0 - probs, "expectation")
+        filt = F.Mixing(pair).schedule(probs, "filtered")
+        tilde = F.Mixing(pair).schedule(2.0 - probs, "expectation")
         reg = F.regime_schedule(m, T)
         for t in range(T):
             a = C.optimal_policy(t, 1.1, 0.2, filt, spec)
@@ -157,7 +157,7 @@ class TestSuboptimalPolicy:
     def test_last_period_tilde_substitution(self, rng):
         pair = (random_moment_set(rng), random_moment_set(rng))
         T = 3
-        tilde = F.mixed_schedule(pair, 2.0 - F.filter_states(0.3, REFERENCE_P, T)[:-1], "expectation")
+        tilde = F.Mixing(pair).schedule(2.0 - F.filter_states(0.3, REFERENCE_P, T)[:-1], "expectation")
         spec = spec_for(T)
         m = tilde[T - 1]
         mean, var = C.optimal_policy(T - 1, 0.9, 0.4, tilde, spec)
@@ -352,7 +352,7 @@ class TestOptimalityAgainstPerturbations:
         T = 5
         spec = spec_for(T)
         certain = F.MomentSchedule(
-            sets=(F.mixed_schedule(pair, [1.0], "filtered")[0],) * T, flavor="filtered"
+            sets=(F.Mixing(pair).schedule([1.0], "filtered")[0],) * T, flavor="filtered"
         )
         regime1 = F.regime_schedule(pair[0], T)
         for t in range(T):

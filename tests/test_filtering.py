@@ -21,7 +21,7 @@ def expected_state(p0, p, t):
 
 def mixed_moments(signal, pair):
     """The pair mixed with weight ``signal`` on regime 1: a one-period schedule."""
-    return F.mixed_schedule(pair, [signal], "filtered")[0]
+    return F.Mixing(pair).schedule([signal], "filtered")[0]
 
 
 def all_sets(schedule):
@@ -172,24 +172,24 @@ class TestFilteredMoments:
         m1 = F.MomentSet(a0=1.0008, b0=1.0008**2, a1=0.0012, b1=1.6e-4, a2=1.0002, b2=1.0002**2 + 4e-5)
         m2 = F.MomentSet(a0=1.0002, b0=1.0002**2, a1=4e-5, b1=3.6e-4, a2=1.00004, b2=1.00004**2 + 1.6e-4)
         weights = 2.0 - F.filter_states(0.3, REFERENCE_P, 40)[:-1]
-        sched = F.mixed_schedule((m1, m2), weights, "expectation")
+        sched = F.Mixing((m1, m2)).schedule(weights, "expectation")
         assert sched.flavor == "expectation"
         assert np.any(sched.deficits()[2])  # b2 < a2^2
 
     def test_interior_schedules_report_no_violations(self, rng):
         pair = self._pair(rng)
-        sched = F.mixed_schedule(pair, F.filter_states(0.3, REFERENCE_P, 50)[:-1], "filtered")
+        sched = F.Mixing(pair).schedule(F.filter_states(0.3, REFERENCE_P, 50)[:-1], "filtered")
         assert not np.any(sched.deficits())
         assert len(sched) == 50
 
     def test_expectation_schedule_state1_prob_variant(self, rng):
         pair = self._pair(rng)
         probs = F.filter_states(0.3, REFERENCE_P, 10)
-        a = F.mixed_schedule(
-            pair, F.signal_path(F.mixing_signal("expectation", "state1_prob"), probs)[:-1],
+        a = F.Mixing(pair).schedule(
+            F.signal_path(F.mixing_signal("expectation", "state1_prob"), probs)[:-1],
             "expectation",
         )
-        b = F.mixed_schedule(pair, probs[:-1], "filtered")
+        b = F.Mixing(pair).schedule(probs[:-1], "filtered")
         for t in range(10):
             assert a[t].as_tuple() == pytest.approx(b[t].as_tuple(), abs=1e-15)
 

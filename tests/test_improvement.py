@@ -14,7 +14,7 @@ from emvalm import config as cfgmod
 from emvalm import evaluate as E
 from emvalm import improvement as I
 from emvalm import market as M
-from emvalm.filtering import MomentSchedule, filter_states, mixed_schedule, regime_schedule
+from emvalm.filtering import Mixing, MomentSchedule, filter_states, regime_schedule
 from conftest import REFERENCE_P, gaussian_entropy_min, random_moment_set, random_schedule
 
 
@@ -171,7 +171,7 @@ class TestSweptRound:
         else:
             pair = (random_moment_set(rng), random_moment_set(rng))
             probs = filter_states(float(rng.uniform(0.0, 1.0)), REFERENCE_P, horizon)
-            sched = mixed_schedule(pair, probs[:-1], "filtered")
+            sched = Mixing(pair).schedule(probs[:-1], "filtered")
         spec = spec_for(
             horizon, w=float(rng.uniform(0.3, 2.5)), lam=float(rng.uniform(0.5, 3.0))
         )
@@ -245,7 +245,7 @@ class TestOneOperator:
         else:
             pair = (random_moment_set(rng), random_moment_set(rng))
             probs = filter_states(float(rng.uniform(0.0, 1.0)), REFERENCE_P, horizon)
-            sched = mixed_schedule(pair, probs[:-1], "filtered")
+            sched = Mixing(pair).schedule(probs[:-1], "filtered")
         spec = spec_for(horizon, w=float(rng.uniform(0.3, 2.5)), lam=float(rng.uniform(0.5, 3.0)))
         surfaces = [C.terminal_value(spec.multiplier, spec.target)]
         table = np.empty((4, horizon))
@@ -304,7 +304,7 @@ class TestIterateToConvergence:
     def test_partial_information_schedule_uses_the_same_code_path(self, rng):
         pair = (random_moment_set(rng), random_moment_set(rng))
         T = 5
-        sched = mixed_schedule(pair, filter_states(0.3, REFERENCE_P, T)[:-1], "filtered")
+        sched = Mixing(pair).schedule(filter_states(0.3, REFERENCE_P, T)[:-1], "filtered")
         spec = spec_for(T)
         fam = I.InitialPolicyFamily.random(T, rng)
         final, n_used = I.iterate_to_convergence(fam, sched, spec)

@@ -13,6 +13,7 @@ from emvalm import evaluate as E
 from emvalm import filtering as F
 from emvalm import market as M
 from emvalm.closed_form import GaussianPolicy, ProblemSpec
+from emvalm.config import build_market, resolve_config
 from conftest import REFERENCE_P, closed_form_scale, regime_path_reference
 
 
@@ -422,14 +423,14 @@ class TestSimulateEpisode:
 class TestMarketJson:
     def test_round_trip(self):
         model = simple_model(dt=1.0 / 252.0)
-        again = M.market_from_dict(M.market_to_dict(model))
+        again = build_market({"market": M.market_to_dict(model)})
         assert M.market_to_dict(again) == M.market_to_dict(model)
 
     def test_missing_key_reported(self):
         cfg = M.market_to_dict(simple_model())
         del cfg["P11"]
         with pytest.raises(ValueError, match="P11"):
-            M.market_from_dict(cfg)
+            resolve_config({"market": cfg})
 
     @pytest.mark.parametrize("key", ["P11", "P12", "P21", "P22", "p_hat_0", "dt"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, None, "0.5", True])
@@ -437,7 +438,7 @@ class TestMarketJson:
         cfg = M.market_to_dict(simple_model())
         cfg[key] = value
         with pytest.raises(ValueError, match=rf"^market\.{key} must be a finite number"):
-            M.market_from_dict(cfg)
+            resolve_config({"market": cfg})
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_dt_rejected(self, dt):

@@ -951,14 +951,14 @@ class TestMomentMixing:
     @settings(max_examples=300, deadline=None)
     def test_schedule_matches_per_period_loop(self, seed, deficits, signals):
         pair = mixing_pair(np.random.default_rng(seed), deficits)
-        got, got_err = outcome(lambda: F.mixed_schedule(pair, np.array(signals), "expectation"))
+        got, got_err = outcome(lambda: F.Mixing(pair).schedule(np.array(signals), "expectation"))
         want, want_err = outcome(lambda: loop_schedule(pair, signals))
         assert got_err == want_err
         if want is not None:
             assert got.rows.tobytes() == want[0].T.tobytes()
             assert np.array_equal(got.deficits(), want[1])
         # the one-period mix is the one-column case
-        one, one_err = outcome(lambda: F.mixed_schedule(pair, signals[:1], "filtered")[0])
+        one, one_err = outcome(lambda: F.Mixing(pair).schedule(signals[:1], "filtered")[0])
         want_one, want_one_err = outcome(lambda: loop_moments(float(signals[0]), pair))
         assert one_err == want_one_err
         if want_one is not None:
@@ -966,7 +966,7 @@ class TestMomentMixing:
 
     @pytest.mark.parametrize("signal", ["expected_state", "state1_prob"])
     def test_reference_expectation_schedule_matches_per_period_loop(self, signal):
-        model = M.market_from_dict(config.default_config()["market"])
+        model = config.build_market(config.default_config())
         chain, pair, horizon = model.chain, model.moment_pair(), 2520
         probs = F.filter_states(chain.p0, chain.matrix(), horizon)[:-1]
         weights = 2.0 - probs if signal == "expected_state" else probs
@@ -1020,7 +1020,7 @@ class TestValueScans:
     @pytest.mark.parametrize("flavor", ["filtered", "expectation"])
     def test_reference_schedules_match_backward_loops(self, flavor):
         cfg = config.default_config()
-        model, spec = M.market_from_dict(cfg["market"]), config.build_problem(cfg)
+        model, spec = config.build_market(cfg), config.build_problem(cfg)
         sched = M.observable_rates(model, spec.horizon, flavor)[2]
         tables = C._ScheduleTables(sched, spec)
         assert tables.risk_sum.tobytes() == loop_risk_sum(tables).tobytes()
